@@ -45,14 +45,14 @@ use pedal::{wire, Datatype, Design, PedalHeader};
 use pedal_datasets::workload::Arrival;
 use pedal_dpu::{Direction, Placement, SimDuration, SimInstant};
 use pedal_obs::{Json, ToJson};
-use pedal_policy::{AdaptivePolicy, PolicyLog, PolicyRecord, PolicySnapshot};
+use pedal_policy::{fnv1a64, AdaptivePolicy, PolicyLog, PolicyRecord, PolicySnapshot};
 use pedal_service::{
     BackpressurePolicy, CompletedJob, JobDesc, JobId, PedalService, ServiceConfig, ServiceStats,
 };
 
 use crate::bucket::TenantBuckets;
 use crate::config::{FleetConfig, LadderLevel, NodeSpec, TenantClass};
-use crate::placement::{fnv1a64, PlacementAction, PlacementLog, PlacementRecord, ShedReason};
+use crate::placement::{PlacementAction, PlacementLog, PlacementRecord, ShedReason};
 
 /// One epoch's admission counters and barrier snapshot digest.
 #[derive(Debug, Clone)]

@@ -45,5 +45,6 @@ mod placement;
 pub use bucket::{BucketSpec, TenantBuckets, TokenBucket};
 pub use config::{FleetConfig, LadderLevel, NodeSpec, TenantClass};
 pub use fleet::{run_fleet, ClassStats, EpochSummary, FleetRun, NodeCompletion, StoredJob};
+pub use pedal_policy::fnv1a64;
 pub use pedal_policy::{PolicyConfig, PolicyLog, PolicyRecord, PolicySnapshot};
-pub use placement::{fnv1a64, PlacementAction, PlacementLog, PlacementRecord, ShedReason};
+pub use placement::{PlacementAction, PlacementLog, PlacementRecord, ShedReason};

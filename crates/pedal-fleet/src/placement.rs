@@ -11,6 +11,7 @@
 use crate::config::{LadderLevel, TenantClass};
 use pedal::Design;
 use pedal_obs::{Json, ToJson};
+use pedal_policy::fnv1a64;
 use pedal_service::JobId;
 
 /// Why a job was shed at fleet admission.
@@ -124,16 +125,6 @@ impl ToJson for PlacementLog {
     }
 }
 
-/// FNV-1a 64-bit (public: the bench hashes report JSON with it too).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,12 +167,5 @@ mod tests {
             ..record()
         });
         assert_ne!(a.digest(), b.digest());
-    }
-
-    #[test]
-    fn fnv_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

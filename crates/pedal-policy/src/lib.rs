@@ -35,7 +35,7 @@ pub mod log;
 pub mod policy;
 pub mod probe;
 
-pub use crate::log::{PolicyLog, PolicyRecord};
+pub use crate::log::{fnv1a64, PolicyLog, PolicyRecord};
 pub use crate::policy::{
     AdaptivePolicy, Decision, PolicyChoice, PolicyConfig, PolicyReason, PolicySnapshot,
 };

@@ -128,9 +128,9 @@ impl ToJson for PolicyLog {
     }
 }
 
-/// FNV-1a 64-bit. Kept local: `pedal-fleet` (which owns the other copy)
-/// sits *above* this crate in the dependency graph.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit: the digest behind every replay log (`pedal-fleet`
+/// re-exports it for its placement log and reports).
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;

@@ -7,8 +7,9 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
+use pedal::exec::{Executed, Executor};
 use pedal::{wire, Datatype, Design, PedalHeader};
-use pedal_doca::{ChannelSet, CompressJob, JobHandle, JobKind, Workq};
+use pedal_doca::{ChannelSet, CompressJob, JobKind, Workq};
 use pedal_dpu::{
     Algorithm, CostModel, Direction, Placement, Platform, SimClock, SimDuration, SimInstant,
 };
@@ -538,18 +539,23 @@ impl PedalService {
             }
         };
 
+        let lane_env = || LaneEnv {
+            exec: Executor {
+                platform: cfg.platform,
+                costs,
+                error_bound: cfg.error_bound,
+                workq: None,
+            },
+            shared: shared.clone(),
+            metrics: lane_metrics.clone(),
+        };
+
         let mut lanes = Vec::new();
         let mut soc_tx = Vec::new();
         for w in 0..cfg.soc_workers {
             let (tx, rx) = mpsc::channel();
             soc_tx.push(tx);
-            let env = LaneEnv {
-                platform: cfg.platform,
-                costs,
-                error_bound: cfg.error_bound,
-                shared: shared.clone(),
-                metrics: lane_metrics.clone(),
-            };
+            let env = lane_env();
             let (rec, sink) = recorder(format!("soc-{w}"));
             lanes.push(
                 std::thread::Builder::new()
@@ -562,13 +568,7 @@ impl PedalService {
         for c in 0..cfg.ce_channels {
             let (tx, rx) = mpsc::channel();
             ce_tx.push(tx);
-            let env = LaneEnv {
-                platform: cfg.platform,
-                costs,
-                error_bound: cfg.error_bound,
-                shared: shared.clone(),
-                metrics: lane_metrics.clone(),
-            };
+            let env = lane_env();
             let channels = channels.clone();
             let (rec, sink) = recorder(format!("ce-{c}"));
             lanes.push(
@@ -1261,21 +1261,15 @@ fn predict_service(costs: &CostModel, desc: &JobDesc, eff: Placement) -> SimDura
 // ---------------------------------------------------------------------
 
 struct LaneEnv {
-    platform: Platform,
-    costs: CostModel,
-    error_bound: f64,
+    /// The lane's design executor, minus the engine channel the lane
+    /// binds when it starts.
+    exec: Executor<'static>,
     shared: Arc<Shared>,
     metrics: LaneMetrics,
 }
 
-struct Outcome {
-    result: Result<JobOutput, ServiceError>,
-    completed: SimInstant,
-}
-
-fn fail(msg: String, completed: SimInstant) -> Outcome {
-    Outcome { result: Err(ServiceError::Pedal(msg)), completed }
-}
+/// A finished job's result and its virtual completion instant.
+type Outcome = (Result<JobOutput, ServiceError>, SimInstant);
 
 /// Each lane is a serial server in virtual time: a job starts at
 /// `max(dispatch instant, previous completion)`. C-Engine lanes own one
@@ -1290,28 +1284,36 @@ fn run_lane(
     sink: Option<Collector>,
 ) -> LaneStats {
     let wq: Option<&Workq> = channels.as_ref().map(|(cs, i)| cs.channel(*i));
+    let exec = Executor { workq: wq, ..env.exec };
     let mut stats = LaneStats::new(lane);
     let mut virt_free = SimInstant::EPOCH;
     while let Ok(msg) = rx.recv() {
         match msg {
             LaneMsg::One { job, admitted_at } => {
                 let start = virt_free.max(admitted_at);
-                let begin = start + env.costs.pool_hit();
+                let begin = start + env.exec.costs.pool_hit();
                 rec.span_for(SpanKind::QueueWait, job.desc.arrival, start, job.id, job.desc.tenant);
                 rec.span(SpanKind::PoolAcquire, start, begin, 0);
-                let outcome = if job.store {
-                    exec_store(&env, &job.desc, begin, &mut rec)
-                } else {
-                    exec_job(&env, wq, &job.desc, begin, &mut rec)
+                let desc = &job.desc;
+                let (result, completed) = match &desc.op {
+                    JobOp::Compress { data } if job.store => {
+                        store_raw(&env.exec.costs, data, begin, &mut rec)
+                    }
+                    JobOp::Compress { data } => {
+                        job_result(exec.compress(desc.design, desc.datatype, data, begin, &mut rec))
+                    }
+                    JobOp::Decompress { payload, expected_len } => {
+                        job_result(exec.decompress(payload, *expected_len, begin, &mut rec))
+                    }
                 };
-                virt_free = outcome.completed.max(begin);
+                virt_free = completed.max(begin);
                 rec.span_for(SpanKind::Job, start, virt_free, job.id, job.desc.tenant);
-                record_one(&env, &mut stats, lane, job, start, virt_free, outcome.result, false);
+                record_one(&env, &mut stats, lane, job, start, virt_free, result, false);
             }
             LaneMsg::Batch { jobs, admitted_at } => {
                 let wq = wq.expect("batches only target C-Engine lanes");
                 let start = virt_free.max(admitted_at);
-                let begin = start + env.costs.pool_hit();
+                let begin = start + env.exec.costs.pool_hit();
                 for j in &jobs {
                     rec.span_for(SpanKind::QueueWait, j.desc.arrival, start, j.id, j.desc.tenant);
                 }
@@ -1347,7 +1349,7 @@ fn run_lane(
             LaneMsg::Chunk { parent, index, admitted_at, finisher } => {
                 let wq = wq.expect("chunks only target C-Engine lanes");
                 let start = virt_free.max(admitted_at);
-                let begin = start + env.costs.pool_hit();
+                let begin = start + env.exec.costs.pool_hit();
                 rec.span_for(
                     SpanKind::QueueWait,
                     parent.job.desc.arrival,
@@ -1444,7 +1446,7 @@ fn finish_parent(
                 st.frags.iter_mut().flatten().map(|f| std::mem::take(&mut f.bytes)).collect();
             match pedal_par::stitch_fragments(&frag_bytes) {
                 Ok(stitched) => {
-                    let completed = frag_done + env.costs.memcpy(stitched.len());
+                    let completed = frag_done + env.exec.costs.memcpy(stitched.len());
                     rec.span(SpanKind::Memcpy, frag_done, completed, stitched.len() as u64);
                     let (payload, passthrough) =
                         wire::frame_compressed(desc.design, parent.data(), stitched);
@@ -1551,471 +1553,18 @@ fn record_one(
 /// wire format is the same `PedalHeader::Uncompressed` frame the codec
 /// paths emit below break-even, so decompress round-trips it without
 /// knowing a policy was involved. Charged as one memcpy.
-fn exec_store(env: &LaneEnv, desc: &JobDesc, begin: SimInstant, rec: &mut LaneRecorder) -> Outcome {
-    let JobOp::Compress { data } = &desc.op else {
-        return fail("store-raw applies to compress jobs only".into(), begin);
-    };
+fn store_raw(costs: &CostModel, data: &[u8], begin: SimInstant, rec: &mut LaneRecorder) -> Outcome {
     let payload = wire::frame(PedalHeader::Uncompressed, data.len(), data);
-    let completed = begin + env.costs.memcpy(data.len());
+    let completed = begin + costs.memcpy(data.len());
     rec.span(SpanKind::Memcpy, begin, completed, data.len() as u64);
-    Outcome { result: Ok(JobOutput { bytes: payload, passthrough: true }), completed }
+    (Ok(JobOutput { bytes: payload, passthrough: true }), completed)
 }
 
-fn exec_job(
-    env: &LaneEnv,
-    wq: Option<&Workq>,
-    desc: &JobDesc,
-    begin: SimInstant,
-    rec: &mut LaneRecorder,
-) -> Outcome {
-    match &desc.op {
-        JobOp::Compress { data } => exec_compress(env, wq, desc, data, begin, rec),
-        JobOp::Decompress { payload, expected_len } => {
-            exec_decompress(env, wq, payload, *expected_len, begin, rec)
-        }
-    }
-}
-
-fn exec_compress(
-    env: &LaneEnv,
-    wq: Option<&Workq>,
-    desc: &JobDesc,
-    data: &[u8],
-    begin: SimInstant,
-    rec: &mut LaneRecorder,
-) -> Outcome {
-    let eff = desc.design.effective_placement(env.platform, Direction::Compress);
-    if let (Some(wq), Placement::CEngine) = (wq, eff) {
-        return exec_compress_engine(env, wq, desc, data, begin, rec);
-    }
-    match wire::compress_payload(desc.design, desc.datatype, env.error_bound, data) {
-        Ok((payload, profile)) => Outcome {
-            completed: soc_stage_time(
-                &env.costs,
-                desc.design,
-                Direction::Compress,
-                &profile,
-                begin,
-                rec,
-            ),
-            result: Ok(JobOutput { bytes: payload, passthrough: profile.passthrough }),
-        },
-        Err(e) => fail(e.to_string(), begin),
-    }
-}
-
-fn exec_compress_engine(
-    env: &LaneEnv,
-    wq: &Workq,
-    desc: &JobDesc,
-    data: &[u8],
-    begin: SimInstant,
-    rec: &mut LaneRecorder,
-) -> Outcome {
-    let design = desc.design;
-    match design.algorithm {
-        Algorithm::Deflate => {
-            let h = wq
-                .submit_traced(
-                    CompressJob::new(JobKind::DeflateCompress, data.to_vec()),
-                    begin,
-                    rec,
-                )
-                .expect("serial lane cannot overfill its channel");
-            match h.result {
-                Ok(r) => {
-                    let (payload, passthrough) = wire::frame_compressed(design, data, r.output);
-                    Outcome {
-                        result: Ok(JobOutput { bytes: payload, passthrough }),
-                        completed: h.completed_at,
-                    }
-                }
-                Err(e) => fail(e.to_string(), h.completed_at),
-            }
-        }
-        Algorithm::Zlib => {
-            // Split design: DEFLATE body on the engine, zlib header +
-            // Adler-32 trailer on the SoC side of the lane.
-            let h = wq
-                .submit_traced(
-                    CompressJob::new(JobKind::DeflateCompress, data.to_vec()),
-                    begin,
-                    rec,
-                )
-                .expect("serial lane cannot overfill its channel");
-            match h.result {
-                Ok(r) => {
-                    let body = pedal_zlib::assemble(pedal_zlib::Level::DEFAULT, &r.output, data);
-                    let (payload, passthrough) = wire::frame_compressed(design, data, body);
-                    let completed = h.completed_at + env.costs.checksum(data.len());
-                    rec.span(SpanKind::Checksum, h.completed_at, completed, data.len() as u64);
-                    Outcome { result: Ok(JobOutput { bytes: payload, passthrough }), completed }
-                }
-                Err(e) => fail(e.to_string(), h.completed_at),
-            }
-        }
-        Algorithm::Sz3 => {
-            let cfg = wire::sz3_config(design, env.error_bound);
-            if let Err(e) = cfg.validate() {
-                return fail(e.to_string(), begin);
-            }
-            let encoded = match desc.datatype {
-                Datatype::Float32 => {
-                    field_from_bytes::<f32>(data).map(|f| pedal_sz3::encode_core(&f, &cfg))
-                }
-                Datatype::Float64 => {
-                    field_from_bytes::<f64>(data).map(|f| pedal_sz3::encode_core(&f, &cfg))
-                }
-                Datatype::Byte => Err(format!("{design} cannot compress opaque bytes")),
-            };
-            let (core, core_stats) = match encoded {
-                Ok(t) => t,
-                Err(e) => return fail(e, begin),
-            };
-            // Per-stage attribution of the SoC-side core work; the stage
-            // split sums exactly to the sz3_core lump, so the backend
-            // submission instant is unchanged by tracing.
-            let stages = env.costs.sz3_core_stages(Direction::Compress, core_stats.input_bytes);
-            let t1 = begin + stages.predict;
-            let t2 = t1 + stages.quantize;
-            let t3 = t2 + stages.huffman;
-            rec.span(SpanKind::Sz3Predict, begin, t1, core_stats.input_bytes as u64);
-            rec.span(SpanKind::Sz3Quantize, t1, t2, core_stats.quantized as u64);
-            rec.span(SpanKind::Sz3Huffman, t2, t3, core_stats.huffman_bytes as u64);
-            let h = wq
-                .submit_traced(CompressJob::new(JobKind::DeflateCompress, core.clone()), t3, rec)
-                .expect("serial lane cannot overfill its channel");
-            rec.span(SpanKind::Sz3Backend, h.started_at, h.completed_at, core.len() as u64);
-            match h.result {
-                Ok(r) => {
-                    let sealed =
-                        pedal_sz3::seal_with(&core, pedal_sz3::BackendKind::Deflate, |_| r.output);
-                    let (payload, passthrough) = wire::frame_compressed(design, data, sealed);
-                    Outcome {
-                        result: Ok(JobOutput { bytes: payload, passthrough }),
-                        completed: h.completed_at,
-                    }
-                }
-                Err(e) => fail(e.to_string(), h.completed_at),
-            }
-        }
-        Algorithm::Lz4 => unreachable!("no BlueField generation compresses LZ4 on the engine"),
-        Algorithm::Pco => unreachable!("no BlueField engine implements the pco transform"),
-    }
-}
-
-fn exec_decompress(
-    env: &LaneEnv,
-    wq: Option<&Workq>,
-    payload: &[u8],
-    expected_len: usize,
-    begin: SimInstant,
-    rec: &mut LaneRecorder,
-) -> Outcome {
-    let (header, original_len, body) = match wire::unframe(payload) {
-        Ok(t) => t,
-        Err(e) => return fail(e.to_string(), begin),
-    };
-    if original_len != expected_len {
-        return fail(
-            format!("length mismatch: payload says {original_len}, caller expects {expected_len}"),
-            begin,
-        );
-    }
-    match header {
-        PedalHeader::Uncompressed => {
-            if body.len() != expected_len {
-                return fail(
-                    format!("passthrough body is {} bytes, expected {expected_len}", body.len()),
-                    begin,
-                );
-            }
-            let completed = begin + env.costs.memcpy(body.len());
-            rec.span(SpanKind::Memcpy, begin, completed, body.len() as u64);
-            Outcome { result: Ok(JobOutput { bytes: body.to_vec(), passthrough: true }), completed }
-        }
-        PedalHeader::Compressed(design) => {
-            // Execution follows the payload's header, not the submitted
-            // design — exactly like the receiver side of the context.
-            let eff = design.effective_placement(env.platform, Direction::Decompress);
-            if let (Some(wq), Placement::CEngine) = (wq, eff) {
-                exec_decompress_engine(env, wq, design, body, expected_len, begin, rec)
-            } else {
-                match wire::decompress_payload(payload, expected_len) {
-                    Ok((data, profile)) => Outcome {
-                        completed: soc_stage_time(
-                            &env.costs,
-                            design,
-                            Direction::Decompress,
-                            &profile,
-                            begin,
-                            rec,
-                        ),
-                        result: Ok(JobOutput { bytes: data, passthrough: false }),
-                    },
-                    Err(e) => fail(e.to_string(), begin),
-                }
-            }
-        }
-    }
-}
-
-fn exec_decompress_engine(
-    env: &LaneEnv,
-    wq: &Workq,
-    design: Design,
-    body: &[u8],
-    expected_len: usize,
-    begin: SimInstant,
-    rec: &mut LaneRecorder,
-) -> Outcome {
-    match design.algorithm {
-        Algorithm::Deflate => {
-            let h = wq
-                .submit_traced(
-                    CompressJob::new(JobKind::DeflateDecompress, body.to_vec())
-                        .with_expected_len(expected_len),
-                    begin,
-                    rec,
-                )
-                .expect("serial lane cannot overfill its channel");
-            finish_engine_decode(h, expected_len)
-        }
-        Algorithm::Zlib => {
-            let (deflate_body, expected_sum) = match pedal_zlib::split_stream(body) {
-                Ok(t) => t,
-                Err(e) => return fail(e.to_string(), begin),
-            };
-            let h = wq
-                .submit_traced(
-                    CompressJob::new(JobKind::DeflateDecompress, deflate_body.to_vec())
-                        .with_expected_len(expected_len),
-                    begin,
-                    rec,
-                )
-                .expect("serial lane cannot overfill its channel");
-            match h.result {
-                Ok(r) => {
-                    // Adler verification stays on the SoC.
-                    let actual = pedal_zlib::adler32(&r.output);
-                    if actual != expected_sum {
-                        return fail(
-                            format!("adler32 mismatch: {actual:#x} != {expected_sum:#x}"),
-                            h.completed_at,
-                        );
-                    }
-                    let completed = h.completed_at + env.costs.checksum(expected_len);
-                    rec.span(SpanKind::Checksum, h.completed_at, completed, expected_len as u64);
-                    if r.output.len() != expected_len {
-                        return fail(
-                            format!("got {} bytes, expected {expected_len}", r.output.len()),
-                            completed,
-                        );
-                    }
-                    Outcome {
-                        result: Ok(JobOutput { bytes: r.output, passthrough: false }),
-                        completed,
-                    }
-                }
-                Err(e) => fail(e.to_string(), h.completed_at),
-            }
-        }
-        Algorithm::Lz4 => {
-            let h = wq
-                .submit_traced(
-                    CompressJob::new(JobKind::Lz4Decompress, body.to_vec())
-                        .with_expected_len(expected_len),
-                    begin,
-                    rec,
-                )
-                .expect("serial lane cannot overfill its channel");
-            finish_engine_decode(h, expected_len)
-        }
-        Algorithm::Sz3 => {
-            let mut engine_started = begin;
-            let mut engine_done = begin;
-            let mut used_engine = false;
-            // The shared budget formula bounds the declared core length so
-            // this path rejects oversized streams at the same threshold as
-            // the SoC decode.
-            let core_budget = pedal_sz3::core_limit_for_output(expected_len);
-            let unsealed =
-                pedal_sz3::unseal_with_limit(body, core_budget, |backend, packed, limit| {
-                    match backend {
-                        pedal_sz3::BackendKind::Deflate => {
-                            // The engine needs a sized destination; the validated
-                            // budget becomes its output cap.
-                            let h = wq
-                                .submit(
-                                    CompressJob::new(JobKind::DeflateDecompress, packed.to_vec())
-                                        .with_expected_len(limit),
-                                    begin,
-                                )
-                                .expect("serial lane cannot overfill its channel");
-                            engine_started = h.started_at;
-                            engine_done = h.completed_at;
-                            used_engine = true;
-                            h.result
-                                .map(|r| r.output)
-                                .map_err(|e| pedal_sz3::BackendError(e.to_string()))
-                        }
-                        other => pedal_sz3::backend_decompress_with_limit(other, packed, limit),
-                    }
-                });
-            if used_engine {
-                rec.span(SpanKind::WorkqQueue, begin, engine_started, body.len() as u64);
-                rec.span(SpanKind::EngineExecute, engine_started, engine_done, body.len() as u64);
-            }
-            let (core, backend) = match unsealed {
-                Ok(t) => t,
-                Err(e) => return fail(e.to_string(), engine_done),
-            };
-            let backend_t = if used_engine {
-                SimDuration::ZERO // already inside engine_done
-            } else {
-                match backend {
-                    pedal_sz3::BackendKind::Deflate => env.costs.soc_lossless(
-                        Algorithm::Deflate,
-                        Direction::Decompress,
-                        core.len(),
-                    ),
-                    _ => env.costs.sz3_zs_backend(Direction::Decompress, core.len()),
-                }
-            };
-            let backend_done = engine_done + backend_t;
-            if used_engine {
-                rec.span(SpanKind::Sz3Backend, engine_started, engine_done, core.len() as u64);
-            } else {
-                rec.span(SpanKind::Sz3Backend, engine_done, backend_done, core.len() as u64);
-            }
-            // Decode runs the pipeline in reverse: backend → huffman →
-            // quantize → predict. The stage split sums exactly to the core
-            // lump, so `completed` is unchanged by instrumentation.
-            let stages = env.costs.sz3_core_stages(Direction::Decompress, expected_len);
-            let s1 = backend_done + stages.huffman;
-            let s2 = s1 + stages.quantize;
-            let completed = s2 + stages.predict;
-            rec.span(SpanKind::Sz3Huffman, backend_done, s1, core.len() as u64);
-            rec.span(SpanKind::Sz3Quantize, s1, s2, expected_len as u64);
-            rec.span(SpanKind::Sz3Predict, s2, completed, expected_len as u64);
-            let data = match core.get(5).copied() {
-                Some(0x32) => pedal_sz3::decode_core_with_limit::<f32>(&core, expected_len / 4)
-                    .map(|f| f.to_bytes())
-                    .map_err(|e| e.to_string()),
-                Some(0x64) => pedal_sz3::decode_core_with_limit::<f64>(&core, expected_len / 8)
-                    .map(|f| f.to_bytes())
-                    .map_err(|e| e.to_string()),
-                other => Err(format!("bad sz3 type tag {other:?}")),
-            };
-            match data {
-                Ok(data) if data.len() == expected_len => {
-                    Outcome { result: Ok(JobOutput { bytes: data, passthrough: false }), completed }
-                }
-                Ok(data) => {
-                    fail(format!("got {} bytes, expected {expected_len}", data.len()), completed)
-                }
-                Err(e) => fail(e, completed),
-            }
-        }
-        // `effective_placement` never lands pco on an engine lane: the
-        // capability matrix reports no support in either direction.
-        Algorithm::Pco => unreachable!("no BlueField engine decodes pco streams"),
-    }
-}
-
-fn finish_engine_decode(h: JobHandle, expected_len: usize) -> Outcome {
-    match h.result {
-        Ok(r) if r.output.len() == expected_len => Outcome {
-            result: Ok(JobOutput { bytes: r.output, passthrough: false }),
-            completed: h.completed_at,
-        },
-        Ok(r) => {
-            fail(format!("got {} bytes, expected {expected_len}", r.output.len()), h.completed_at)
-        }
-        Err(e) => fail(e.to_string(), h.completed_at),
-    }
-}
-
-/// Completion instant of one pure-SoC operation, charged from the byte
-/// counts the pure codec recorded — mirrors [`pedal::PedalContext`]'s
-/// charging — while recording per-stage spans on `rec`. The recorded
-/// stages always sum exactly to the un-instrumented total, so tracing
-/// never shifts virtual time.
-fn soc_stage_time(
-    costs: &CostModel,
-    design: Design,
-    dir: Direction,
-    profile: &wire::CostProfile,
-    begin: SimInstant,
-    rec: &mut LaneRecorder,
-) -> SimInstant {
-    if profile.passthrough && matches!(dir, Direction::Decompress) {
-        let end = begin + costs.memcpy(profile.lossless_bytes);
-        rec.span(SpanKind::Memcpy, begin, end, profile.lossless_bytes as u64);
-        return end;
-    }
-    match design.algorithm {
-        Algorithm::Sz3 => {
-            let backend = match design.placement {
-                Placement::Soc => costs.sz3_zs_backend(dir, profile.lossless_bytes),
-                // CE design running on the SoC (BF3 redirect): the
-                // backend is DEFLATE at SoC speed — the paper's 1.58x
-                // penalty.
-                Placement::CEngine => {
-                    costs.soc_lossless(Algorithm::Deflate, dir, profile.lossless_bytes)
-                }
-            };
-            let stages = costs.sz3_core_stages(dir, profile.sz3_core_bytes);
-            match dir {
-                Direction::Compress => {
-                    // predict → quantize → huffman → backend
-                    let t1 = begin + stages.predict;
-                    let t2 = t1 + stages.quantize;
-                    let t3 = t2 + stages.huffman;
-                    let end = t3 + backend;
-                    rec.span(SpanKind::Sz3Predict, begin, t1, profile.sz3_core_bytes as u64);
-                    rec.span(SpanKind::Sz3Quantize, t1, t2, profile.sz3_core_bytes as u64);
-                    rec.span(SpanKind::Sz3Huffman, t2, t3, profile.lossless_bytes as u64);
-                    rec.span(SpanKind::Sz3Backend, t3, end, profile.lossless_bytes as u64);
-                    end
-                }
-                Direction::Decompress => {
-                    // backend → huffman → quantize → predict
-                    let t1 = begin + backend;
-                    let t2 = t1 + stages.huffman;
-                    let t3 = t2 + stages.quantize;
-                    let end = t3 + stages.predict;
-                    rec.span(SpanKind::Sz3Backend, begin, t1, profile.lossless_bytes as u64);
-                    rec.span(SpanKind::Sz3Huffman, t1, t2, profile.lossless_bytes as u64);
-                    rec.span(SpanKind::Sz3Quantize, t2, t3, profile.sz3_core_bytes as u64);
-                    rec.span(SpanKind::Sz3Predict, t3, end, profile.sz3_core_bytes as u64);
-                    end
-                }
-            }
-        }
-        algo => {
-            let total = costs.soc_lossless(algo, dir, profile.lossless_bytes);
-            let end = begin + total;
-            rec.span(SpanKind::SocExecute, begin, end, profile.lossless_bytes as u64);
-            if algo == Algorithm::Zlib {
-                // soc_lossless already includes the adler32 pass; surface
-                // it as a nested tail span inside the SoC-execute span.
-                let ck = costs.checksum(profile.lossless_bytes);
-                let ck_start = begin + total.saturating_sub(ck);
-                rec.span(SpanKind::Checksum, ck_start, end, profile.lossless_bytes as u64);
-            }
-            end
-        }
-    }
-}
-
-fn field_from_bytes<T: pedal_sz3::Float>(data: &[u8]) -> Result<pedal_sz3::Field<T>, String> {
-    if !data.len().is_multiple_of(T::BYTES) {
-        return Err(format!(
-            "{} bytes is not a whole number of {}-byte elements",
-            data.len(),
-            T::BYTES
-        ));
-    }
-    Ok(pedal_sz3::Field::from_bytes(pedal_sz3::Dims::d1(data.len() / T::BYTES), data))
+/// A job's view of one executed design operation.
+fn job_result(done: Executed) -> Outcome {
+    let result = done
+        .result
+        .map(|o| JobOutput { bytes: o.bytes, passthrough: o.passthrough })
+        .map_err(|e| ServiceError::Pedal(e.to_string()));
+    (result, done.completed)
 }

@@ -55,6 +55,11 @@ fn poison_payloads(
             *b ^= 0xA5;
         }
         out.push(("body-corrupt", design, payload, text.len()));
+        // A flipped Adler-32 trailer: the body decodes in full (on the
+        // engine for CE_ZLIB) before the SoC-side check rejects it.
+        let mut payload = ctx.compress(Datatype::Byte, &text).unwrap().payload;
+        *payload.last_mut().unwrap() ^= 0x01;
+        out.push(("trailer-corrupt", design, payload, text.len()));
     }
 
     // Truncated streams: every codec family detects a mid-stream cut
@@ -86,6 +91,29 @@ fn poison_payloads(
     out.push(("garbage", Design::SOC_LZ4, junk, 4096));
 
     out
+}
+
+/// Virtual service time (ns) each poisoned job is charged on BlueField-3.
+/// Every rejection before any codec work costs only the 15 µs pool
+/// acquire; the CE_ZLIB trailer corruption also pays the full engine
+/// decode that precedes the SoC-side Adler-32 check.
+fn pinned_service_ns(family: &str, design: Design) -> u64 {
+    const PINNED: [(&str, Design, u64); 9] = [
+        ("body-corrupt", Design::SOC_ZLIB, 15_000),
+        ("body-corrupt", Design::CE_ZLIB, 15_000),
+        ("trailer-corrupt", Design::SOC_ZLIB, 15_000),
+        ("trailer-corrupt", Design::CE_ZLIB, 415_931),
+        ("truncated", Design::SOC_DEFLATE, 15_000),
+        ("truncated", Design::CE_LZ4, 15_000),
+        ("truncated", Design::SOC_SZ3, 15_000),
+        ("core-bomb", Design::CE_SZ3, 15_000),
+        ("garbage", Design::SOC_LZ4, 15_000),
+    ];
+    PINNED
+        .iter()
+        .find(|(f, d, _)| *f == family && *d == design)
+        .map(|p| p.2)
+        .unwrap_or_else(|| panic!("no pinned service time for {family} {design}"))
 }
 
 #[test]
@@ -122,7 +150,7 @@ fn poisoned_decode_fails_the_job_not_the_channel() {
                 let id = svc
                     .submit(JobDesc::decompress(design, payload, expected_len))
                     .unwrap_or_else(|e| panic!("{policy:?}: poison submit ({family}) failed: {e}"));
-                bad_ids.push((id, family));
+                bad_ids.push((id, family, design));
             }
             // Jobs submitted *after* the poison in the same round must
             // still complete — the channel survived.
@@ -146,7 +174,7 @@ fn poisoned_decode_fails_the_job_not_the_channel() {
                 .unwrap_or_else(|e| panic!("{policy:?}: healthy job {id} failed: {e}"));
             assert_eq!(out.bytes, good_data, "{policy:?}: healthy job {id} output differs");
         }
-        for (id, family) in &bad_ids {
+        for (id, family, design) in &bad_ids {
             let job = done.iter().find(|j| j.id == *id).unwrap();
             match &job.result {
                 Err(ServiceError::Pedal(_)) => {}
@@ -155,6 +183,13 @@ fn poisoned_decode_fails_the_job_not_the_channel() {
                      codec error, got {other:?}"
                 ),
             }
+            // A failed job's completion instant frees its lane, so every
+            // later job's metrics depend on what the failure is charged.
+            assert_eq!(
+                job.metrics.unwrap().service.as_nanos(),
+                pinned_service_ns(family, *design),
+                "{policy:?}: poisoned job {id} ({family}, {design}) virtual service time"
+            );
         }
 
         let (_, stats) = svc.shutdown();

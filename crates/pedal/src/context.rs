@@ -11,15 +11,14 @@
 //! operation, reproducing the paper's baseline configuration.
 
 use crate::design::Design;
-use crate::header::{HeaderError, PedalHeader, HEADER_LEN};
+use crate::exec::Executor;
+use crate::header::{HeaderError, HEADER_LEN};
 use crate::pool::PedalPool;
 use crate::timing::TimingBreakdown;
 use crate::wire;
-use pedal_doca::{CompressJob, DocaContext, DocaError, EngineError, JobKind};
-use pedal_dpu::{
-    Algorithm, CostModel, Direction, Placement, Platform, SimClock, SimDuration, SimInstant,
-};
-use pedal_sz3::{BackendKind, Dims, Field, PredictorKind, Sz3Config};
+use pedal_doca::DocaContext;
+use pedal_dpu::{Algorithm, CostModel, Placement, Platform, SimClock, SimDuration};
+use pedal_obs::LaneRecorder;
 
 /// Element type of the message payload (paper Listing 1's `datatype`
 /// parameter, which "aids in lossy compression").
@@ -216,6 +215,13 @@ impl std::fmt::Display for PedalError {
 
 impl std::error::Error for PedalError {}
 
+impl PedalError {
+    /// A stream rejected by a codec, whichever codec raised it.
+    pub(crate) fn codec(e: impl std::fmt::Display) -> Self {
+        PedalError::Codec(e.to_string())
+    }
+}
+
 impl From<HeaderError> for PedalError {
     fn from(e: HeaderError) -> Self {
         PedalError::Header(e)
@@ -264,7 +270,7 @@ impl PedalContext {
     }
 
     /// Per-message overhead charges for one operation over `bytes`.
-    fn overhead(&self, bytes: usize, dir: Direction) -> TimingBreakdown {
+    fn overhead(&self, bytes: usize) -> TimingBreakdown {
         let mut t = TimingBreakdown::ZERO;
         match self.cfg.overhead_mode {
             OverheadMode::Pedal => {
@@ -286,34 +292,44 @@ impl PedalContext {
                     };
                     t.buffer_prep += self.costs.host_alloc(bytes, n_buffers);
                 }
-                let _ = dir;
             }
         }
         t
     }
 
+    /// The design executor over this context's engine channel.
+    fn executor(&self) -> Executor<'_> {
+        Executor {
+            platform: self.cfg.platform,
+            costs: self.costs,
+            error_bound: self.cfg.error_bound,
+            workq: Some(&self.doca.workq),
+        }
+    }
+
     /// `PEDAL_compress`: compress `data` with the configured design,
     /// producing a self-describing PEDAL message.
     pub fn compress(&self, datatype: Datatype, data: &[u8]) -> Result<CompressOutput, PedalError> {
-        let design = self.cfg.design;
-        let mut timing = self.overhead(data.len(), Direction::Compress);
-        let now = self.clock.now() + timing.total();
-
-        let (body, op) = self.run_compress(design, datatype, data, now)?;
-        timing.compress += op.main;
-        timing.checksum += op.checksum;
-
-        // Passthrough when compression does not pay for itself.
-        let (payload, passthrough) = wire::frame_compressed(design, data, body);
-
+        let mut timing = self.overhead(data.len());
+        let begin = self.clock.now() + timing.total();
+        let done = self.executor().compress(
+            self.cfg.design,
+            datatype,
+            data,
+            begin,
+            &mut LaneRecorder::disabled(),
+        );
+        let out = done.result?;
+        timing.compress += done.completed.elapsed_since(begin).saturating_sub(out.checksum);
+        timing.checksum += out.checksum;
         self.clock.advance(timing.total());
         Ok(CompressOutput {
-            payload,
+            payload: out.bytes,
             original_len: data.len(),
             timing,
-            placement: op.placement,
-            fell_back: op.fell_back,
-            passthrough,
+            placement: out.placement,
+            fell_back: out.fell_back,
+            passthrough: out.passthrough,
         })
     }
 
@@ -325,7 +341,8 @@ impl PedalContext {
         payload: &[u8],
         expected_len: usize,
     ) -> Result<DecompressOutput, PedalError> {
-        let (header, original_len, body) = wire::unframe(payload)?;
+        // Reject a bad frame before taking a pool buffer.
+        let (_, original_len, _) = wire::unframe(payload)?;
         if original_len != expected_len {
             return Err(PedalError::LengthMismatch {
                 expected: expected_len,
@@ -333,422 +350,19 @@ impl PedalContext {
             });
         }
 
-        let mut timing = self.overhead(expected_len, Direction::Decompress);
-        let now = self.clock.now() + timing.total();
-
-        let (data, op) = match header {
-            PedalHeader::Uncompressed => {
-                let t = self.costs.memcpy(body.len());
-                (
-                    body.to_vec(),
-                    StageTiming {
-                        main: t,
-                        checksum: SimDuration::ZERO,
-                        placement: Placement::Soc,
-                        fell_back: false,
-                    },
-                )
-            }
-            PedalHeader::Compressed(design) => {
-                self.run_decompress(design, body, expected_len, now)?
-            }
-        };
-        if data.len() != expected_len {
-            return Err(PedalError::LengthMismatch { expected: expected_len, actual: data.len() });
-        }
-        timing.decompress += op.main;
-        timing.checksum += op.checksum;
+        let mut timing = self.overhead(expected_len);
+        let begin = self.clock.now() + timing.total();
+        let done =
+            self.executor().decompress(payload, expected_len, begin, &mut LaneRecorder::disabled());
+        let out = done.result?;
+        timing.decompress += done.completed.elapsed_since(begin).saturating_sub(out.checksum);
+        timing.checksum += out.checksum;
         self.clock.advance(timing.total());
-        Ok(DecompressOutput { data, timing, placement: op.placement, fell_back: op.fell_back })
+        Ok(DecompressOutput {
+            data: out.bytes,
+            timing,
+            placement: out.placement,
+            fell_back: out.fell_back,
+        })
     }
-
-    // ------------------------------------------------------------------
-    // Per-design execution
-    // ------------------------------------------------------------------
-
-    fn run_compress(
-        &self,
-        design: Design,
-        datatype: Datatype,
-        data: &[u8],
-        now: SimInstant,
-    ) -> Result<(Vec<u8>, StageTiming), PedalError> {
-        let platform = self.cfg.platform;
-        let eff = design.effective_placement(platform, Direction::Compress);
-        let fell_back = design.falls_back(platform, Direction::Compress);
-        match design.algorithm {
-            Algorithm::Deflate => match eff {
-                Placement::Soc => {
-                    let body = pedal_deflate::compress(data, pedal_deflate::Level::DEFAULT);
-                    let t = self.costs.soc_lossless(
-                        Algorithm::Deflate,
-                        Direction::Compress,
-                        data.len(),
-                    );
-                    Ok((body, StageTiming::soc(t, fell_back)))
-                }
-                Placement::CEngine => {
-                    let (r, done) = self
-                        .doca
-                        .submit(CompressJob::new(JobKind::DeflateCompress, data.to_vec()), now)
-                        .map_err(|e| PedalError::Doca(e.to_string()))?;
-                    Ok((r.output, StageTiming::engine(done.elapsed_since(now))))
-                }
-            },
-            Algorithm::Zlib => match eff {
-                Placement::Soc => {
-                    let body = pedal_zlib::compress(data, pedal_zlib::Level::DEFAULT);
-                    let t =
-                        self.costs.soc_lossless(Algorithm::Zlib, Direction::Compress, data.len());
-                    Ok((body, StageTiming::soc(t, fell_back)))
-                }
-                Placement::CEngine => {
-                    // Split design (paper Fig. 3): DEFLATE body on the
-                    // engine, zlib header + Adler-32 trailer on the SoC.
-                    let (r, done) = self
-                        .doca
-                        .submit(CompressJob::new(JobKind::DeflateCompress, data.to_vec()), now)
-                        .map_err(|e| PedalError::Doca(e.to_string()))?;
-                    let body = pedal_zlib::assemble(pedal_zlib::Level::DEFAULT, &r.output, data);
-                    Ok((
-                        body,
-                        StageTiming {
-                            main: done.elapsed_since(now),
-                            checksum: self.costs.checksum(data.len()),
-                            placement: Placement::CEngine,
-                            fell_back: false,
-                        },
-                    ))
-                }
-            },
-            Algorithm::Lz4 => {
-                // No BlueField generation compresses LZ4 on the engine
-                // (Table II): this is always SoC work, possibly a fallback.
-                let body = pedal_lz4::compress_block(data, 1);
-                let t = self.costs.soc_lossless(Algorithm::Lz4, Direction::Compress, data.len());
-                Ok((body, StageTiming::soc(t, fell_back)))
-            }
-            Algorithm::Sz3 => self.run_sz3_compress(design, datatype, data, now, eff, fell_back),
-            Algorithm::Pco => {
-                // No BlueField engine implements the numeric transform
-                // (Table II discipline): always SoC work, so the CE_PCO
-                // design is a permanent capability fallback.
-                debug_assert_eq!(eff, Placement::Soc);
-                let cfg = pedal_pco::PcoConfig::default();
-                let body = match datatype {
-                    Datatype::Float32 => {
-                        pedal_pco::compress_typed_bytes(data, pedal_pco::ColumnType::F32, &cfg)
-                    }
-                    Datatype::Float64 => {
-                        pedal_pco::compress_typed_bytes(data, pedal_pco::ColumnType::F64, &cfg)
-                    }
-                    Datatype::Byte => pedal_pco::compress_bytes(data, &cfg),
-                };
-                let t = self.costs.soc_lossless(Algorithm::Pco, Direction::Compress, data.len());
-                Ok((body, StageTiming::soc(t, fell_back)))
-            }
-        }
-    }
-
-    fn run_sz3_compress(
-        &self,
-        design: Design,
-        datatype: Datatype,
-        data: &[u8],
-        now: SimInstant,
-        eff: Placement,
-        fell_back: bool,
-    ) -> Result<(Vec<u8>, StageTiming), PedalError> {
-        let cfg = self.sz3_config(design);
-        cfg.validate().map_err(|e| PedalError::Codec(e.to_string()))?;
-        let (core, stats) = match datatype {
-            Datatype::Float32 => {
-                let field = field_from_bytes::<f32>(data)?;
-                pedal_sz3::encode_core(&field, &cfg)
-            }
-            Datatype::Float64 => {
-                let field = field_from_bytes::<f64>(data)?;
-                pedal_sz3::encode_core(&field, &cfg)
-            }
-            Datatype::Byte => {
-                return Err(PedalError::UnsupportedDatatype { design, datatype });
-            }
-        };
-        let core_t = self.costs.sz3_core(Direction::Compress, stats.input_bytes);
-
-        // Lossless backend stage: this is what PEDAL offloads (Fig. 4).
-        let (sealed, backend_t, placement) = match (design.placement, eff) {
-            (Placement::Soc, _) => {
-                // Native fast backend on the SoC.
-                let t = self.costs.sz3_zs_backend(Direction::Compress, core.len());
-                (pedal_sz3::seal(&core, BackendKind::Zs), t, Placement::Soc)
-            }
-            (Placement::CEngine, Placement::CEngine) => {
-                let (r, done) = self
-                    .doca
-                    .submit(CompressJob::new(JobKind::DeflateCompress, core.clone()), now)
-                    .map_err(|e| PedalError::Doca(e.to_string()))?;
-                let sealed = pedal_sz3::seal_with(&core, BackendKind::Deflate, |_| r.output);
-                (sealed, done.elapsed_since(now), Placement::CEngine)
-            }
-            (Placement::CEngine, Placement::Soc) => {
-                // BF3 redirect: the engine cannot compress, so the backend
-                // runs SoC DEFLATE — slower than the native Zs backend,
-                // reproducing the paper's 1.58x observation (Fig. 9).
-                let t =
-                    self.costs.soc_lossless(Algorithm::Deflate, Direction::Compress, core.len());
-                (pedal_sz3::seal(&core, BackendKind::Deflate), t, Placement::Soc)
-            }
-        };
-        Ok((
-            sealed,
-            StageTiming {
-                main: core_t + backend_t,
-                checksum: SimDuration::ZERO,
-                placement,
-                fell_back,
-            },
-        ))
-    }
-
-    fn run_decompress(
-        &self,
-        design: Design,
-        body: &[u8],
-        expected_len: usize,
-        now: SimInstant,
-    ) -> Result<(Vec<u8>, StageTiming), PedalError> {
-        let platform = self.cfg.platform;
-        let eff = design.effective_placement(platform, Direction::Decompress);
-        let fell_back = design.falls_back(platform, Direction::Decompress);
-        match design.algorithm {
-            Algorithm::Deflate => match eff {
-                Placement::Soc => {
-                    let data = pedal_deflate::decompress_with_limit(body, expected_len)
-                        .map_err(|e| PedalError::Codec(e.to_string()))?;
-                    let t = self.costs.soc_lossless(
-                        Algorithm::Deflate,
-                        Direction::Decompress,
-                        data.len(),
-                    );
-                    Ok((data, StageTiming::soc(t, fell_back)))
-                }
-                Placement::CEngine => {
-                    let (r, done) = self
-                        .doca
-                        .submit(
-                            CompressJob::new(JobKind::DeflateDecompress, body.to_vec())
-                                .with_expected_len(expected_len),
-                            now,
-                        )
-                        .map_err(engine_decode_err)?;
-                    Ok((r.output, StageTiming::engine(done.elapsed_since(now))))
-                }
-            },
-            Algorithm::Zlib => {
-                let (deflate_body, expected_sum) =
-                    pedal_zlib::split_stream(body).map_err(|e| PedalError::Codec(e.to_string()))?;
-                match eff {
-                    Placement::Soc => {
-                        let data = pedal_zlib::decompress_with_limit(body, expected_len)
-                            .map_err(|e| PedalError::Codec(e.to_string()))?;
-                        let t = self.costs.soc_lossless(
-                            Algorithm::Zlib,
-                            Direction::Decompress,
-                            data.len(),
-                        );
-                        Ok((data, StageTiming::soc(t, fell_back)))
-                    }
-                    Placement::CEngine => {
-                        let (r, done) = self
-                            .doca
-                            .submit(
-                                CompressJob::new(JobKind::DeflateDecompress, deflate_body.to_vec())
-                                    .with_expected_len(expected_len),
-                                now,
-                            )
-                            .map_err(engine_decode_err)?;
-                        // Adler verification stays on the SoC.
-                        let actual = pedal_zlib::adler32(&r.output);
-                        if actual != expected_sum {
-                            return Err(PedalError::Codec(format!(
-                                "adler32 mismatch: {actual:#x} != {expected_sum:#x}"
-                            )));
-                        }
-                        Ok((
-                            r.output,
-                            StageTiming {
-                                main: done.elapsed_since(now),
-                                checksum: self.costs.checksum(expected_len),
-                                placement: Placement::CEngine,
-                                fell_back: false,
-                            },
-                        ))
-                    }
-                }
-            }
-            Algorithm::Lz4 => match eff {
-                Placement::Soc => {
-                    let data = pedal_lz4::decompress_block(body, Some(expected_len), expected_len)
-                        .map_err(|e| PedalError::Codec(e.to_string()))?;
-                    let t =
-                        self.costs.soc_lossless(Algorithm::Lz4, Direction::Decompress, data.len());
-                    Ok((data, StageTiming::soc(t, fell_back)))
-                }
-                Placement::CEngine => {
-                    // Only BF3 reaches here (Table II).
-                    let (r, done) = self
-                        .doca
-                        .submit(
-                            CompressJob::new(JobKind::Lz4Decompress, body.to_vec())
-                                .with_expected_len(expected_len),
-                            now,
-                        )
-                        .map_err(engine_decode_err)?;
-                    Ok((r.output, StageTiming::engine(done.elapsed_since(now))))
-                }
-            },
-            Algorithm::Sz3 => self.run_sz3_decompress(body, expected_len, now, eff, fell_back),
-            Algorithm::Pco => {
-                debug_assert_eq!(eff, Placement::Soc);
-                let data = pedal_pco::decompress_bytes_with_limit(body, expected_len)
-                    .map_err(|e| PedalError::Codec(e.to_string()))?;
-                let t = self.costs.soc_lossless(Algorithm::Pco, Direction::Decompress, data.len());
-                Ok((data, StageTiming::soc(t, fell_back)))
-            }
-        }
-    }
-
-    fn run_sz3_decompress(
-        &self,
-        body: &[u8],
-        expected_len: usize,
-        now: SimInstant,
-        eff: Placement,
-        fell_back: bool,
-    ) -> Result<(Vec<u8>, StageTiming), PedalError> {
-        // Undo the lossless backend — on the engine when possible. The
-        // shared budget formula bounds the declared core length so the SoC
-        // and C-Engine paths reject oversized streams at the same threshold.
-        let core_budget = pedal_sz3::core_limit_for_output(expected_len);
-        let mut engine_time = SimDuration::ZERO;
-        let mut placement = Placement::Soc;
-        let (core, backend) =
-            pedal_sz3::unseal_with_limit(body, core_budget, |backend, packed, limit| {
-                match (backend, eff) {
-                    (BackendKind::Deflate, Placement::CEngine) => {
-                        // Core length is in the sealed header; the engine
-                        // needs a sized destination, so the validated budget
-                        // becomes the engine's output cap.
-                        let (r, done) = self
-                            .doca
-                            .submit(
-                                CompressJob::new(JobKind::DeflateDecompress, packed.to_vec())
-                                    .with_expected_len(limit),
-                                now,
-                            )
-                            .map_err(|e| pedal_sz3::BackendError(e.to_string()))?;
-                        engine_time = done.elapsed_since(now);
-                        placement = Placement::CEngine;
-                        Ok(r.output)
-                    }
-                    _ => pedal_sz3::backend_decompress_with_limit(backend, packed, limit),
-                }
-            })
-            .map_err(|e| PedalError::Codec(e.to_string()))?;
-
-        let backend_t = if placement == Placement::CEngine {
-            engine_time
-        } else {
-            match backend {
-                BackendKind::Zs | BackendKind::Lz4 | BackendKind::None => {
-                    self.costs.sz3_zs_backend(Direction::Decompress, core.len())
-                }
-                BackendKind::Deflate => {
-                    self.costs.soc_lossless(Algorithm::Deflate, Direction::Decompress, core.len())
-                }
-                BackendKind::Pco => {
-                    self.costs.soc_lossless(Algorithm::Pco, Direction::Decompress, core.len())
-                }
-            }
-        };
-        let core_t = self.costs.sz3_core(Direction::Decompress, expected_len);
-
-        // Reconstruct the field; the stream self-describes its type. The
-        // caller's expected length caps how many elements the core may
-        // declare, so a corrupt header cannot drive the allocation.
-        let data = match core.get(5).copied() {
-            Some(0x32) => pedal_sz3::decode_core_with_limit::<f32>(&core, expected_len / 4)
-                .map_err(|e| PedalError::Codec(e.to_string()))?
-                .to_bytes(),
-            Some(0x64) => pedal_sz3::decode_core_with_limit::<f64>(&core, expected_len / 8)
-                .map_err(|e| PedalError::Codec(e.to_string()))?
-                .to_bytes(),
-            other => {
-                return Err(PedalError::Codec(format!("bad sz3 type tag {other:?}")));
-            }
-        };
-        Ok((
-            data,
-            StageTiming {
-                main: core_t + backend_t,
-                checksum: SimDuration::ZERO,
-                placement,
-                fell_back,
-            },
-        ))
-    }
-
-    fn sz3_config(&self, design: Design) -> Sz3Config {
-        Sz3Config {
-            error_bound: self.cfg.error_bound,
-            predictor: PredictorKind::Interp,
-            backend: match design.placement {
-                Placement::Soc => BackendKind::Zs,
-                Placement::CEngine => BackendKind::Deflate,
-            },
-            ..Sz3Config::default()
-        }
-    }
-}
-
-/// Timing of the main codec stage of one operation.
-struct StageTiming {
-    main: SimDuration,
-    checksum: SimDuration,
-    placement: Placement,
-    fell_back: bool,
-}
-
-impl StageTiming {
-    fn soc(t: SimDuration, fell_back: bool) -> Self {
-        Self { main: t, checksum: SimDuration::ZERO, placement: Placement::Soc, fell_back }
-    }
-    fn engine(t: SimDuration) -> Self {
-        Self {
-            main: t,
-            checksum: SimDuration::ZERO,
-            placement: Placement::CEngine,
-            fell_back: false,
-        }
-    }
-}
-
-/// Map an engine-side failure during *decode* to the same error class the
-/// SoC path reports for the same stream: a corrupt input is a codec error
-/// regardless of which placement rejected it, so the two decode paths
-/// return the same [`PedalError`] variant. Transport-level failures
-/// (capabilities, queue state) stay [`PedalError::Doca`].
-fn engine_decode_err(e: DocaError) -> PedalError {
-    match e {
-        DocaError::Engine(EngineError::Decode(msg)) => PedalError::Codec(msg),
-        other => PedalError::Doca(other.to_string()),
-    }
-}
-
-fn field_from_bytes<T: pedal_sz3::Float>(data: &[u8]) -> Result<Field<T>, PedalError> {
-    if !data.len().is_multiple_of(T::BYTES) {
-        return Err(PedalError::MisalignedData { bytes: data.len(), element: T::BYTES });
-    }
-    Ok(Field::from_bytes(Dims::d1(data.len() / T::BYTES), data))
 }

@@ -30,6 +30,7 @@
 
 pub mod context;
 pub mod design;
+pub mod exec;
 pub mod header;
 pub mod parallel;
 pub mod pool;

@@ -1,11 +1,12 @@
 //! Pure wire-format encode/decode for PEDAL messages.
 //!
 //! Everything in this module is a deterministic function of its inputs:
-//! no virtual clock, no DOCA context, no buffer pool. The synchronous
-//! [`crate::PedalContext`], the chunked-parallel path, and the
-//! `pedal-service` offload engine all produce the same bytes because the
-//! simulated C-Engine runs the exact same codecs as the SoC paths; this
-//! module is the single definition of that byte format.
+//! no virtual clock, no DOCA context, no buffer pool. The design
+//! executor ([`crate::exec`], behind both [`crate::PedalContext`] and the
+//! `pedal-service` lanes) and the chunked-parallel path all produce the
+//! same bytes because the simulated C-Engine runs the exact same codecs
+//! as the SoC paths; this module is the single definition of that byte
+//! format.
 //!
 //! Callers that need virtual time charge it afterwards from the returned
 //! [`CostProfile`] byte counts — the profile records how many bytes went
@@ -18,40 +19,9 @@ use crate::header::{PedalHeader, HEADER_LEN};
 use pedal_dpu::{Algorithm, Placement};
 use pedal_sz3::{BackendKind, Dims, Field, PredictorKind, Sz3Config};
 
-// ---------------------------------------------------------------------
-// Varint framing primitives (shared by context, parallel, codesign)
-// ---------------------------------------------------------------------
-
-/// Append a LEB128 unsigned varint.
-pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            return;
-        }
-        out.push(b | 0x80);
-    }
-}
-
-/// Read a LEB128 unsigned varint at `*i`, advancing it.
-pub fn get_uvarint(data: &[u8], i: &mut usize) -> Option<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        if *i >= data.len() || shift >= 64 {
-            return None;
-        }
-        let b = data[*i];
-        *i += 1;
-        v |= ((b & 0x7F) as u64) << shift;
-        if b & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-    }
-}
+/// LEB128 varint primitives, shared with the parallel container and the
+/// co-design's gather framing.
+pub use pedal_sz3::varint::{get_uvarint, put_uvarint};
 
 /// Build a full PEDAL message: header, original length varint, body.
 pub fn frame(header: PedalHeader, original_len: usize, body: &[u8]) -> Vec<u8> {
@@ -110,7 +80,7 @@ pub struct CostProfile {
 // Pure compression
 // ---------------------------------------------------------------------
 
-/// The SZ3 configuration a design implies (mirrors the context).
+/// The SZ3 configuration a design implies.
 pub fn sz3_config(design: Design, error_bound: f64) -> Sz3Config {
     Sz3Config {
         error_bound,
@@ -128,6 +98,40 @@ fn field_from_bytes<T: pedal_sz3::Float>(data: &[u8]) -> Result<Field<T>, PedalE
         return Err(PedalError::MisalignedData { bytes: data.len(), element: T::BYTES });
     }
     Ok(Field::from_bytes(Dims::d1(data.len() / T::BYTES), data))
+}
+
+/// The SoC half of an SZ3 design: validate the design's configuration and
+/// encode `data` as a 1-D field into the core stream its lossless backend
+/// then seals.
+pub(crate) fn encode_sz3_core(
+    design: Design,
+    datatype: Datatype,
+    error_bound: f64,
+    data: &[u8],
+) -> Result<(Vec<u8>, pedal_sz3::CoreStats), PedalError> {
+    let cfg = sz3_config(design, error_bound);
+    cfg.validate().map_err(PedalError::codec)?;
+    match datatype {
+        Datatype::Float32 => Ok(pedal_sz3::encode_core(&field_from_bytes::<f32>(data)?, &cfg)),
+        Datatype::Float64 => Ok(pedal_sz3::encode_core(&field_from_bytes::<f64>(data)?, &cfg)),
+        Datatype::Byte => Err(PedalError::UnsupportedDatatype { design, datatype }),
+    }
+}
+
+/// Reconstruct the field bytes from an unsealed SZ3 core; the stream
+/// self-describes its type. The caller's expected length caps how many
+/// elements the core may declare, so a corrupt header cannot drive the
+/// allocation.
+pub(crate) fn decode_sz3_core(core: &[u8], expected_len: usize) -> Result<Vec<u8>, PedalError> {
+    match core.get(5).copied() {
+        Some(0x32) => Ok(pedal_sz3::decode_core_with_limit::<f32>(core, expected_len / 4)
+            .map_err(PedalError::codec)?
+            .to_bytes()),
+        Some(0x64) => Ok(pedal_sz3::decode_core_with_limit::<f64>(core, expected_len / 8)
+            .map_err(PedalError::codec)?
+            .to_bytes()),
+        other => Err(PedalError::Codec(format!("bad sz3 type tag {other:?}"))),
+    }
 }
 
 /// Compress `data` into a design's *body* (the payload minus framing).
@@ -157,18 +161,10 @@ pub fn compress_body(
             pedal_lz4::compress_block(data, 1)
         }
         Algorithm::Sz3 => {
-            let cfg = sz3_config(design, error_bound);
-            cfg.validate().map_err(|e| PedalError::Codec(e.to_string()))?;
-            let (core, stats) = match datatype {
-                Datatype::Float32 => pedal_sz3::encode_core(&field_from_bytes::<f32>(data)?, &cfg),
-                Datatype::Float64 => pedal_sz3::encode_core(&field_from_bytes::<f64>(data)?, &cfg),
-                Datatype::Byte => {
-                    return Err(PedalError::UnsupportedDatatype { design, datatype });
-                }
-            };
+            let (core, stats) = encode_sz3_core(design, datatype, error_bound, data)?;
             profile.sz3_core_bytes = stats.input_bytes;
             profile.lossless_bytes = core.len();
-            pedal_sz3::seal(&core, cfg.backend)
+            pedal_sz3::seal(&core, sz3_config(design, error_bound).backend)
         }
         Algorithm::Pco => {
             profile.lossless_bytes = data.len();
@@ -214,67 +210,65 @@ pub fn decompress_payload(
     if original_len != expected_len {
         return Err(PedalError::LengthMismatch { expected: expected_len, actual: original_len });
     }
-    let mut profile = CostProfile::default();
-    let data = match header {
+    match header {
         PedalHeader::Uncompressed => {
-            profile.passthrough = true;
-            profile.lossless_bytes = body.len();
-            body.to_vec()
-        }
-        PedalHeader::Compressed(design) => match design.algorithm {
-            Algorithm::Deflate => {
-                let data = pedal_deflate::decompress_with_limit(body, expected_len)
-                    .map_err(|e| PedalError::Codec(e.to_string()))?;
-                profile.lossless_bytes = data.len();
-                data
+            if body.len() != expected_len {
+                return Err(PedalError::LengthMismatch {
+                    expected: expected_len,
+                    actual: body.len(),
+                });
             }
+            let profile =
+                CostProfile { lossless_bytes: body.len(), passthrough: true, ..Default::default() };
+            Ok((body.to_vec(), profile))
+        }
+        PedalHeader::Compressed(design) => decompress_body(design, body, expected_len),
+    }
+}
+
+/// Decode a design's *body* (the payload minus framing) into exactly
+/// `expected_len` bytes.
+pub(crate) fn decompress_body(
+    design: Design,
+    body: &[u8],
+    expected_len: usize,
+) -> Result<(Vec<u8>, CostProfile), PedalError> {
+    let mut profile = CostProfile::default();
+    let data =
+        match design.algorithm {
+            Algorithm::Deflate => pedal_deflate::decompress_with_limit(body, expected_len)
+                .map_err(PedalError::codec)?,
             Algorithm::Zlib => {
                 let data = pedal_zlib::decompress_with_limit(body, expected_len)
-                    .map_err(|e| PedalError::Codec(e.to_string()))?;
-                profile.lossless_bytes = data.len();
+                    .map_err(PedalError::codec)?;
                 profile.checksum_bytes = data.len();
                 data
             }
-            Algorithm::Lz4 => {
-                let data = pedal_lz4::decompress_block(body, Some(expected_len), expected_len)
-                    .map_err(|e| PedalError::Codec(e.to_string()))?;
-                profile.lossless_bytes = data.len();
-                data
-            }
+            Algorithm::Lz4 => pedal_lz4::decompress_block(body, Some(expected_len), expected_len)
+                .map_err(PedalError::codec)?,
             Algorithm::Sz3 => {
                 // The caller's expected output length bounds both halves of
                 // the inverse pipeline: the unsealed core may not exceed the
                 // shared budget formula, and the core may not declare more
                 // elements than fit in `expected_len` bytes.
                 let core_budget = pedal_sz3::core_limit_for_output(expected_len);
-                let (core, _backend) = pedal_sz3::unseal_limited(body, core_budget)
-                    .map_err(|e| PedalError::Codec(e.to_string()))?;
-                profile.lossless_bytes = core.len();
+                let (core, _backend) =
+                    pedal_sz3::unseal_limited(body, core_budget).map_err(PedalError::codec)?;
                 profile.sz3_core_bytes = expected_len;
-                // Reconstruct the field; the stream self-describes its type.
-                match core.get(5).copied() {
-                    Some(0x32) => pedal_sz3::decode_core_with_limit::<f32>(&core, expected_len / 4)
-                        .map_err(|e| PedalError::Codec(e.to_string()))?
-                        .to_bytes(),
-                    Some(0x64) => pedal_sz3::decode_core_with_limit::<f64>(&core, expected_len / 8)
-                        .map_err(|e| PedalError::Codec(e.to_string()))?
-                        .to_bytes(),
-                    other => {
-                        return Err(PedalError::Codec(format!("bad sz3 type tag {other:?}")));
-                    }
-                }
+                profile.lossless_bytes = core.len();
+                decode_sz3_core(&core, expected_len)?
             }
-            Algorithm::Pco => {
-                // The pco container self-describes its column type; the
-                // byte-level decode path reproduces the original bytes
-                // for every tag and bounds allocation by `expected_len`.
-                let data = pedal_pco::decompress_bytes_with_limit(body, expected_len)
-                    .map_err(|e| PedalError::Codec(e.to_string()))?;
-                profile.lossless_bytes = data.len();
-                data
-            }
-        },
-    };
+            // The pco container self-describes its column type; the
+            // byte-level decode path reproduces the original bytes for every
+            // tag and bounds allocation by `expected_len`.
+            Algorithm::Pco => pedal_pco::decompress_bytes_with_limit(body, expected_len)
+                .map_err(PedalError::codec)?,
+        };
+    // Lossless designs are costed on the decoded bytes; SZ3 on its core
+    // stream (recorded above).
+    if design.algorithm != Algorithm::Sz3 {
+        profile.lossless_bytes = data.len();
+    }
     if data.len() != expected_len {
         return Err(PedalError::LengthMismatch { expected: expected_len, actual: data.len() });
     }
@@ -286,19 +280,6 @@ mod tests {
     use super::*;
     use crate::context::{PedalConfig, PedalContext};
     use pedal_dpu::{Pcg32, Platform};
-
-    #[test]
-    fn uvarint_roundtrip() {
-        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
-            let mut buf = Vec::new();
-            put_uvarint(&mut buf, v);
-            let mut i = 0;
-            assert_eq!(get_uvarint(&buf, &mut i), Some(v));
-            assert_eq!(i, buf.len());
-        }
-        let mut i = 0;
-        assert_eq!(get_uvarint(&[0x80, 0x80], &mut i), None);
-    }
 
     #[test]
     fn payloads_match_context_for_every_design_and_platform() {

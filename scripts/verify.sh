@@ -11,6 +11,13 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> perfbench builds and its smoke tests pass"
+# perfbench is its own workspace (the root members are crates/*,
+# examples and tests), so the stages above never compile it. Build it
+# against the current crates so an API change cannot break the
+# wall-clock benchmark unnoticed.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> fuzz smoke sweep (fixed seed)"
 # Structure-aware mutation sweep over every decode path: no panics,
 # bounded allocation, SoC/C-Engine differential agreement. Fixed seed,
