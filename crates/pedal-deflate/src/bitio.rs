@@ -4,13 +4,15 @@
 //! byte. Huffman codes are packed starting from their most-significant bit,
 //! which the encoder handles by pre-reversing code bit patterns.
 
-/// Accumulating LSB-first bit writer over a `Vec<u8>`.
+/// Accumulating LSB-first bit writer over a `Vec<u8>`. It flushes 32 bits
+/// at a time, so up to 31 bits wait in the accumulator between writes.
 #[derive(Debug)]
 pub struct BitWriter {
     out: Vec<u8>,
-    /// Bit accumulator; bits fill from the LSB upwards.
+    /// Bit accumulator; bits fill from the LSB upwards, none set above
+    /// `nbits`.
     acc: u64,
-    /// Number of valid bits in `acc` (always < 8 after `flush_bytes`).
+    /// Number of valid bits in `acc` (always < 32 between writes).
     nbits: u32,
 }
 
@@ -23,26 +25,27 @@ impl BitWriter {
         Self { out: Vec::with_capacity(cap), acc: 0, nbits: 0 }
     }
 
-    /// Write the low `n` bits of `bits` (n <= 57 to keep the accumulator safe).
+    /// Write the low `n` bits of `bits` (n <= 32, so the at most 31
+    /// waiting bits plus `n` fit the accumulator).
     #[inline]
     pub fn write_bits(&mut self, bits: u64, n: u32) {
-        debug_assert!(n <= 57);
-        debug_assert!(n == 64 || bits < (1u64 << n));
+        debug_assert!(n <= 32);
+        debug_assert!(bits >> n == 0);
         self.acc |= bits << self.nbits;
         self.nbits += n;
-        while self.nbits >= 8 {
-            self.out.push((self.acc & 0xFF) as u8);
-            self.acc >>= 8;
-            self.nbits -= 8;
+        if self.nbits >= 32 {
+            self.out.extend_from_slice(&(self.acc as u32).to_le_bytes());
+            self.acc >>= 32;
+            self.nbits -= 32;
         }
     }
 
     /// Pad with zero bits to the next byte boundary.
     pub fn align_byte(&mut self) {
-        if self.nbits > 0 {
-            self.out.push((self.acc & 0xFF) as u8);
-            self.acc = 0;
-            self.nbits = 0;
+        while self.nbits > 0 {
+            self.out.push(self.acc as u8);
+            self.acc >>= 8;
+            self.nbits = self.nbits.saturating_sub(8);
         }
     }
 
@@ -50,11 +53,6 @@ impl BitWriter {
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         debug_assert_eq!(self.nbits, 0, "write_bytes requires byte alignment");
         self.out.extend_from_slice(bytes);
-    }
-
-    /// Number of complete bytes emitted so far.
-    pub fn byte_len(&self) -> usize {
-        self.out.len()
     }
 
     /// Total number of bits written so far (including unflushed ones).

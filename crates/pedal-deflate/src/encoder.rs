@@ -5,6 +5,7 @@ use crate::bitio::BitWriter;
 use crate::consts::*;
 use crate::huffman::{build_code_lengths, Encoder as HuffEncoder};
 use crate::lz77::{tokenize, MatcherParams, Token};
+use std::sync::OnceLock;
 
 /// Compression level: 0 = stored only, 1..=9 = increasing effort.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -53,36 +54,23 @@ pub fn deflate_fragment(data: &[u8], level: Level, last: bool) -> Vec<u8> {
         return w.finish();
     }
 
-    // Tokenize the whole input, then emit in bounded blocks.
-    let mut tokens: Vec<Token> = Vec::with_capacity(data.len() / 4 + 16);
-    tokenize(data, MatcherParams::for_level(level.0), |t| tokens.push(t));
-
-    // Byte offset where each block's tokens begin, for stored fallback.
-    let mut block_start_byte = 0usize;
-    let mut i = 0usize;
-    while i < tokens.len() || (tokens.is_empty() && i == 0) {
-        let end = (i + BLOCK_TOKENS).min(tokens.len());
-        let block = &tokens[i..end];
-        let is_final = last && end == tokens.len();
-        let block_bytes: usize = block
-            .iter()
-            .map(|t| match t {
-                Token::Literal(_) => 1,
-                Token::Match { len, .. } => *len as usize,
-            })
-            .sum();
-        encode_block(
-            &mut w,
-            block,
-            &data[block_start_byte..block_start_byte + block_bytes],
-            is_final,
-        );
-        block_start_byte += block_bytes;
-        i = end;
-        if tokens.is_empty() {
-            break;
+    // Encode each block as soon as it fills. A full block is held back
+    // until the next token arrives, so only the true last block is final.
+    let mut block: Vec<Token> = Vec::with_capacity(BLOCK_TOKENS.min(data.len()));
+    let (mut block_start, mut block_end) = (0usize, 0usize);
+    tokenize(data, MatcherParams::for_level(level.0), |t| {
+        if block.len() == BLOCK_TOKENS {
+            encode_block(&mut w, &block, &data[block_start..block_end], false);
+            block.clear();
+            block_start = block_end;
         }
-    }
+        block_end += match t {
+            Token::Literal(_) => 1,
+            Token::Match { len, .. } => len as usize,
+        };
+        block.push(t);
+    });
+    encode_block(&mut w, &block, &data[block_start..block_end], last);
     if !last {
         // Sync flush: the empty non-final stored block realigns the
         // fragment to a byte boundary so the next fragment can be
@@ -113,8 +101,8 @@ fn encode_block(w: &mut BitWriter, tokens: &[Token], raw: &[u8], is_final: bool)
     let (clc_stream, clc_lens, hlit, hdist, hclen) = build_clc(&dyn_lit_lens, &dyn_dist_lens);
 
     let fixed = fixed_tables();
-    let fixed_cost = block_cost(tokens, &fixed.0.lengths, &fixed.1.lengths);
-    let dyn_body = block_cost(tokens, &dyn_lit_lens, &dyn_dist_lens);
+    let fixed_cost = block_cost(&lit_freq, &dist_freq, &fixed.0.lengths, &fixed.1.lengths);
+    let dyn_body = block_cost(&lit_freq, &dist_freq, &dyn_lit_lens, &dyn_dist_lens);
     let dyn_header = dyn_header_cost(&clc_stream, &clc_lens, hclen);
     let dyn_cost = dyn_body + dyn_header;
     // Stored cost: 3 bit header + align + per-chunk 4-byte LEN/NLEN + data.
@@ -137,23 +125,14 @@ fn encode_block(w: &mut BitWriter, tokens: &[Token], raw: &[u8], is_final: bool)
     }
 }
 
-/// Cost in bits of encoding `tokens` (plus EOB) with the given code lengths.
-fn block_cost(tokens: &[Token], lit_lens: &[u8], dist_lens: &[u8]) -> u64 {
-    let mut bits = lit_lens[EOB as usize] as u64;
-    for t in tokens {
-        match *t {
-            Token::Literal(b) => bits += lit_lens[b as usize] as u64,
-            Token::Match { len, dist } => {
-                let lc = length_code(len as usize);
-                let dc = dist_code(dist as usize);
-                bits += lit_lens[257 + lc] as u64
-                    + LENGTH_EXTRA[lc] as u64
-                    + dist_lens[dc] as u64
-                    + DIST_EXTRA[dc] as u64;
-            }
-        }
-    }
-    bits
+/// Cost in bits of a block body with symbol counts `lit_freq` (EOB
+/// included) and `dist_freq` under the given code lengths, extra bits
+/// included.
+fn block_cost(lit_freq: &[u32], dist_freq: &[u32], lit_lens: &[u8], dist_lens: &[u8]) -> u64 {
+    let lengths = lit_freq[257..].iter().zip(&LENGTH_EXTRA);
+    let coded = lit_freq.iter().zip(lit_lens).chain(dist_freq.iter().zip(dist_lens));
+    let extra = lengths.chain(dist_freq.iter().zip(&DIST_EXTRA));
+    coded.chain(extra).map(|(&f, &bits)| f as u64 * bits as u64).sum()
 }
 
 fn dyn_header_cost(clc_stream: &[(u8, u8)], clc_lens: &[u8], hclen: usize) -> u64 {
@@ -170,28 +149,25 @@ fn dyn_header_cost(clc_stream: &[(u8, u8)], clc_lens: &[u8], hclen: usize) -> u6
     bits
 }
 
-/// Fixed literal/length and distance tables (RFC 1951 §3.2.6).
-pub fn fixed_tables() -> (HuffEncoder, HuffEncoder) {
-    let mut lit = vec![0u8; 288];
-    for (i, l) in lit.iter_mut().enumerate() {
-        *l = match i {
-            0..=143 => 8,
-            144..=255 => 9,
-            256..=279 => 7,
-            _ => 8,
-        };
-    }
-    let dist = vec![5u8; 30];
-    (HuffEncoder::from_lengths(&lit), HuffEncoder::from_lengths(&dist))
-}
-
-/// Fixed code lengths (for the decoder).
-pub fn fixed_lengths() -> (Vec<u8>, Vec<u8>) {
-    let t = fixed_tables();
-    (t.0.lengths, t.1.lengths)
+/// Fixed literal/length and distance tables (RFC 1951 §3.2.6), built once.
+pub fn fixed_tables() -> &'static (HuffEncoder, HuffEncoder) {
+    static TABLES: OnceLock<(HuffEncoder, HuffEncoder)> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let lit: Vec<u8> = (0..288)
+            .map(|i| match i {
+                0..=143 => 8,
+                144..=255 => 9,
+                256..=279 => 7,
+                _ => 8,
+            })
+            .collect();
+        (HuffEncoder::from_lengths(&lit), HuffEncoder::from_lengths(&[5; 30]))
+    })
 }
 
 fn write_tokens(w: &mut BitWriter, tokens: &[Token], lit: &HuffEncoder, dist: &HuffEncoder) {
+    // Each code goes out together with its extra bits: at most 15 + 13
+    // bits per write.
     for t in tokens {
         match *t {
             Token::Literal(b) => {
@@ -201,18 +177,12 @@ fn write_tokens(w: &mut BitWriter, tokens: &[Token], lit: &HuffEncoder, dist: &H
             Token::Match { len, dist: d } => {
                 let lc = length_code(len as usize);
                 let (c, l) = lit.code(257 + lc);
-                w.write_bits(c as u64, l as u32);
-                let extra = LENGTH_EXTRA[lc] as u32;
-                if extra > 0 {
-                    w.write_bits((len - LENGTH_BASE[lc]) as u64, extra);
-                }
+                let extra = (len - LENGTH_BASE[lc]) as u64;
+                w.write_bits(c as u64 | extra << l, (l + LENGTH_EXTRA[lc]) as u32);
                 let dc = dist_code(d as usize);
                 let (c, l) = dist.code(dc);
-                w.write_bits(c as u64, l as u32);
-                let extra = DIST_EXTRA[dc] as u32;
-                if extra > 0 {
-                    w.write_bits((d - DIST_BASE[dc]) as u64, extra);
-                }
+                let extra = (d - DIST_BASE[dc]) as u64;
+                w.write_bits(c as u64 | extra << l, (l + DIST_EXTRA[dc]) as u32);
             }
         }
     }
@@ -446,7 +416,8 @@ mod tests {
 
     #[test]
     fn fixed_table_shape() {
-        let (lit, dist) = fixed_lengths();
+        let (lit, dist) = fixed_tables();
+        let (lit, dist) = (&lit.lengths, &dist.lengths);
         assert_eq!(lit.len(), 288);
         assert_eq!(dist.len(), 30);
         assert_eq!(lit[0], 8);

@@ -26,77 +26,39 @@ pub fn build_code_lengths(freqs: &[u32], max_len: usize) -> Vec<u8> {
         _ => {}
     }
 
-    // Heap-free O(n log n) Huffman: sort leaves by frequency, then do the
-    // classic two-queue merge (sorted leaves + FIFO of internal nodes).
-    #[derive(Clone, Copy)]
-    struct Node {
-        freq: u64,
-        // Index into `nodes` of children, or usize::MAX for leaves.
-        left: usize,
-        right: usize,
-        sym: usize,
-    }
-    let mut leaves: Vec<usize> = used.clone();
-    leaves.sort_by_key(|&s| (freqs[s], s));
-    let mut nodes: Vec<Node> = leaves
-        .iter()
-        .map(|&s| Node { freq: freqs[s] as u64, left: usize::MAX, right: usize::MAX, sym: s })
-        .collect();
-    let mut leaf_i = 0usize; // next unconsumed leaf in nodes[0..leaves.len()]
-    let num_leaves = nodes.len();
-    let mut internal: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-
-    let take_min = |nodes: &Vec<Node>,
-                    leaf_i: &mut usize,
-                    internal: &mut std::collections::VecDeque<usize>|
-     -> usize {
-        let leaf_ok = *leaf_i < num_leaves;
-        let int_ok = !internal.is_empty();
-        let pick_leaf = match (leaf_ok, int_ok) {
-            (true, true) => nodes[*leaf_i].freq <= nodes[*internal.front().unwrap()].freq,
-            (true, false) => true,
-            (false, true) => false,
-            (false, false) => unreachable!("huffman merge ran out of nodes"),
-        };
-        if pick_leaf {
-            let i = *leaf_i;
-            *leaf_i += 1;
-            i
-        } else {
-            internal.pop_front().unwrap()
-        }
+    // Heap-free O(n log n) Huffman: sort the leaves by (frequency, symbol),
+    // then do the classic two-queue merge. Leaves are `weight[..leaves]`;
+    // internal nodes follow in creation order, which is also the FIFO
+    // order the merge takes them in.
+    let mut keys: Vec<u64> = used.iter().map(|&s| (freqs[s] as u64) << 32 | s as u64).collect();
+    keys.sort_unstable();
+    let leaves = keys.len();
+    let mut weight: Vec<u64> = keys.iter().map(|&k| k >> 32).collect();
+    let mut parent = vec![0usize; 2 * leaves - 1];
+    let (mut next_leaf, mut next_internal) = (0usize, leaves);
+    let mut take_min = |weight: &[u64]| {
+        let leaf = next_leaf < leaves
+            && (next_internal == weight.len() || weight[next_leaf] <= weight[next_internal]);
+        let next = if leaf { &mut next_leaf } else { &mut next_internal };
+        *next += 1;
+        *next - 1
     };
-
-    let mut remaining = num_leaves;
-    while remaining > 1 {
-        let a = take_min(&nodes, &mut leaf_i, &mut internal);
-        let b = take_min(&nodes, &mut leaf_i, &mut internal);
-        let parent =
-            Node { freq: nodes[a].freq + nodes[b].freq, left: a, right: b, sym: usize::MAX };
-        nodes.push(parent);
-        internal.push_back(nodes.len() - 1);
-        remaining -= 1;
+    for _ in 1..leaves {
+        let (a, b) = (take_min(&weight), take_min(&weight));
+        parent[a] = weight.len();
+        parent[b] = weight.len();
+        weight.push(weight[a] + weight[b]);
     }
-    let root = internal.pop_front().unwrap();
-
-    // Depth-first traversal to collect natural depths.
-    let mut depth_count = vec![0u32; 64];
-    let mut sym_depth: Vec<(usize, u32)> = Vec::with_capacity(num_leaves);
-    let mut stack = vec![(root, 0u32)];
-    while let Some((idx, d)) = stack.pop() {
-        let node = nodes[idx];
-        if node.sym != usize::MAX {
-            sym_depth.push((node.sym, d.max(1)));
-            depth_count[d.max(1) as usize] += 1;
-        } else {
-            stack.push((node.left, d + 1));
-            stack.push((node.right, d + 1));
-        }
+    // Every node precedes its parent and the root comes last, so one
+    // backward pass gives each node its depth.
+    let mut depth = vec![0u32; weight.len()];
+    for i in (0..weight.len() - 1).rev() {
+        depth[i] = depth[parent[i]] + 1;
     }
 
     // Clamp to max_len and repair the Kraft inequality (miniz-style).
     let mut counts = vec![0u32; max_len + 1];
-    for &(_, d) in &sym_depth {
+    for &d in &depth[..leaves] {
         counts[(d as usize).min(max_len)] += 1;
     }
     let mut total: u64 = 0;
@@ -119,10 +81,12 @@ pub fn build_code_lengths(freqs: &[u32], max_len: usize) -> Vec<u8> {
 
     // Assign the adjusted lengths to symbols ordered by descending frequency
     // (most frequent symbols get the shortest codes).
-    let mut by_freq: Vec<usize> = used;
-    by_freq.sort_by_key(|&s| (std::cmp::Reverse(freqs[s]), s));
+    // Ties in frequency go to the lower symbol first.
+    let mut by_freq: Vec<u64> =
+        used.iter().map(|&s| ((u32::MAX - freqs[s]) as u64) << 32 | s as u64).collect();
+    by_freq.sort_unstable();
     let mut li = 1usize;
-    for &sym in &by_freq {
+    for sym in by_freq.iter().map(|&k| k as u32 as usize) {
         while counts[li] == 0 {
             li += 1;
         }

@@ -3,6 +3,7 @@
 use crate::bitio::{BitReader, OutOfBits};
 use crate::consts::*;
 use crate::huffman::{Decoder, HuffError};
+use std::sync::OnceLock;
 
 /// Errors produced while decoding a DEFLATE stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,8 +103,8 @@ fn inflate_core(
         match btype {
             0b00 => inflate_stored(&mut r, &mut out, limit)?,
             0b01 => {
-                let (lit, dist) = fixed_decoders()?;
-                inflate_block(&mut r, &mut out, &lit, &dist, limit)?;
+                let (lit, dist) = fixed_decoders();
+                inflate_block(&mut r, &mut out, lit, dist, limit)?;
             }
             0b10 => {
                 let (lit, dist) = read_dynamic_header(&mut r)?;
@@ -138,9 +139,14 @@ fn inflate_stored(
     Ok(())
 }
 
-fn fixed_decoders() -> Result<(Decoder, Decoder), InflateError> {
-    let (lit_lens, dist_lens) = crate::encoder::fixed_lengths();
-    Ok((Decoder::from_lengths(&lit_lens)?, Decoder::from_lengths(&dist_lens)?))
+/// Decoders for the fixed Huffman tables (RFC 1951 §3.2.6), built once.
+fn fixed_decoders() -> &'static (Decoder, Decoder) {
+    static DECODERS: OnceLock<(Decoder, Decoder)> = OnceLock::new();
+    DECODERS.get_or_init(|| {
+        let (lit, dist) = crate::encoder::fixed_tables();
+        let decoder = |lengths| Decoder::from_lengths(lengths).expect("fixed tables are complete");
+        (decoder(&lit.lengths), decoder(&dist.lengths))
+    })
 }
 
 fn read_dynamic_header(r: &mut BitReader<'_>) -> Result<(Decoder, Decoder), InflateError> {

@@ -1,9 +1,25 @@
-//! LZ77 string matching with hash chains and optional lazy evaluation.
+//! LZ77 string matching over a 32 KiB window, with optional lazy
+//! evaluation: the front half of DEFLATE compression.
 //!
-//! Produces a token stream of literals and (length, distance) matches over a
-//! 32 KiB sliding window, the front half of DEFLATE compression.
+//! The candidates for a match at `pos` are the earlier positions in the
+//! window whose 3-byte hash equals `pos`'s, newest first, walked under a
+//! `max_chain` budget. [`tokenize`] looks them up only after every
+//! position before `pos` has been inserted and none at or after it, so
+//! that list is fixed by the input alone. Two sources produce it:
+//!
+//! * **hash chains** — zlib's `head`/`prev` tables, one dependent load
+//!   per link;
+//! * **sorted runs** — every position of a segment and its 32 KiB
+//!   lookback, radix-sorted by (hash, position). The list at `pos` is the
+//!   run of equal-hash keys just before `pos`'s own key, read backwards:
+//!   sequential reads whose candidate loads do not depend on each other.
+//!
+//! Both sources list the same candidates in the same order, so they emit
+//! identical tokens. [`tokenize`] picks one per segment from how many
+//! links the previous segment walked: sorting pays only for long chains.
 
 use crate::consts::{MAX_MATCH, MIN_MATCH, WINDOW_SIZE};
+use std::cell::Cell;
 
 /// One LZ77 token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,10 +33,12 @@ pub enum Token {
 /// Tunable matcher effort, mirroring zlib's level ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatcherParams {
-    /// Maximum hash-chain links traversed per position.
+    /// Maximum candidates examined per position.
     pub max_chain: usize,
-    /// Stop searching early once a match of this length is found.
-    pub good_len: usize,
+    /// zlib's *nice_length*: stop searching once a match this long is
+    /// found. (zlib's *good_length*, which shortens the chain after a good
+    /// match, has no counterpart here.)
+    pub nice_len: usize,
     /// Use lazy matching (defer emission by one byte looking for better).
     pub lazy: bool,
     /// Matches at least this long skip the lazy search at the next byte.
@@ -35,94 +53,422 @@ impl MatcherParams {
     /// expected to fall back to stored blocks. Levels above 9 clamp to 9.
     pub fn for_level(level: u8) -> Self {
         match level.min(9) {
-            0 => Self { max_chain: 0, good_len: 0, lazy: false, lazy_skip_len: 0 },
-            1 => Self { max_chain: 4, good_len: 8, lazy: false, lazy_skip_len: 0 },
-            2 => Self { max_chain: 8, good_len: 16, lazy: false, lazy_skip_len: 0 },
-            3 => Self { max_chain: 32, good_len: 32, lazy: false, lazy_skip_len: 0 },
-            4 => Self { max_chain: 16, good_len: 16, lazy: true, lazy_skip_len: 32 },
-            5 => Self { max_chain: 32, good_len: 32, lazy: true, lazy_skip_len: 64 },
-            6 => Self { max_chain: 128, good_len: 128, lazy: true, lazy_skip_len: 128 },
-            7 => Self { max_chain: 256, good_len: 128, lazy: true, lazy_skip_len: 128 },
-            8 => Self { max_chain: 1024, good_len: 258, lazy: true, lazy_skip_len: 258 },
-            _ => Self { max_chain: 4096, good_len: 258, lazy: true, lazy_skip_len: 258 },
+            0 => Self { max_chain: 0, nice_len: 0, lazy: false, lazy_skip_len: 0 },
+            1 => Self { max_chain: 4, nice_len: 8, lazy: false, lazy_skip_len: 0 },
+            2 => Self { max_chain: 8, nice_len: 16, lazy: false, lazy_skip_len: 0 },
+            3 => Self { max_chain: 32, nice_len: 32, lazy: false, lazy_skip_len: 0 },
+            4 => Self { max_chain: 16, nice_len: 16, lazy: true, lazy_skip_len: 32 },
+            5 => Self { max_chain: 32, nice_len: 32, lazy: true, lazy_skip_len: 64 },
+            6 => Self { max_chain: 128, nice_len: 128, lazy: true, lazy_skip_len: 128 },
+            7 => Self { max_chain: 256, nice_len: 128, lazy: true, lazy_skip_len: 128 },
+            8 => Self { max_chain: 1024, nice_len: 258, lazy: true, lazy_skip_len: 258 },
+            _ => Self { max_chain: 4096, nice_len: 258, lazy: true, lazy_skip_len: 258 },
         }
     }
+}
+
+/// Where the matcher reads its candidates from. Every source yields the
+/// same tokens; forcing one is for differential tests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Candidates {
+    /// Choose per segment from the previous segment's chain density.
+    Adaptive,
+    /// Always walk hash chains.
+    HashChains,
+    /// Always read sorted runs.
+    SortedRuns,
 }
 
 const HASH_BITS: u32 = 15;
 const HASH_SIZE: usize = 1 << HASH_BITS;
 
+/// Positions a segment looks candidates up for. With the 32 KiB lookback
+/// a segment's offsets fill the 17 bits a sorted key leaves them. The
+/// first segment is short: it walks hash chains, so small inputs never pay
+/// for a sort, and it measures the chain density the next one picks by.
+const FIRST_SEGMENT: usize = 16 * 1024;
+const SEGMENT: usize = 96 * 1024;
+const OFFSET_BITS: u32 = 17;
+const OFFSET_MASK: u32 = (1 << OFFSET_BITS) - 1;
+const _: () = assert!(WINDOW_SIZE + SEGMENT <= 1 << OFFSET_BITS);
+
+/// A segment that walked at least this many links per byte reads the
+/// next segment from sorted runs; sparser chains are cheaper to walk
+/// than to sort.
+const SORTED_LINKS_PER_BYTE: usize = 3;
+
+/// Multiplicative hash of the 3 bytes at `pos`.
 #[inline]
-fn hash3(data: &[u8], pos: usize) -> usize {
-    // Multiplicative hash of the next 3 bytes.
-    let v = (data[pos] as u32) | ((data[pos + 1] as u32) << 8) | ((data[pos + 2] as u32) << 16);
-    ((v.wrapping_mul(0x9E37_79B1)) >> (32 - HASH_BITS)) as usize
+fn hash3(data: &[u8], pos: usize) -> u32 {
+    hash_bytes(data[pos], data[pos + 1], data[pos + 2])
 }
 
-/// Hash-chain matcher state.
-pub struct Matcher {
-    /// head[h] = most recent position with hash h (+1, 0 = empty).
+#[inline]
+fn hash_bytes(a: u8, b: u8, c: u8) -> u32 {
+    u32::from_le_bytes([a, b, c, 0]).wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)
+}
+
+/// zlib-style hash chains, filled lazily up to the position looked up.
+///
+/// Each thread keeps one set of tables from input to input. An input's
+/// positions are stored as `base + 1 + pos`, above every value an earlier
+/// input left behind, so a new input starts with empty chains without
+/// clearing (or faulting in) 256 KiB of tables.
+struct HashChains {
+    /// head[h] = the most recent position with hash h.
     head: Vec<u32>,
-    /// prev[pos % WINDOW_SIZE] = previous position with the same hash (+1).
+    /// prev[pos % WINDOW_SIZE] = the previous position with pos's hash.
     prev: Vec<u32>,
-    params: MatcherParams,
+    /// Stored values at or below `base` belong to earlier inputs.
+    base: u32,
+    /// First position not yet inserted.
+    next: usize,
 }
 
-impl Matcher {
-    pub fn new(params: MatcherParams) -> Self {
-        Self { head: vec![0; HASH_SIZE], prev: vec![0; WINDOW_SIZE], params }
+thread_local! {
+    /// Tables the last input on this thread left behind, so the next one
+    /// neither allocates nor faults them in again.
+    static SPARE_CHAINS: Cell<Option<HashChains>> = const { Cell::new(None) };
+}
+
+impl HashChains {
+    /// Empty chains for an input of `len` bytes, reusing this thread's
+    /// tables when it has them.
+    fn acquire(len: usize) -> Self {
+        let spare = SPARE_CHAINS.try_with(Cell::take).ok().flatten();
+        let mut chains = spare.unwrap_or_else(|| Self {
+            head: vec![0; HASH_SIZE],
+            prev: vec![0; WINDOW_SIZE],
+            base: 0,
+            next: 0,
+        });
+        if chains.base as u64 + len as u64 >= u32::MAX as u64 {
+            chains.head.fill(0);
+            chains.base = 0;
+        }
+        chains.next = 0;
+        chains
     }
 
-    #[inline]
-    fn insert(&mut self, data: &[u8], pos: usize) {
-        if pos + MIN_MATCH <= data.len() {
-            let h = hash3(data, pos);
-            self.prev[pos % WINDOW_SIZE] = self.head[h];
-            self.head[h] = pos as u32 + 1;
-        }
+    /// Hand the tables back once the input of `len` bytes is done.
+    fn release(mut self, len: usize) {
+        self.base += len as u32;
+        // Only fails while the thread is exiting; the tables are then dropped.
+        let _ = SPARE_CHAINS.try_with(|spare| spare.set(Some(self)));
     }
 
-    /// Longest match at `pos`, at least `min_len+1` long, or None.
-    fn find_match(&self, data: &[u8], pos: usize, min_len: usize) -> Option<(usize, usize)> {
-        if pos + MIN_MATCH > data.len() {
-            return None;
+    /// Insert every position before `end` that starts a 3-byte string.
+    /// Entries older than a skipped stretch are never inside a later
+    /// window, so resuming at a segment's lookback leaves exact chains.
+    fn insert_until(&mut self, data: &[u8], end: usize) {
+        let stop = end.min(data.len().saturating_sub(MIN_MATCH - 1));
+        for p in self.next..stop {
+            let h = hash3(data, p) as usize;
+            self.prev[p % WINDOW_SIZE] = self.head[h];
+            self.head[h] = self.base + 1 + p as u32;
         }
-        let max_len = MAX_MATCH.min(data.len() - pos);
-        if max_len < MIN_MATCH {
-            return None;
-        }
-        let h = hash3(data, pos);
-        let mut cand = self.head[h];
-        let mut best_len = min_len;
-        let mut best_dist = 0usize;
-        let mut chain = self.params.max_chain;
-        let window_floor = pos.saturating_sub(WINDOW_SIZE);
+        self.next = self.next.max(end);
+    }
 
-        while cand != 0 && chain > 0 {
-            let cpos = (cand - 1) as usize;
-            if cpos < window_floor || cpos >= pos {
+    /// Whether the chain of hash `h` holds a position at or after `floor`.
+    fn reaches(&self, h: u32, floor: usize) -> bool {
+        let cand = self.head[h as usize];
+        cand > self.base && (cand - self.base - 1) as usize >= floor
+    }
+
+    /// Walk the chain of hash `h` down to `floor` (positions up to the
+    /// searched one already inserted); returns the links walked.
+    fn search(&self, h: u32, floor: usize, budget: usize, s: &mut Search) -> usize {
+        let mut cand = self.head[h as usize];
+        let mut links = 0;
+        while cand > self.base && links < budget {
+            let cpos = (cand - self.base - 1) as usize;
+            if cpos < floor {
                 break;
             }
-            // Quick reject: compare the byte just past the current best.
-            if best_len < max_len && data[cpos + best_len] == data[pos + best_len] {
-                let len = match_len(data, cpos, pos, max_len);
-                if len > best_len {
-                    best_len = len;
-                    best_dist = pos - cpos;
-                    if len >= self.params.good_len || len == max_len {
-                        break;
-                    }
-                }
+            links += 1;
+            // SAFETY: chains hold only positions inserted so far, all
+            // before `pos`; a value decodes to at most the position stored
+            // (u32 truncation of a huge input only lowers it).
+            if unsafe { s.passes(cpos) } && s.measure(cpos) {
+                break;
             }
             cand = self.prev[cpos % WINDOW_SIZE];
-            chain -= 1;
         }
-        if best_dist > 0 && best_len >= MIN_MATCH {
-            Some((best_len, best_dist))
-        } else {
-            None
+        links
+    }
+}
+
+/// One segment's positions sorted by (hash, position), as
+/// `hash << OFFSET_BITS | offset` keys relative to `base`.
+#[derive(Default)]
+struct SortedRuns {
+    base: usize,
+    keys: Vec<u32>,
+    scratch: Vec<u32>,
+    /// rank[offset] = index of that offset's key in `keys`.
+    rank: Vec<u32>,
+}
+
+impl SortedRuns {
+    /// Sort the positions `base..end` that start a 3-byte string.
+    fn build(&mut self, data: &[u8], base: usize, end: usize) {
+        let end = end.min(data.len().saturating_sub(MIN_MATCH - 1));
+        self.base = base;
+        let len = end - base;
+        // Two stable LSD passes over the 15 hash bits (8 low, then 7
+        // high); keys start in position order, so ties stay in it.
+        let mut low = [0u32; 256];
+        let mut high = [0u32; 128];
+        let src = &mut self.scratch;
+        src.clear();
+        let strings = data[base..end + MIN_MATCH - 1].windows(MIN_MATCH);
+        src.extend(strings.enumerate().map(|(i, w)| {
+            let h = hash_bytes(w[0], w[1], w[2]);
+            low[h as usize & 0xFF] += 1;
+            high[(h >> 8) as usize] += 1;
+            h << OFFSET_BITS | i as u32
+        }));
+        exclusive_prefix_sum(&mut low);
+        exclusive_prefix_sum(&mut high);
+        let keys = &mut self.keys;
+        keys.resize(len, 0);
+        for &k in src.iter() {
+            let b = &mut low[(k >> OFFSET_BITS) as usize & 0xFF];
+            keys[*b as usize] = k;
+            *b += 1;
+        }
+        self.rank.resize(len, 0);
+        for &k in keys.iter() {
+            let b = &mut high[(k >> (OFFSET_BITS + 8)) as usize];
+            src[*b as usize] = k;
+            self.rank[(k & OFFSET_MASK) as usize] = *b;
+            *b += 1;
+        }
+        std::mem::swap(&mut self.keys, &mut self.scratch);
+    }
+
+    /// Walk the run of hash `h` before `pos`'s own key, newest first, down
+    /// to `floor`; returns the links walked. Four candidates are filtered
+    /// together, so a chunk that holds no possible match costs one branch.
+    fn search(&self, pos: usize, h: u32, floor: usize, budget: usize, s: &mut Search) -> usize {
+        let rank = self.rank[pos - self.base] as usize;
+        // Every key in `min_key..` before `rank` has hash `h` and an offset
+        // in `floor - base..pos - base`: a candidate inside the window.
+        let min_key = h << OFFSET_BITS | (floor - self.base) as u32;
+        let at = |k: u32| self.base + (k & OFFSET_MASK) as usize;
+        // One candidate; false once the walk is over.
+        let step = |s: &mut Search, k: u32, links: &mut usize| {
+            if k < min_key {
+                return false;
+            }
+            *links += 1;
+            // SAFETY: `k >= min_key`, so `at(k)` precedes `pos`.
+            !(unsafe { s.passes(at(k)) } && s.measure(at(k)))
+        };
+        let mut links = 0;
+        let mut chunks = self.keys[rank.saturating_sub(budget)..rank].rchunks_exact(4);
+        for chunk in &mut chunks {
+            // Keys ascend, so the chunk is all in the run when its first is.
+            // SAFETY: then every `at(k)` in it precedes `pos`.
+            if chunk[0] >= min_key
+                && !unsafe {
+                    s.passes(at(chunk[0]))
+                        | s.passes(at(chunk[1]))
+                        | s.passes(at(chunk[2]))
+                        | s.passes(at(chunk[3]))
+                }
+            {
+                links += 4;
+            } else if !chunk.iter().rev().all(|&k| step(s, k, &mut links)) {
+                return links;
+            }
+        }
+        chunks.remainder().iter().rev().all(|&k| step(s, k, &mut links));
+        links
+    }
+}
+
+fn exclusive_prefix_sum(counts: &mut [u32]) {
+    let mut sum = 0;
+    for c in counts {
+        sum += std::mem::replace(c, sum);
+    }
+}
+
+/// Candidate lookup for one [`tokenize`] call.
+struct Matcher<'a> {
+    data: &'a [u8],
+    params: MatcherParams,
+    source: Candidates,
+    /// The current segment is `seg_start..seg_end`.
+    seg_start: usize,
+    seg_end: usize,
+    /// Links walked in the current segment.
+    seg_links: usize,
+    sorted: bool,
+    chains: Option<HashChains>,
+    runs: Option<SortedRuns>,
+}
+
+impl<'a> Matcher<'a> {
+    fn new(data: &'a [u8], params: MatcherParams, source: Candidates) -> Self {
+        Self {
+            data,
+            params,
+            source,
+            seg_start: 0,
+            seg_end: 0,
+            seg_links: 0,
+            sorted: false,
+            chains: None,
+            runs: None,
         }
     }
+
+    fn start_segment(&mut self, pos: usize) {
+        let dense = self.seg_links >= SORTED_LINKS_PER_BYTE * (pos - self.seg_start);
+        let sorted = match self.source {
+            Candidates::Adaptive => self.seg_end > 0 && dense,
+            Candidates::HashChains => false,
+            Candidates::SortedRuns => true,
+        };
+        self.seg_start = pos;
+        self.seg_end = pos + if self.seg_end == 0 { FIRST_SEGMENT } else { SEGMENT };
+        self.seg_links = 0;
+        let lookback = pos.saturating_sub(WINDOW_SIZE);
+        if sorted {
+            self.runs.get_or_insert_with(SortedRuns::default).build(
+                self.data,
+                lookback,
+                self.seg_end,
+            );
+        } else {
+            let chains = self.chains.get_or_insert_with(|| HashChains::acquire(self.data.len()));
+            chains.next = chains.next.max(lookback);
+        }
+        self.sorted = sorted;
+    }
+
+    /// Longest match at `pos`, at least `MIN_MATCH` long, or None.
+    fn find_match(&mut self, pos: usize) -> Option<(usize, usize)> {
+        let data = self.data;
+        if pos + MIN_MATCH > data.len() || self.params.max_chain == 0 {
+            return None;
+        }
+        if pos >= self.seg_end {
+            self.start_segment(pos);
+        }
+        let h = hash3(data, pos);
+        let floor = pos.saturating_sub(WINDOW_SIZE);
+        let budget = self.params.max_chain;
+        if !self.sorted {
+            let chains = self.chains.as_mut().expect("chain segments allocate their chains");
+            chains.insert_until(data, pos);
+            if !chains.reaches(h, floor) {
+                return None;
+            }
+        }
+        let mut s = Search::new(data, pos, self.params.nice_len);
+        self.seg_links += if self.sorted {
+            let runs = self.runs.as_ref().expect("sorted segments build their runs");
+            runs.search(pos, h, floor, budget, &mut s)
+        } else {
+            let chains = self.chains.as_ref().expect("chain segments allocate their chains");
+            chains.search(h, floor, budget, &mut s)
+        };
+        (s.dist > 0).then_some((s.len, s.dist))
+    }
+}
+
+impl Drop for Matcher<'_> {
+    fn drop(&mut self) {
+        if let Some(chains) = self.chains.take() {
+            chains.release(self.data.len());
+        }
+    }
+}
+
+/// The longest match found so far at `pos`.
+///
+/// A candidate can only beat `len` if it agrees on every byte up to and
+/// including `len`, so before measuring one it must agree on the 3 bytes
+/// at `pos` (no match yet) or on the 4 bytes ending at `len`. The filter
+/// never skips a longer match, so the result is that of measuring every
+/// candidate.
+struct Search<'a> {
+    data: &'a [u8],
+    pos: usize,
+    max_len: usize,
+    nice_len: usize,
+    /// Best length so far (`MIN_MATCH - 1` before any match) and its
+    /// distance (0 before any match).
+    len: usize,
+    dist: usize,
+    /// A candidate `c` passes when `word(c + off) & mask == want`.
+    off: usize,
+    mask: u32,
+    want: u32,
+}
+
+impl<'a> Search<'a> {
+    fn new(data: &'a [u8], pos: usize, nice_len: usize) -> Self {
+        let want = u32::from_le_bytes([data[pos], data[pos + 1], data[pos + 2], 0]);
+        let max_len = MAX_MATCH.min(data.len() - pos);
+        Self {
+            data,
+            pos,
+            max_len,
+            nice_len,
+            len: MIN_MATCH - 1,
+            dist: 0,
+            off: 0,
+            mask: 0xFF_FFFF,
+            want,
+        }
+    }
+
+    /// Whether candidate `cpos` can beat the current best.
+    ///
+    /// # Safety
+    ///
+    /// `cpos < pos`. The word read then ends at most one byte past `len`
+    /// beyond `cpos`, before `pos + max_len <= data.len()`: `len <
+    /// max_len` while the search runs, and with no match yet the read
+    /// ends by `pos + 3`.
+    #[inline]
+    unsafe fn passes(&self, cpos: usize) -> bool {
+        let at = cpos + self.off;
+        debug_assert!(cpos < self.pos && at + 4 <= self.data.len());
+        // SAFETY: `at + 4 <= data.len()` by the caller's `cpos < pos`,
+        // as above; the read is unaligned.
+        let word = unsafe { self.data.as_ptr().add(at).cast::<u32>().read_unaligned() };
+        u32::from_le(word) & self.mask == self.want
+    }
+
+    /// Measure a candidate that passed; true once the search is done.
+    #[inline]
+    fn measure(&mut self, cpos: usize) -> bool {
+        let len = match_len(self.data, cpos, self.pos, self.max_len);
+        if len > self.len {
+            self.len = len;
+            self.dist = self.pos - cpos;
+            if len >= self.nice_len || len == self.max_len {
+                return true;
+            }
+            self.off = len - 3;
+            self.mask = u32::MAX;
+            self.want = read_u32_le(self.data, self.pos + self.off);
+        }
+        false
+    }
+}
+
+#[inline]
+fn read_u32_le(data: &[u8], pos: usize) -> u32 {
+    let mut word = [0u8; 4];
+    word.copy_from_slice(&data[pos..pos + 4]);
+    u32::from_le_bytes(word)
 }
 
 /// Read 8 bytes at `pos` as a little-endian word via a fixed-size copy.
@@ -155,94 +501,84 @@ fn match_len(data: &[u8], a: usize, b: usize, max: usize) -> usize {
     i
 }
 
-/// Tokenize `data` into literals and matches using the given parameters.
+/// Tokenize `data` into literals and matches using the given parameters,
+/// reading candidates from hash chains or sorted runs segment by segment.
 ///
 /// The callback is invoked once per token in order; this avoids materializing
 /// a token vector when the caller streams straight into an encoder.
-pub fn tokenize(data: &[u8], params: MatcherParams, mut emit: impl FnMut(Token)) {
-    let mut m = Matcher::new(params);
+pub fn tokenize(data: &[u8], params: MatcherParams, emit: impl FnMut(Token)) {
+    tokenize_from(data, params, Candidates::Adaptive, emit);
+}
+
+/// [`tokenize`] with the candidate source forced; every source emits the
+/// same tokens.
+pub fn tokenize_from(
+    data: &[u8],
+    params: MatcherParams,
+    source: Candidates,
+    mut emit: impl FnMut(Token),
+) {
+    let mut m = Matcher::new(data, params, source);
     let n = data.len();
     let mut pos = 0usize;
     // Pending lazy match carried from the previous position.
     let mut pending: Option<(usize, usize)> = None; // (len, dist) at pos-1
+    let matched = |len: usize, dist: usize| Token::Match { len: len as u16, dist: dist as u16 };
 
     while pos < n {
-        let cur = m.find_match(data, pos, MIN_MATCH - 1);
-        if params.lazy {
-            match (pending.take(), cur) {
-                (Some((plen, _pdist)), Some((clen, _))) if clen > plen + 1 => {
-                    // Current match is better by at least two bytes:
-                    // previous byte becomes a literal, re-pend the current
-                    // match. A +1 gain is never worth deferring — the
-                    // literal costs 8-9 fixed-Huffman bits while one extra
-                    // match byte usually stays in the same length-code
-                    // bucket and saves none.
-                    emit(Token::Literal(data[pos - 1]));
-                    pending = Some(cur.unwrap());
-                    m.insert(data, pos);
-                    pos += 1;
-                    continue;
+        let cur = m.find_match(pos);
+        if !params.lazy {
+            match cur {
+                Some((len, dist)) => {
+                    emit(matched(len, dist));
+                    pos += len;
                 }
-                (Some((plen, pdist)), _) => {
-                    // Previous match wins; emit it starting at pos-1.
-                    emit(Token::Match { len: plen as u16, dist: pdist as u16 });
-                    // Insert hash entries for covered positions.
-                    let end = (pos - 1 + plen).min(n);
-                    for p in pos..end {
-                        m.insert(data, p);
-                    }
-                    pos = end;
-                    continue;
-                }
-                (None, Some((clen, cdist))) => {
-                    if clen >= params.lazy_skip_len {
-                        // Long enough: take immediately.
-                        emit(Token::Match { len: clen as u16, dist: cdist as u16 });
-                        let end = (pos + clen).min(n);
-                        m.insert(data, pos);
-                        for p in pos + 1..end {
-                            m.insert(data, p);
-                        }
-                        pos = end;
-                    } else {
-                        pending = Some((clen, cdist));
-                        m.insert(data, pos);
-                        pos += 1;
-                    }
-                    continue;
-                }
-                (None, None) => {
+                None => {
                     emit(Token::Literal(data[pos]));
-                    m.insert(data, pos);
                     pos += 1;
-                    continue;
                 }
             }
-        } else {
-            // Greedy.
-            if let Some((len, dist)) = cur {
-                emit(Token::Match { len: len as u16, dist: dist as u16 });
-                let end = (pos + len).min(n);
-                m.insert(data, pos);
-                for p in pos + 1..end {
-                    m.insert(data, p);
-                }
-                pos = end;
-            } else {
+            continue;
+        }
+        match (pending.take(), cur) {
+            (Some((plen, _)), Some(c)) if c.0 > plen + 1 => {
+                // Current match is better by at least two bytes: previous
+                // byte becomes a literal, re-pend the current match. A +1
+                // gain is never worth deferring — the literal costs 8-9
+                // fixed-Huffman bits while one extra match byte usually
+                // stays in the same length-code bucket and saves none.
+                emit(Token::Literal(data[pos - 1]));
+                pending = Some(c);
+                pos += 1;
+            }
+            (Some((plen, pdist)), _) => {
+                // Previous match wins; it started at pos-1.
+                emit(matched(plen, pdist));
+                pos += plen - 1;
+            }
+            (None, Some((clen, cdist))) if clen >= params.lazy_skip_len => {
+                // Long enough: take immediately.
+                emit(matched(clen, cdist));
+                pos += clen;
+            }
+            (None, Some(c)) => {
+                pending = Some(c);
+                pos += 1;
+            }
+            (None, None) => {
                 emit(Token::Literal(data[pos]));
-                m.insert(data, pos);
                 pos += 1;
             }
         }
     }
     // Flush any trailing pending match.
     if let Some((plen, pdist)) = pending {
-        emit(Token::Match { len: plen as u16, dist: pdist as u16 });
+        emit(matched(plen, pdist));
     }
 }
 
-/// Reconstruct original bytes from a token stream (reference decoder used in
-/// tests and by the SZ3 backend verification).
+/// Reconstruct original bytes from a token stream (the reference decoder
+/// the tests check token streams with).
 pub fn detokenize(tokens: &[Token]) -> Vec<u8> {
     let mut out = Vec::new();
     for t in tokens {
@@ -394,5 +730,73 @@ mod tests {
     fn levels_above_nine_clamp_to_nine() {
         assert_eq!(MatcherParams::for_level(10), MatcherParams::for_level(9));
         assert_eq!(MatcherParams::for_level(255), MatcherParams::for_level(9));
+    }
+
+    /// Words from a tiny vocabulary (long chains), then random bytes
+    /// (short ones), then words again.
+    fn dense_sparse_dense() -> Vec<u8> {
+        let mut x = 0x9E37_79B9u32;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x
+        };
+        let words: [&[u8]; 6] = [b"alpha ", b"beta ", b"gamma ", b"delta ", b"eps ", b"zeta "];
+        let mut data = Vec::new();
+        while data.len() < FIRST_SEGMENT {
+            data.extend_from_slice(words[next() as usize % words.len()]);
+        }
+        data.extend((0..100_000).map(|_| next() as u8));
+        while data.len() < 230_000 {
+            data.extend_from_slice(words[next() as usize % words.len()]);
+        }
+        data
+    }
+
+    #[test]
+    fn adaptive_source_follows_chain_density() {
+        let data = dense_sparse_dense();
+        let mut m = Matcher::new(&data, MatcherParams::for_level(6), Candidates::Adaptive);
+        let mut segments = Vec::new();
+        for pos in 0..data.len() {
+            m.find_match(pos);
+            if pos == m.seg_start {
+                segments.push(m.sorted);
+            }
+        }
+        // 16 KiB of words on chains; sorted runs for the next 96 KiB; the
+        // random bytes that filled it send the next segment back to
+        // chains; the words there bring sorted runs back.
+        assert_eq!(segments, [false, true, false, true]);
+    }
+
+    #[test]
+    fn every_source_emits_the_same_tokens() {
+        let data = dense_sparse_dense();
+        for level in [1, 6, 9] {
+            let tokens = |source| {
+                let mut tokens = Vec::new();
+                tokenize_from(&data, MatcherParams::for_level(level), source, |t| tokens.push(t));
+                tokens
+            };
+            let chains = tokens(Candidates::HashChains);
+            assert_eq!(detokenize(&chains), data);
+            assert!(tokens(Candidates::SortedRuns) == chains, "level {level}: sorted runs");
+            assert!(tokens(Candidates::Adaptive) == chains, "level {level}: adaptive");
+        }
+    }
+
+    #[test]
+    fn chain_tables_carry_over_between_inputs() {
+        // The second input reuses the first one's tables on this thread;
+        // nothing of the first may show up as a candidate.
+        let first = b"the same words, the same words, the same words".repeat(50);
+        let second = b"the same words once".to_vec();
+        let params = MatcherParams::for_level(9);
+        let mut tokens = Vec::new();
+        tokenize_from(&first, params, Candidates::HashChains, |_| {});
+        tokenize_from(&second, params, Candidates::HashChains, |t| tokens.push(t));
+        assert!(tokens.iter().all(|t| matches!(t, Token::Literal(_))), "{tokens:?}");
     }
 }

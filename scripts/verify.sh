@@ -130,6 +130,20 @@ echo "==> bench-regression gate (benchdiff vs committed baselines)"
 cargo run --release -q -p bench --bin benchdiff -- --self-test
 cargo run --release -q -p bench --bin benchdiff
 
+echo "==> frozen mirrors regenerate byte-identically"
+# benchdiff ignores unclassified keys such as bytes_out and wire_bytes
+# and gates ratios only at 20 %, so an encoder that changed output bytes
+# would pass it. The mirrors are a frozen oracle: every BENCH_*.json the
+# stages above rewrote must equal its committed (or staged) copy.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    git diff --exit-code --stat -- 'BENCH_*.json' 'results/BENCH_*.json' || {
+        echo "verify: FAIL — a regenerated BENCH_*.json differs from git" >&2
+        exit 1
+    }
+else
+    echo "(not a git checkout: skipped)"
+fi
+
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
