@@ -1,6 +1,7 @@
 //! Canonical Huffman coding: length-limited code construction from symbol
 //! frequencies, canonical code assignment (RFC 1951 §3.2.2), and a
-//! table-driven decoder.
+//! two-level table-driven decoder. DEFLATE and SZ3's quantization-code
+//! stream both use it.
 
 use crate::bitio::{reverse_bits, BitReader, OutOfBits};
 
@@ -96,59 +97,103 @@ pub fn build_code_lengths(freqs: &[u32], max_len: usize) -> Vec<u8> {
     lengths
 }
 
+/// Longest code the coder supports. DEFLATE caps its codes at 15 bits;
+/// SZ3's quantization alphabet needs up to 27.
+pub const MAX_BITS: usize = 27;
+
+/// Widest primary decode table. Codes longer than this are rare by
+/// construction (a code of length `l` is used about once in `2^l`
+/// symbols), and 2^11 entries (16 KiB) stay in L1 and are cheap to rebuild
+/// for every DEFLATE block.
+const MAX_PRIMARY_BITS: u32 = 11;
+
+/// Canonical code values (RFC 1951 §3.2.2), MSB-first, with the first
+/// code of each length; lengths must be at most [`MAX_BITS`].
+fn canonical_codes(lengths: &[u8]) -> (Vec<u32>, [u32; MAX_BITS + 1]) {
+    let mut count = [0u32; MAX_BITS + 1];
+    for &l in lengths {
+        count[l as usize] += 1;
+    }
+    count[0] = 0;
+    let mut first = [0u32; MAX_BITS + 1];
+    let mut code = 0u32;
+    for bits in 1..=MAX_BITS {
+        code = (code + count[bits - 1]) << 1;
+        first[bits] = code;
+    }
+    let mut next = first;
+    let codes = lengths
+        .iter()
+        .map(|&len| {
+            let c = next[len as usize];
+            next[len as usize] += 1;
+            c
+        })
+        .collect();
+    (codes, first)
+}
+
 /// Canonical Huffman encoder table: per-symbol (code, length), with the code
 /// already bit-reversed for LSB-first emission.
 #[derive(Debug, Clone)]
 pub struct Encoder {
     /// Bit-reversed canonical code per symbol.
-    pub codes: Vec<u16>,
+    pub codes: Vec<u32>,
     /// Code length in bits per symbol (0 = unused).
     pub lengths: Vec<u8>,
 }
 
 impl Encoder {
-    /// Build canonical codes from lengths (RFC 1951 §3.2.2 algorithm).
+    /// Build canonical codes from lengths of at most [`MAX_BITS`].
     pub fn from_lengths(lengths: &[u8]) -> Self {
-        let max_len = lengths.iter().copied().max().unwrap_or(0) as usize;
-        let mut bl_count = vec![0u32; max_len + 1];
-        for &l in lengths {
-            if l > 0 {
-                bl_count[l as usize] += 1;
-            }
-        }
-        let mut next_code = vec![0u32; max_len + 2];
-        let mut code = 0u32;
-        for bits in 1..=max_len {
-            code = (code + bl_count[bits - 1]) << 1;
-            next_code[bits] = code;
-        }
-        let mut codes = vec![0u16; lengths.len()];
-        for (sym, &len) in lengths.iter().enumerate() {
-            if len > 0 {
-                let c = next_code[len as usize];
-                next_code[len as usize] += 1;
-                codes[sym] = reverse_bits(c, len as u32) as u16;
-            }
-        }
+        assert!(lengths.iter().all(|&l| l as usize <= MAX_BITS), "code longer than MAX_BITS");
+        let (codes, _) = canonical_codes(lengths);
+        let codes = codes
+            .iter()
+            .zip(lengths)
+            .map(|(&c, &len)| if len == 0 { 0 } else { reverse_bits(c, len as u32) })
+            .collect();
         Self { codes, lengths: lengths.to_vec() }
     }
 
     /// Encoded (bit-reversed code, length) pair for a symbol.
     #[inline]
-    pub fn code(&self, sym: usize) -> (u16, u8) {
+    pub fn code(&self, sym: usize) -> (u32, u8) {
         (self.codes[sym], self.lengths[sym])
     }
 }
 
-/// Table-driven canonical Huffman decoder.
+/// Table-driven canonical Huffman decoder with two levels.
 ///
-/// Uses a single-level lookup table of `2^max_len` entries mapping the next
-/// `max_len` input bits to (symbol, length). DEFLATE's 15-bit cap keeps this
-/// at 32 K entries.
+/// The primary table maps the next `primary_bits` input bits to (symbol,
+/// length) for every code that short. Its width is the longest code
+/// length, capped at 11 bits. Longer codes fall through to a canonical
+/// second level: the next `max_len` bits, read MSB-first, are compared
+/// with the first code of each longer length, and the match indexes a
+/// list of those symbols in canonical order. Beyond the fixed primary
+/// table, memory is linear in the alphabet: a table-per-prefix second
+/// level would grow exponentially with code length, which hostile code
+/// lengths could exploit.
 #[derive(Debug, Clone)]
 pub struct Decoder {
-    table: Vec<u32>, // (sym << 4) | len, 0 = invalid
+    /// Indexed by the next `primary_bits` bits; `len == 0` means no code
+    /// of at most `primary_bits` bits matches.
+    primary: Vec<Entry>,
+    primary_bits: u32,
     max_len: u32,
+    /// Per length above `primary_bits`: the MSB-first first code, the
+    /// number of codes, and where they start in `long_syms`.
+    first_code: [u32; MAX_BITS + 1],
+    count: [u32; MAX_BITS + 1],
+    first_index: [u32; MAX_BITS + 1],
+    /// Symbols with codes longer than `primary_bits`, by (length, symbol).
+    long_syms: Vec<u32>,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct Entry {
+    sym: u32,
+    len: u8,
 }
 
 /// Error for invalid Huffman table construction or decode.
@@ -156,6 +201,8 @@ pub struct Decoder {
 pub enum HuffError {
     /// Code lengths violate the Kraft inequality (over-subscribed).
     Oversubscribed,
+    /// A code length exceeds [`MAX_BITS`].
+    CodeTooLong,
     /// Encountered a bit pattern with no assigned code.
     InvalidCode,
     /// Ran out of input bits.
@@ -172,6 +219,7 @@ impl std::fmt::Display for HuffError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             HuffError::Oversubscribed => write!(f, "huffman code lengths oversubscribed"),
+            HuffError::CodeTooLong => write!(f, "huffman code longer than {MAX_BITS} bits"),
             HuffError::InvalidCode => write!(f, "invalid huffman code in stream"),
             HuffError::OutOfBits => write!(f, "unexpected end of input"),
         }
@@ -181,58 +229,90 @@ impl std::fmt::Display for HuffError {
 impl std::error::Error for HuffError {}
 
 impl Decoder {
-    /// Build a decoder from canonical code lengths.
+    /// Build a decoder from canonical code lengths. An empty alphabet is
+    /// accepted; decoding from it always fails.
     pub fn from_lengths(lengths: &[u8]) -> Result<Self, HuffError> {
         let max_len = lengths.iter().copied().max().unwrap_or(0) as u32;
-        if max_len == 0 {
-            // Degenerate empty alphabet; decode always fails.
-            return Ok(Self { table: vec![0; 2], max_len: 1 });
+        if max_len as usize > MAX_BITS {
+            return Err(HuffError::CodeTooLong);
         }
-        // Check Kraft.
-        let mut kraft: u64 = 0;
-        for &l in lengths {
-            if l > 0 {
-                kraft += 1u64 << (max_len - l as u32);
-            }
-        }
+        let kraft: u64 =
+            lengths.iter().filter(|&&l| l > 0).map(|&l| 1u64 << (max_len - l as u32)).sum();
         if kraft > 1u64 << max_len {
             return Err(HuffError::Oversubscribed);
         }
-        let enc = Encoder::from_lengths(lengths);
-        let mut table = vec![0u32; 1usize << max_len];
-        for (sym, &len) in lengths.iter().enumerate() {
+        let max_len = max_len.max(1);
+        let primary_bits = max_len.min(MAX_PRIMARY_BITS);
+        let (codes, first_code) = canonical_codes(lengths);
+        let mut primary = vec![Entry::default(); 1 << primary_bits];
+        let mut count = [0u32; MAX_BITS + 1];
+        for (sym, (&code, &len)) in codes.iter().zip(lengths).enumerate() {
+            let len32 = len as u32;
             if len == 0 {
                 continue;
             }
-            let code = enc.codes[sym] as usize; // already bit-reversed
-            let entry = ((sym as u32) << 4) | len as u32;
-            // Fill every table slot whose low `len` bits equal the code.
-            let step = 1usize << len;
-            let mut idx = code;
-            while idx < table.len() {
-                table[idx] = entry;
-                idx += step;
+            if len32 > primary_bits {
+                count[len as usize] += 1;
+                continue;
+            }
+            // Fill every slot whose low `len` bits are the reversed code.
+            let entry = Entry { sym: sym as u32, len };
+            for slot in
+                primary.iter_mut().skip(reverse_bits(code, len32) as usize).step_by(1 << len)
+            {
+                *slot = entry;
             }
         }
-        Ok(Self { table, max_len })
+        let mut first_index = [0u32; MAX_BITS + 1];
+        let mut next = 0u32;
+        for l in primary_bits as usize + 1..=max_len as usize {
+            first_index[l] = next;
+            next += count[l];
+        }
+        let mut long_syms = vec![0u32; next as usize];
+        let mut fill = first_index;
+        for (sym, &len) in lengths.iter().enumerate() {
+            if len as u32 > primary_bits {
+                long_syms[fill[len as usize] as usize] = sym as u32;
+                fill[len as usize] += 1;
+            }
+        }
+        Ok(Self { primary, primary_bits, max_len, first_code, count, first_index, long_syms })
     }
 
     /// Decode one symbol from the reader.
     #[inline]
-    pub fn decode(&self, r: &mut BitReader<'_>) -> Result<u16, HuffError> {
+    pub fn decode(&self, r: &mut BitReader<'_>) -> Result<u32, HuffError> {
+        // Bits past the end of input read as zero, so a pattern can match
+        // a code longer than what remains; `consume` then reports it.
         let bits = r.peek_bits(self.max_len);
-        let entry = self.table[bits as usize];
-        if entry == 0 {
-            // Either an unassigned pattern or insufficient bits remain.
-            return if r.bits_remaining() == 0 {
-                Err(HuffError::OutOfBits)
-            } else {
-                Err(HuffError::InvalidCode)
-            };
-        }
-        let len = entry & 0xF;
+        let e = self.primary[(bits & ((1 << self.primary_bits) - 1)) as usize];
+        let (sym, len) = if e.len != 0 {
+            (e.sym, e.len as u32)
+        } else {
+            match self.decode_long(bits) {
+                Some(found) => found,
+                None if r.bits_remaining() == 0 => return Err(HuffError::OutOfBits),
+                None => return Err(HuffError::InvalidCode),
+            }
+        };
         r.consume(len)?;
-        Ok((entry >> 4) as u16)
+        Ok(sym)
+    }
+
+    /// Second level: match the next `max_len` bits against the codes
+    /// longer than the primary width.
+    #[cold]
+    fn decode_long(&self, bits: u32) -> Option<(u32, u32)> {
+        let msb_first = reverse_bits(bits, self.max_len);
+        for len in self.primary_bits + 1..=self.max_len {
+            let l = len as usize;
+            let offset = (msb_first >> (self.max_len - len)).wrapping_sub(self.first_code[l]);
+            if offset < self.count[l] {
+                return Some((self.long_syms[(self.first_index[l] + offset) as usize], len));
+            }
+        }
+        None
     }
 }
 
@@ -322,7 +402,7 @@ mod tests {
         ];
         for (sym, &(code, len)) in expect.iter().enumerate() {
             assert_eq!(enc.lengths[sym] as u32, len);
-            assert_eq!(enc.codes[sym] as u32, reverse_bits(code, len), "sym {sym}");
+            assert_eq!(enc.codes[sym], reverse_bits(code, len), "sym {sym}");
         }
     }
 
@@ -340,6 +420,36 @@ mod tests {
         let bytes = [0xFFu8];
         let mut r = BitReader::new(&bytes);
         assert_eq!(dec.decode(&mut r).unwrap_err(), HuffError::InvalidCode);
+    }
+
+    #[test]
+    fn codes_past_the_primary_width_roundtrip() {
+        // Fibonacci frequencies give one code of every length up to 27.
+        let mut freqs = vec![0u32; 28];
+        let (mut a, mut b) = (1u32, 1u32);
+        for f in freqs.iter_mut() {
+            *f = a;
+            (a, b) = (b, a + b);
+        }
+        let lengths = build_code_lengths(&freqs, MAX_BITS);
+        assert_eq!(lengths.iter().copied().max(), Some(MAX_BITS as u8));
+        let stream: Vec<usize> = (0..28).chain((0..28).rev()).collect();
+        roundtrip_symbols(&freqs, MAX_BITS, &stream);
+    }
+
+    #[test]
+    fn long_code_errors_match_their_cause() {
+        // Symbol 0 is `0`, symbol 1 is `1` followed by twelve zeros.
+        let dec = Decoder::from_lengths(&[1, 13]).unwrap();
+        let mut r = BitReader::new(&[0x01, 0x00]);
+        assert_eq!(dec.decode(&mut r), Ok(1));
+        // The same code cut short after eight bits.
+        let mut r = BitReader::new(&[0x01]);
+        assert_eq!(dec.decode(&mut r), Err(HuffError::OutOfBits));
+        // `1` then a one bit within the next twelve is no code.
+        let mut r = BitReader::new(&[0x03, 0x00]);
+        assert_eq!(dec.decode(&mut r), Err(HuffError::InvalidCode));
+        assert_eq!(Decoder::from_lengths(&[1, 28]).unwrap_err(), HuffError::CodeTooLong);
     }
 
     #[test]

@@ -200,7 +200,7 @@ fn read_dynamic_header(r: &mut BitReader<'_>) -> Result<(Decoder, Decoder), Infl
                 }
                 i += rep;
             }
-            other => return Err(InflateError::InvalidSymbol(other)),
+            other => return Err(InflateError::InvalidSymbol(other as u16)),
         }
     }
     let lit = Decoder::from_lengths(&lens[..hlit])?;
@@ -230,7 +230,7 @@ fn inflate_block(
                 let len = LENGTH_BASE[lc] as usize + r.read_bits(LENGTH_EXTRA[lc] as u32)? as usize;
                 let dsym = dist.decode(r)?;
                 if dsym as usize >= NUM_DIST {
-                    return Err(InflateError::InvalidSymbol(dsym));
+                    return Err(InflateError::InvalidSymbol(dsym as u16));
                 }
                 let dc = dsym as usize;
                 let d = DIST_BASE[dc] as usize + r.read_bits(DIST_EXTRA[dc] as u32)? as usize;
@@ -242,7 +242,7 @@ fn inflate_block(
                 }
                 copy_match(out, d, len);
             }
-            other => return Err(InflateError::InvalidSymbol(other)),
+            other => return Err(InflateError::InvalidSymbol(other as u16)),
         }
     }
 }

@@ -16,7 +16,7 @@
 use crate::backend::{backend_compress, backend_decompress, BackendError, BackendKind};
 use crate::field::{Dims, Field, Float};
 use crate::huff;
-use crate::interp_nd::interp_plan_nd;
+use crate::interp_nd::interp_walk;
 use crate::predictor::{interp_cubic, interp_linear, lorenzo_predict, PredictorKind};
 use crate::quantizer::{Quantized, Quantizer};
 use crate::varint::{get_uvarint, put_uvarint};
@@ -25,6 +25,10 @@ use crate::varint::{get_uvarint, put_uvarint};
 const CORE_MAGIC: &[u8; 4] = b"SZ3R";
 /// Magic prefix of a sealed (backend-compressed) stream.
 const SEALED_MAGIC: &[u8; 4] = b"SZ3S";
+
+/// Largest quantizer radius: every code index, below `2 * radius`, must
+/// fit the u32 the Huffman stage codes.
+const MAX_RADIUS: i64 = 1 << 31;
 
 /// Pipeline configuration.
 #[derive(Debug, Clone, Copy)]
@@ -38,7 +42,7 @@ pub struct Sz3Config {
     pub relative: bool,
     pub predictor: PredictorKind,
     pub backend: BackendKind,
-    /// Quantizer radius (codes per side).
+    /// Quantizer radius (codes per side), at most 2^31.
     pub radius: i64,
 }
 
@@ -67,13 +71,17 @@ impl Sz3Config {
 
     /// Reject configurations the pipeline cannot honour: the error bound
     /// must be positive and finite (the quantizer asserts this) and the
-    /// radius must leave room for at least one code per side.
+    /// radius must leave room for at least one code per side without its
+    /// codes outgrowing a u32.
     pub fn validate(&self) -> Result<(), Sz3Error> {
         if !self.error_bound.is_finite() || self.error_bound <= 0.0 {
             return Err(Sz3Error::BadConfig("error bound must be positive and finite"));
         }
         if self.radius <= 1 {
             return Err(Sz3Error::BadConfig("radius must be greater than 1"));
+        }
+        if self.radius > MAX_RADIUS {
+            return Err(Sz3Error::BadConfig("radius must be at most 2^31"));
         }
         Ok(())
     }
@@ -222,20 +230,16 @@ pub fn encode_core<T: Float>(field: &Field<T>, cfg: &Sz3Config) -> (Vec<u8>, Cor
             }
         }
         PredictorKind::Interp | PredictorKind::InterpCubic => {
-            // Seed point 0 predicted as 0, then the multi-level N-D plan.
-            visit(0, 0.0, field.data[0].to_f64(), &mut codes, &mut outliers, &mut recon);
-            let cubic = predictor == PredictorKind::InterpCubic;
-            for p in interp_plan_nd(dims) {
-                let pred = if cubic { interp_cubic(&recon, p) } else { interp_linear(&recon, p) };
-                visit(
-                    p.pos,
-                    pred,
-                    field.data[p.pos].to_f64(),
-                    &mut codes,
-                    &mut outliers,
-                    &mut recon,
-                );
+            // Seed point 0 predicted as 0, then the multi-level N-D walk.
+            if n > 0 {
+                visit(0, 0.0, field.data[0].to_f64(), &mut codes, &mut outliers, &mut recon);
             }
+            let cubic = predictor == PredictorKind::InterpCubic;
+            interp_walk(dims, |p| {
+                let pred = if cubic { interp_cubic(&recon, p) } else { interp_linear(&recon, p) };
+                let value = field.data[p.pos].to_f64();
+                visit(p.pos, pred, value, &mut codes, &mut outliers, &mut recon);
+            });
         }
     }
 
@@ -329,8 +333,8 @@ pub fn decode_core_with_limit<T: Float>(
     if eb <= 0.0 || eb.is_nan() || !eb.is_finite() {
         return Err(Sz3Error::BadHeader("eb value"));
     }
-    let radius = get_uvarint(core, &mut i).ok_or(Sz3Error::BadHeader("radius"))? as i64;
-    if radius <= 1 {
+    let radius = get_uvarint(core, &mut i).ok_or(Sz3Error::BadHeader("radius"))?;
+    if radius <= 1 || radius > MAX_RADIUS as u64 {
         return Err(Sz3Error::BadHeader("radius value"));
     }
     let n_outliers = get_uvarint(core, &mut i).ok_or(Sz3Error::BadHeader("outliers"))? as usize;
@@ -354,7 +358,21 @@ pub fn decode_core_with_limit<T: Float>(
         return Err(Sz3Error::Corrupt("outlier byte count"));
     }
 
-    let q = Quantizer::with_radius(eb, radius);
+    // Codes are consumed in order, so checking them in order reports the
+    // same first fault the reconstruction would meet.
+    let mut outliers_seen = 0usize;
+    for &code in &codes {
+        if code == Quantizer::OUTLIER {
+            outliers_seen += 1;
+            if outliers_seen > n_outliers {
+                return Err(Sz3Error::Corrupt("outlier stream exhausted"));
+            }
+        } else if code as u64 >= 2 * radius {
+            return Err(Sz3Error::Corrupt("quant code out of range"));
+        }
+    }
+
+    let q = Quantizer::with_radius(eb, radius as i64);
     let mut recon = vec![0.0f64; n];
     let mut out_data = vec![T::zero(); n];
     let mut outlier_pos = 0usize;
@@ -362,32 +380,20 @@ pub fn decode_core_with_limit<T: Float>(
     // Codes were emitted in *visit order*, which for interpolation differs
     // from position order; consume them with a running cursor.
     let mut code_cursor = 0usize;
-    let mut place = |i: usize,
-                     pred: f64,
-                     recon: &mut Vec<f64>,
-                     out_data: &mut Vec<T>|
-     -> Result<(), Sz3Error> {
+    let mut place = |i: usize, pred: f64, recon: &mut Vec<f64>, out_data: &mut Vec<T>| {
         let code = codes[code_cursor];
         code_cursor += 1;
         if code == Quantizer::OUTLIER {
-            if outlier_pos + T::BYTES > outlier_bytes.len() {
-                return Err(Sz3Error::Corrupt("outlier stream exhausted"));
-            }
             let v = T::from_le_slice(&outlier_bytes[outlier_pos..outlier_pos + T::BYTES]);
             outlier_pos += T::BYTES;
             recon[i] = v.to_f64();
             out_data[i] = v;
         } else {
-            if code as i64 >= 2 * radius {
-                return Err(Sz3Error::Corrupt("quant code out of range"));
-            }
-            let v = q.reconstruct(code, pred);
-            let stored = T::from_f64(v);
+            let stored = T::from_f64(q.reconstruct(code, pred));
             // Mirror the encoder: reconstructions live in T precision.
             recon[i] = stored.to_f64();
             out_data[i] = stored;
         }
-        Ok(())
     };
 
     match predictor {
@@ -397,18 +403,20 @@ pub fn decode_core_with_limit<T: Float>(
                     for x in 0..nx {
                         let idx = dims.idx(x, y, z);
                         let pred = lorenzo_predict(&recon, nx, ny, x, y, z);
-                        place(idx, pred, &mut recon, &mut out_data)?;
+                        place(idx, pred, &mut recon, &mut out_data);
                     }
                 }
             }
         }
         PredictorKind::Interp | PredictorKind::InterpCubic => {
-            place(0, 0.0, &mut recon, &mut out_data)?;
-            let cubic = predictor == PredictorKind::InterpCubic;
-            for p in interp_plan_nd(dims) {
-                let pred = if cubic { interp_cubic(&recon, p) } else { interp_linear(&recon, p) };
-                place(p.pos, pred, &mut recon, &mut out_data)?;
+            if n > 0 {
+                place(0, 0.0, &mut recon, &mut out_data);
             }
+            let cubic = predictor == PredictorKind::InterpCubic;
+            interp_walk(dims, |p| {
+                let pred = if cubic { interp_cubic(&recon, p) } else { interp_linear(&recon, p) };
+                place(p.pos, pred, &mut recon, &mut out_data);
+            });
         }
     }
 
@@ -733,8 +741,14 @@ mod tests {
             let cfg = Sz3Config::with_error_bound(eb);
             assert!(matches!(compress_checked(&field, &cfg), Err(Sz3Error::BadConfig(_))));
         }
-        let cfg = Sz3Config { radius: 1, ..Sz3Config::default() };
-        assert!(matches!(compress_checked(&field, &cfg), Err(Sz3Error::BadConfig(_))));
+        for radius in [1, (1 << 31) + 1, 1 << 32] {
+            let cfg = Sz3Config { radius, ..Sz3Config::default() };
+            assert!(matches!(compress_checked(&field, &cfg), Err(Sz3Error::BadConfig(_))));
+        }
+        // The widest radius whose codes still fit a u32 round-trips.
+        let cfg = Sz3Config { radius: 1 << 31, ..Sz3Config::default() };
+        let recon: Field<f32> = decompress(&compress_checked(&field, &cfg).unwrap()).unwrap();
+        check_bound(&field, &recon, cfg.error_bound);
     }
 
     #[test]
@@ -745,6 +759,35 @@ mod tests {
             let recon: Field<f64> = decompress(&compress(&field, &cfg)).unwrap();
             check_bound(&field, &recon, 0.01);
         }
+    }
+
+    #[test]
+    fn empty_fields_roundtrip() {
+        for predictor in [PredictorKind::Lorenzo, PredictorKind::Interp, PredictorKind::InterpCubic]
+        {
+            for base in [Sz3Config::with_error_bound(1e-4), Sz3Config::with_relative_bound(1e-4)] {
+                let cfg = Sz3Config { predictor, ..base };
+                let f32_field = Field::<f32>::new(Dims::d1(0), Vec::new());
+                let recon: Field<f32> = decompress(&compress(&f32_field, &cfg)).unwrap();
+                assert_eq!(recon, f32_field, "{predictor:?}");
+                let f64_field = Field::<f64>::new(Dims::d1(0), Vec::new());
+                let recon: Field<f64> = decompress(&compress(&f64_field, &cfg)).unwrap();
+                assert_eq!(recon, f64_field, "{predictor:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn radius_past_u32_codes_rejected_in_header() {
+        let mut bad = encode_core(&wave_field_f32(16), &Sz3Config::default()).0[..7].to_vec();
+        put_uvarint(&mut bad, 16);
+        put_uvarint(&mut bad, 1);
+        put_uvarint(&mut bad, 1);
+        bad.extend_from_slice(&1e-4f64.to_le_bytes());
+        put_uvarint(&mut bad, (1 << 31) + 1); // radius
+        put_uvarint(&mut bad, 0); // outliers
+        put_uvarint(&mut bad, 0); // enc_len
+        assert_eq!(decode_core::<f32>(&bad), Err(Sz3Error::BadHeader("radius value")));
     }
 
     #[test]

@@ -1,21 +1,25 @@
 //! Canonical Huffman coding for the quantization-code alphabet.
 //!
-//! SZ3's quantizer produces indexes over a potentially huge alphabet
-//! (up to 2*radius+1 symbols), so the table-driven decoder used for DEFLATE
-//! is unsuitable. This coder instead:
+//! SZ3's quantizer produces indexes over a potentially huge alphabet (up
+//! to 2*radius symbols), of which a stream usually uses a small part. This
+//! coder:
 //!
-//! * densifies the alphabet to the *observed* symbols,
-//! * builds length-limited canonical codes (reusing the DEFLATE machinery),
-//! * decodes bit-by-bit with per-length `first_code`/`first_index` arrays —
-//!   O(code length) per symbol with no giant tables.
+//! * densifies the alphabet to the *observed* symbols, through a table
+//!   indexed by symbol value when the values span no more than the stream
+//!   is long (or 64 Ki values), and by sorting otherwise;
+//! * builds length-limited canonical codes with `pedal-deflate`'s
+//!   Huffman coder and writes each code MSB-first in one write;
+//! * decodes with that coder's two-level table decoder, whose memory is
+//!   linear in the observed alphabet.
 
 use pedal_deflate::bitio::{BitReader, BitWriter};
-use pedal_deflate::huffman::build_code_lengths;
+use pedal_deflate::huffman::{build_code_lengths, Decoder, Encoder, MAX_BITS};
 
 use crate::varint::{get_uvarint, put_uvarint};
 
-/// Maximum code length for the quantization alphabet.
-const MAX_LEN: usize = 27;
+/// Symbol values may span this many values, or as many as the stream has
+/// symbols, before the alphabet is found by sorting instead of a table.
+const DENSE_MIN_SPAN: usize = 1 << 16;
 
 /// Errors from Huffman stream decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,20 +49,47 @@ impl std::error::Error for HuffStreamError {}
 /// Encode a slice of u32 symbols into a self-describing blob:
 /// header (symbol table + code lengths) followed by the bit-packed payload.
 pub fn encode(symbols: &[u32]) -> Vec<u8> {
-    // Observed alphabet, densified.
-    let distinct: Vec<u32> = {
-        let mut v = symbols.to_vec();
-        v.sort_unstable();
-        v.dedup();
-        v
-    };
-    // Frequency per dense index.
-    let index_of = |s: u32, distinct: &[u32]| distinct.binary_search(&s).unwrap();
-    let mut freqs = vec![0u32; distinct.len()];
-    for &s in symbols {
-        freqs[index_of(s, &distinct)] += 1;
+    let lo = symbols.iter().copied().min().unwrap_or(0);
+    let hi = symbols.iter().copied().max().unwrap_or(0);
+    let span = (hi - lo) as usize + 1;
+    if span <= symbols.len().max(DENSE_MIN_SPAN) {
+        // Dense index: count per value, then turn each used slot into its
+        // rank among the used values.
+        let mut slot = vec![0u32; span];
+        for &s in symbols {
+            slot[(s - lo) as usize] += 1;
+        }
+        let (mut distinct, mut freqs) = (Vec::new(), Vec::new());
+        for (v, c) in slot.iter_mut().enumerate() {
+            if *c > 0 {
+                freqs.push(*c);
+                *c = distinct.len() as u32;
+                distinct.push(lo + v as u32);
+            }
+        }
+        encode_indexed(symbols, &distinct, &freqs, |s| slot[(s - lo) as usize] as usize)
+    } else {
+        let mut distinct = symbols.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let index_of = |s: u32| distinct.binary_search(&s).expect("symbol is in the alphabet");
+        let mut freqs = vec![0u32; distinct.len()];
+        for &s in symbols {
+            freqs[index_of(s)] += 1;
+        }
+        encode_indexed(symbols, &distinct, &freqs, index_of)
     }
-    let lengths = build_code_lengths(&freqs, MAX_LEN);
+}
+
+/// Write the blob for `symbols`, whose alphabet `distinct` is ascending,
+/// `freqs` its counts, and `index_of` a symbol's position in it.
+fn encode_indexed(
+    symbols: &[u32],
+    distinct: &[u32],
+    freqs: &[u32],
+    index_of: impl Fn(u32) -> usize,
+) -> Vec<u8> {
+    let lengths = build_code_lengths(freqs, MAX_BITS);
 
     // Header: n_symbols, count of distinct, then delta-varint symbol table,
     // then code lengths (one byte each).
@@ -66,25 +97,20 @@ pub fn encode(symbols: &[u32]) -> Vec<u8> {
     put_uvarint(&mut out, symbols.len() as u64);
     put_uvarint(&mut out, distinct.len() as u64);
     let mut prev = 0u64;
-    for &s in &distinct {
+    for &s in distinct {
         put_uvarint(&mut out, s as u64 - prev);
         prev = s as u64;
     }
     out.extend(lengths.iter().copied());
 
-    // Canonical codes (MSB-first emission order).
-    let codes = canonical_codes(&lengths);
+    // A single-symbol stream's payload carries nothing. Otherwise each code
+    // goes out MSB-first: bit-reversed, through the LSB-first writer.
     let mut w = BitWriter::with_capacity(symbols.len() / 2);
-    if distinct.len() == 1 {
-        // Single-symbol stream: payload carries nothing.
-    } else {
+    if distinct.len() > 1 {
+        let enc = Encoder::from_lengths(&lengths);
         for &s in symbols {
-            let i = index_of(s, &distinct);
-            let (code, len) = (codes[i], lengths[i]);
-            // Emit MSB-first so canonical decode can accumulate.
-            for bit in (0..len).rev() {
-                w.write_bits(((code >> bit) & 1) as u64, 1);
-            }
+            let (code, len) = enc.code(index_of(s));
+            w.write_bits(code as u64, len as u32);
         }
     }
     let payload = w.finish();
@@ -139,7 +165,7 @@ pub fn decode_with_limit(data: &[u8], max_symbols: usize) -> Result<Vec<u32>, Hu
     if i + k > data.len() {
         return Err(HuffStreamError::BadHeader);
     }
-    let lengths: Vec<u8> = data[i..i + k].to_vec();
+    let lengths = &data[i..i + k];
     i += k;
     let payload_len = get_uvarint(data, &mut i).ok_or(HuffStreamError::BadHeader)? as usize;
     // Checked add: a near-u64::MAX declared length must not wrap the
@@ -159,110 +185,19 @@ pub fn decode_with_limit(data: &[u8], max_symbols: usize) -> Result<Vec<u32>, Hu
         return Err(HuffStreamError::BadStream);
     }
 
-    // Canonical decode tables: first_code/first_index per length, and the
-    // dense index ordering implied by canonical assignment.
-    let decode_tab = CanonicalDecoder::new(&lengths).ok_or(HuffStreamError::BadHeader)?;
+    // An all-zero length table, a length past the format's limit, or an
+    // oversubscribed set is a bad header.
+    if lengths.iter().all(|&l| l == 0) {
+        return Err(HuffStreamError::BadHeader);
+    }
+    let dec = Decoder::from_lengths(lengths).map_err(|_| HuffStreamError::BadHeader)?;
     let mut r = BitReader::new(payload);
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        let idx = decode_tab.decode(&mut r).ok_or(HuffStreamError::BadStream)?;
-        out.push(distinct[idx]);
+        let idx = dec.decode(&mut r).map_err(|_| HuffStreamError::BadStream)?;
+        out.push(distinct[idx as usize]);
     }
     Ok(out)
-}
-
-/// Canonical code values (not bit-reversed; MSB-first semantics).
-fn canonical_codes(lengths: &[u8]) -> Vec<u32> {
-    let max_len = lengths.iter().copied().max().unwrap_or(0) as usize;
-    let mut bl_count = vec![0u32; max_len + 1];
-    for &l in lengths {
-        if l > 0 {
-            bl_count[l as usize] += 1;
-        }
-    }
-    let mut next_code = vec![0u32; max_len + 2];
-    let mut code = 0u32;
-    for bits in 1..=max_len {
-        code = (code + bl_count[bits - 1]) << 1;
-        next_code[bits] = code;
-    }
-    let mut codes = vec![0u32; lengths.len()];
-    for (sym, &len) in lengths.iter().enumerate() {
-        if len > 0 {
-            codes[sym] = next_code[len as usize];
-            next_code[len as usize] += 1;
-        }
-    }
-    codes
-}
-
-/// Bit-by-bit canonical decoder (Moffat–Turpin style).
-struct CanonicalDecoder {
-    /// first_code[l]: canonical code value of the first code of length l.
-    first_code: Vec<u32>,
-    /// first_index[l]: position in `order` of that first code.
-    first_index: Vec<u32>,
-    /// count[l]: number of codes of length l.
-    count: Vec<u32>,
-    /// Symbol (dense) indexes sorted by (length, symbol) — canonical order.
-    order: Vec<u32>,
-    max_len: usize,
-}
-
-impl CanonicalDecoder {
-    fn new(lengths: &[u8]) -> Option<Self> {
-        let max_len = lengths.iter().copied().max()? as usize;
-        if max_len == 0 || max_len > MAX_LEN {
-            return None;
-        }
-        let mut count = vec![0u32; max_len + 1];
-        for &l in lengths {
-            if l as usize > max_len {
-                return None;
-            }
-            if l > 0 {
-                count[l as usize] += 1;
-            }
-        }
-        // Kraft check: reject oversubscribed sets.
-        let mut kraft = 0u64;
-        for (l, &c) in count.iter().enumerate().take(max_len + 1).skip(1) {
-            kraft += (c as u64) << (max_len - l);
-        }
-        if kraft > 1u64 << max_len {
-            return None;
-        }
-        let mut first_code = vec![0u32; max_len + 2];
-        let mut first_index = vec![0u32; max_len + 2];
-        let mut code = 0u32;
-        let mut index = 0u32;
-        for l in 1..=max_len {
-            code = (code + if l > 1 { count[l - 1] } else { 0 }) << 1;
-            first_code[l] = code;
-            first_index[l] = index;
-            index += count[l];
-        }
-        // Canonical symbol order: by (length, symbol index).
-        let mut order: Vec<u32> =
-            (0..lengths.len() as u32).filter(|&s| lengths[s as usize] > 0).collect();
-        order.sort_by_key(|&s| (lengths[s as usize], s));
-        Some(Self { first_code, first_index, count, order, max_len })
-    }
-
-    fn decode(&self, r: &mut BitReader<'_>) -> Option<usize> {
-        let mut code = 0u32;
-        for l in 1..=self.max_len {
-            code = (code << 1) | r.read_bits(1).ok()?;
-            if self.count[l] > 0 {
-                let offset = code.wrapping_sub(self.first_code[l]);
-                if offset < self.count[l] {
-                    let idx = self.order[(self.first_index[l] + offset) as usize];
-                    return Some(idx as usize);
-                }
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]

@@ -11,22 +11,23 @@
 //!    `s/2`, `z` a multiple of `s`, interpolating along y;
 //! 3. **z-pass**: predict `z ≡ s/2 (mod s)` with `x, y` multiples of `s/2`.
 //!
-//! After the three passes every point of `L_{s/2}` is known. The plan is a
+//! After the three passes every point of `L_{s/2}` is known. The walk is a
 //! deterministic visit order shared by compressor and decompressor, so
-//! prediction always reads already-reconstructed values.
+//! prediction always reads already-reconstructed values. It is generated
+//! on the fly rather than stored: a stored plan would take 64 bytes per
+//! point, several times the field itself.
 
 use crate::field::Dims;
 use crate::predictor::InterpPoint;
 
-/// Generate the N-D interpolation plan for `dims`. The seed point is linear
-/// index 0 (quantized against a 0.0 prediction by the caller); every other
-/// grid point appears exactly once, with per-point anchor indexes expressed
-/// as linear offsets into the row-major array.
-pub fn interp_plan_nd(dims: Dims) -> Vec<InterpPoint> {
-    let n = dims.len();
-    let mut plan = Vec::with_capacity(n.saturating_sub(1));
-    if n <= 1 {
-        return plan;
+/// Walk the N-D interpolation order for `dims`, calling `visit` once per
+/// point. The seed point is linear index 0 (quantized against a 0.0
+/// prediction by the caller) and is not visited; every other grid point
+/// is, with its anchor indexes expressed as linear offsets into the
+/// row-major array.
+pub fn interp_walk(dims: Dims, mut visit: impl FnMut(InterpPoint)) {
+    if dims.len() <= 1 {
+        return;
     }
     let max_dim = dims.nx.max(dims.ny).max(dims.nz);
     let mut stride = 1usize;
@@ -41,71 +42,40 @@ pub fn interp_plan_nd(dims: Dims) -> Vec<InterpPoint> {
         let half = stride / 2;
         // Pass over axes in x, y, z order.
         for axis in 0..3 {
-            if extents[axis] <= 1 {
+            let ext = extents[axis];
+            if ext <= 1 {
                 continue;
             }
             // Coordinates along `axis` at odd multiples of `half`; the
             // earlier axes of this level are already refined to `half`,
             // later axes remain on the full `stride` lattice.
-            let step_of = |a: usize| -> usize {
-                if a < axis {
-                    half
-                } else {
-                    stride
-                }
-            };
-            let mut coord = [0usize; 3];
+            let step_of = |a: usize| if a < axis { half } else { stride };
             // Iterate the lattice of the two non-target axes.
             let (a1, a2) = match axis {
                 0 => (1, 2),
                 1 => (0, 2),
                 _ => (0, 1),
             };
-            coord[a1] = 0;
-            while coord[a1] < extents[a1] {
-                coord[a2] = 0;
-                while coord[a2] < extents[a2] {
+            let d = half * lin[axis];
+            for c1 in (0..extents[a1]).step_by(step_of(a1)) {
+                for c2 in (0..extents[a2]).step_by(step_of(a2)) {
+                    let base = c1 * lin[a1] + c2 * lin[a2];
                     // Walk the target axis at odd multiples of `half`.
-                    let mut t = half;
-                    while t < extents[axis] {
-                        coord[axis] = t;
-                        let at = |c: &[usize; 3]| c[0] * lin[0] + c[1] * lin[1] + c[2] * lin[2];
-                        let pos = at(&coord);
-                        let mut left_c = coord;
-                        left_c[axis] = t - half;
-                        let left = at(&left_c);
-                        let right = if t + half < extents[axis] {
-                            let mut c = coord;
-                            c[axis] = t + half;
-                            Some(at(&c))
-                        } else {
-                            None
-                        };
-                        let far_left = if t >= 3 * half {
-                            let mut c = coord;
-                            c[axis] = t - 3 * half;
-                            Some(at(&c))
-                        } else {
-                            None
-                        };
-                        let far_right = if t + 3 * half < extents[axis] {
-                            let mut c = coord;
-                            c[axis] = t + 3 * half;
-                            Some(at(&c))
-                        } else {
-                            None
-                        };
-                        plan.push(InterpPoint { pos, left, right, far_left, far_right });
-                        t += stride;
+                    for t in (half..ext).step_by(stride) {
+                        let pos = base + t * lin[axis];
+                        visit(InterpPoint {
+                            pos,
+                            left: pos - d,
+                            right: (t + half < ext).then(|| pos + d),
+                            far_left: (t >= 3 * half).then(|| pos - 3 * d),
+                            far_right: (t + 3 * half < ext).then(|| pos + 3 * d),
+                        });
                     }
-                    coord[a2] += step_of(a2);
                 }
-                coord[a1] += step_of(a1);
             }
         }
         stride = half;
     }
-    plan
 }
 
 #[cfg(test)]
@@ -113,8 +83,14 @@ mod tests {
     use super::*;
     use crate::predictor::{interp_cubic, interp_linear};
 
+    fn plan(dims: Dims) -> Vec<InterpPoint> {
+        let mut points = Vec::new();
+        interp_walk(dims, |p| points.push(p));
+        points
+    }
+
     fn check_plan(dims: Dims) {
-        let plan = interp_plan_nd(dims);
+        let plan = plan(dims);
         let n = dims.len();
         let mut seen = vec![false; n];
         seen[0] = true;
@@ -156,16 +132,26 @@ mod tests {
 
     #[test]
     fn plan_matches_1d_for_flat_dims() {
-        // On a 1-D shape, the N-D plan must visit the same points as the
-        // 1-D plan (possibly identical order).
-        let n = 37;
-        let nd = interp_plan_nd(Dims::d1(n));
-        let d1 = crate::predictor::interp_plan(n);
-        let mut nd_pos: Vec<usize> = nd.iter().map(|p| p.pos).collect();
-        let mut d1_pos: Vec<usize> = d1.iter().map(|p| p.pos).collect();
-        nd_pos.sort_unstable();
-        d1_pos.sort_unstable();
-        assert_eq!(nd_pos, d1_pos);
+        // On a 1-D shape each level visits the odd multiples of `half` left
+        // to right, anchored `half` and `3 * half` away on either side.
+        for n in [2usize, 3, 4, 5, 17, 37, 64, 100] {
+            let mut expect = Vec::new();
+            let mut stride = n.next_power_of_two();
+            while stride >= 2 {
+                let half = stride / 2;
+                for pos in (half..n).step_by(stride) {
+                    expect.push(InterpPoint {
+                        pos,
+                        left: pos - half,
+                        right: (pos + half < n).then(|| pos + half),
+                        far_left: (pos >= 3 * half).then(|| pos - 3 * half),
+                        far_right: (pos + 3 * half < n).then(|| pos + 3 * half),
+                    });
+                }
+                stride = half;
+            }
+            assert_eq!(plan(Dims::d1(n)), expect, "n={n}");
+        }
     }
 
     #[test]
@@ -179,7 +165,7 @@ mod tests {
                 recon[dims.idx(x, y, 0)] = 3.0 * x as f64 - 2.0 * y as f64 + 7.0;
             }
         }
-        for p in interp_plan_nd(dims) {
+        for p in plan(dims) {
             if p.right.is_some() {
                 let pred = interp_linear(&recon, p);
                 assert!(
@@ -210,7 +196,7 @@ mod tests {
                 }
             }
         }
-        for p in interp_plan_nd(dims) {
+        for p in plan(dims) {
             if p.far_left.is_some() && p.right.is_some() && p.far_right.is_some() {
                 let pred = interp_cubic(&recon, p);
                 assert!(
@@ -225,8 +211,8 @@ mod tests {
 
     #[test]
     fn degenerate_grids() {
-        assert!(interp_plan_nd(Dims::d1(0)).is_empty());
-        assert!(interp_plan_nd(Dims::d1(1)).is_empty());
+        assert!(plan(Dims::d1(0)).is_empty());
+        assert!(plan(Dims::d1(1)).is_empty());
         check_plan(Dims::d3(2, 1, 1));
     }
 }

@@ -6,10 +6,8 @@
 //!   for 1D/2D/3D grids, predicting each point from already-reconstructed
 //!   neighbours by inclusion–exclusion.
 //! * [`PredictorKind::Interp`] — multi-level interpolation (SZ3's flagship
-//!   predictor) with linear and cubic kernels. Implemented for 1D fields,
-//!   which covers the paper's lossy datasets (exaalt and obs_error are flat
-//!   float arrays); for rank > 1 the pipeline transparently falls back to
-//!   Lorenzo (recorded in the stream header so decompression matches).
+//!   predictor) with linear and cubic kernels, over grids of any rank in
+//!   the visit order of [`crate::interp_nd::interp_walk`].
 //!
 //! Prediction always consumes *reconstructed* values, never originals, so
 //! the decompressor — which only has reconstructed data — stays in lockstep.
@@ -19,9 +17,9 @@
 pub enum PredictorKind {
     /// First-order Lorenzo (any rank).
     Lorenzo,
-    /// Multi-level linear interpolation (rank 1; falls back to Lorenzo).
+    /// Multi-level linear interpolation (any rank).
     Interp,
-    /// Multi-level cubic interpolation (rank 1; falls back to Lorenzo).
+    /// Multi-level cubic interpolation (any rank).
     InterpCubic,
 }
 
@@ -60,41 +58,6 @@ pub fn lorenzo_predict(recon: &[f64], nx: usize, ny: usize, x: usize, y: usize, 
     at(1, 0, 0) + at(0, 1, 0) + at(0, 0, 1) - at(1, 1, 0) - at(1, 0, 1) - at(0, 1, 1) + at(1, 1, 1)
 }
 
-/// The visit order for multi-level interpolation over `n` points.
-///
-/// Level strides go 2^k, 2^(k-1), …, 2. Position 0 is the seed (predicted
-/// as 0). At stride `s`, points at odd multiples of `s/2` are predicted
-/// from their reconstructed neighbours at multiples of `s`.
-/// Returns (position, left anchor, right anchor option, far-left anchor
-/// option, far-right anchor option) tuples in visit order; anchors are used
-/// by the linear/cubic kernels.
-pub fn interp_plan(n: usize) -> Vec<InterpPoint> {
-    let mut plan = Vec::with_capacity(n);
-    if n == 0 {
-        return plan;
-    }
-    // Seed points: 0 predicted from nothing; handled by caller at stride max.
-    let mut stride = 1usize;
-    while stride < n {
-        stride <<= 1;
-    }
-    // stride is now >= n; seeds are the multiples of `stride` (just 0).
-    while stride >= 2 {
-        let half = stride / 2;
-        let mut pos = half;
-        while pos < n {
-            let left = pos - half;
-            let right = if pos + half < n { Some(pos + half) } else { None };
-            let far_left = if pos >= 3 * half { Some(pos - 3 * half) } else { None };
-            let far_right = if pos + 3 * half < n { Some(pos + 3 * half) } else { None };
-            plan.push(InterpPoint { pos, left, right, far_left, far_right });
-            pos += stride;
-        }
-        stride = half;
-    }
-    plan
-}
-
 /// One interpolated point and its anchor positions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InterpPoint {
@@ -129,6 +92,14 @@ pub fn interp_cubic(recon: &[f64], p: InterpPoint) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::field::Dims;
+    use crate::interp_nd::interp_walk;
+
+    fn interp_plan(n: usize) -> Vec<InterpPoint> {
+        let mut points = Vec::new();
+        interp_walk(Dims::d1(n), |p| points.push(p));
+        points
+    }
 
     #[test]
     fn lorenzo_1d_is_previous_value() {

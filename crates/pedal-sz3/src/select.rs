@@ -11,7 +11,7 @@
 //! of coarse-level interpolation outliers mask fine-level wins.
 
 use crate::field::{Field, Float};
-use crate::interp_nd::interp_plan_nd;
+use crate::interp_nd::interp_walk;
 use crate::predictor::{interp_cubic, interp_linear, lorenzo_predict, PredictorKind};
 
 /// Maximum number of sampled points per candidate.
@@ -56,17 +56,23 @@ pub fn estimate<T: Float>(field: &Field<T>, predictor: PredictorKind, eb: f64) -
             }
         }
         PredictorKind::Interp | PredictorKind::InterpCubic => {
-            let plan = interp_plan_nd(dims);
-            let step = (plan.len() / SAMPLE_BUDGET).max(1);
+            // Every point but the seed is visited: sample every step-th.
+            let step = ((n - 1) / SAMPLE_BUDGET).max(1);
             let cubic = predictor == PredictorKind::InterpCubic;
-            for p in plan.iter().step_by(step) {
-                let pred = if cubic { interp_cubic(&vals, *p) } else { interp_linear(&vals, *p) };
+            let mut visited = 0usize;
+            interp_walk(dims, |p| {
+                let sampled = visited.is_multiple_of(step);
+                visited += 1;
+                if !sampled {
+                    return;
+                }
+                let pred = if cubic { interp_cubic(&vals, p) } else { interp_linear(&vals, p) };
                 let v = vals[p.pos];
                 if v.is_finite() && pred.is_finite() {
                     err += (((v - pred).abs() + noise) / eb + 1.0).log2();
                     count += 1;
                 }
-            }
+            });
         }
     }
     if count == 0 {

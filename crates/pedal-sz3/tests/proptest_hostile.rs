@@ -8,9 +8,10 @@
 //! reproduces, `--features fuzz` multiplies case counts.
 
 use pedal_dpu::Pcg32;
+use pedal_sz3::varint::put_uvarint;
 use pedal_sz3::{
-    compress, compress_checked, decompress, BackendKind, Dims, Field, PredictorKind, Sz3Config,
-    Sz3Error,
+    compress, compress_checked, decode_core_with_limit, decompress, encode_core, huff, BackendKind,
+    Dims, Field, PredictorKind, Sz3Config, Sz3Error,
 };
 
 fn cases(base: usize) -> usize {
@@ -137,11 +138,36 @@ fn bad_error_bounds_are_typed_errors_not_panics() {
             );
         }
     }
-    for radius in [i64::MIN, -1, 0, 1] {
+    for radius in [i64::MIN, -1, 0, 1, (1 << 31) + 1, 1 << 32, i64::MAX] {
         let cfg = Sz3Config { radius, ..Default::default() };
         assert!(
             matches!(compress_checked(&field, &cfg), Err(Sz3Error::BadConfig(_))),
             "radius {radius} must be rejected"
         );
+    }
+}
+
+#[test]
+fn zero_sized_core_headers_decode_without_panic() {
+    // A valid core prefix declaring a grid with no elements and carrying an
+    // empty Huffman stream: there is no seed point to place.
+    let seed = Field::<f32>::from_fn(Dims::d1(4), |x, _, _| x as f32);
+    for predictor in PREDICTORS {
+        let cfg = Sz3Config { predictor, ..Default::default() };
+        let (valid, _) = encode_core(&seed, &cfg);
+        for (nx, ny, nz) in [(0u64, 1u64, 1u64), (0, 7, 3), (5, 0, 1), (2, 3, 0)] {
+            let mut core = valid[..7].to_vec(); // magic, version, type, predictor
+            put_uvarint(&mut core, nx);
+            put_uvarint(&mut core, ny);
+            put_uvarint(&mut core, nz);
+            core.extend_from_slice(&1e-4f64.to_le_bytes());
+            put_uvarint(&mut core, 32_768); // radius
+            put_uvarint(&mut core, 0); // outliers
+            let empty = huff::encode(&[]);
+            put_uvarint(&mut core, empty.len() as u64);
+            core.extend_from_slice(&empty);
+            let field = decode_core_with_limit::<f32>(&core, 1 << 20).unwrap();
+            assert!(field.data.is_empty(), "{predictor:?} {nx}x{ny}x{nz}");
+        }
     }
 }

@@ -66,6 +66,20 @@ fn sz3_designs_respect_error_bound() {
 }
 
 #[test]
+fn sz3_designs_roundtrip_empty_fields() {
+    for platform in Platform::ALL {
+        for design in [Design::SOC_SZ3, Design::CE_SZ3] {
+            let c = ctx(platform, design);
+            for dt in [Datatype::Float32, Datatype::Float64] {
+                let packed = c.compress(dt, &[]).unwrap();
+                let out = c.decompress(&packed.payload, 0).unwrap();
+                assert!(out.data.is_empty(), "{design} on {platform:?} ({dt:?})");
+            }
+        }
+    }
+}
+
+#[test]
 fn sz3_rejects_byte_datatype() {
     let c = ctx(Platform::BlueField2, Design::SOC_SZ3);
     let err = c.compress(Datatype::Byte, &[1, 2, 3, 4]).unwrap_err();

@@ -15,8 +15,17 @@ echo "==> perfbench builds and its smoke tests pass"
 # perfbench is its own workspace (the root members are crates/*,
 # examples and tests), so the stages above never compile it. Build it
 # against the current crates so an API change cannot break the
-# wall-clock benchmark unnoticed.
+# wall-clock benchmark unnoticed. Cargo rewrites perfbench/Cargo.lock
+# whenever a crate's dependency list has moved since the lock file was
+# committed; perfbench/ belongs to the benchmark, so the stage puts the
+# committed file back afterwards, also when the stage fails.
+perfbench_lock=$(mktemp)
+cp perfbench/Cargo.lock "$perfbench_lock"
+trap 'cp "$perfbench_lock" perfbench/Cargo.lock; rm -f "$perfbench_lock"' EXIT
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+cp "$perfbench_lock" perfbench/Cargo.lock
+rm -f "$perfbench_lock"
+trap - EXIT
 
 echo "==> fuzz smoke sweep (fixed seed)"
 # Structure-aware mutation sweep over every decode path: no panics,
