@@ -12,13 +12,7 @@ use bench::{banner, dataset, fmt_ms, BenchReport, Table};
 use pedal_datasets::DatasetId;
 use pedal_doca::{CompressJob, DocaContext, JobKind};
 use pedal_dpu::{Platform, SimDuration, SimInstant};
-use pedal_obs::Json;
-
-/// Nearest-rank percentile over an ascending completion list.
-fn pct(sorted: &[SimDuration], p: f64) -> SimDuration {
-    let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
+use pedal_obs::{percentile, Json};
 
 fn main() {
     banner("Ablation A6", "Engine contention: concurrent streams on one DPU");
@@ -50,8 +44,8 @@ fn main() {
         }
         completions.sort();
         let mean = completions.iter().map(|d| d.as_millis_f64()).sum::<f64>() / streams as f64;
-        let p50 = pct(&completions, 0.50);
-        let p99 = pct(&completions, 0.99);
+        let p50 = percentile(&completions, 0.50).expect("streams >= 1");
+        let p99 = percentile(&completions, 0.99).expect("streams >= 1");
         let last = completions.last().unwrap().as_millis_f64();
         let busy = ctx.workq.busy_until().0 as f64;
         let util = busy / (last * 1e6);

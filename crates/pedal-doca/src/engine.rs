@@ -43,8 +43,10 @@ pub struct CompressJob {
     pub user_tag: u64,
     /// For DEFLATE compression: emit a terminated stream (`true`, the
     /// default) or a non-final *fragment* ending in a sync flush, for
-    /// chunk-parallel stitching across channels (`false`). Mirrors the
-    /// hardware engine's final-block control bit.
+    /// chunk-parallel stitching across channels (`false`). For DEFLATE
+    /// decompression: decode a terminated stream (`true`) or a non-final
+    /// sync-flush fragment, rejecting one that contains a final block
+    /// (`false`). Mirrors the hardware engine's final-block control bit.
     pub final_block: bool,
 }
 
@@ -63,7 +65,7 @@ impl CompressJob {
         self
     }
 
-    /// Mark a DEFLATE compression as a non-final stream fragment.
+    /// Mark a DEFLATE job's input or output as a non-final stream fragment.
     pub fn with_final_block(mut self, final_block: bool) -> Self {
         self.final_block = final_block;
         self
@@ -117,8 +119,16 @@ pub fn execute(job: &CompressJob, costs: &CostModel) -> Result<JobResult, Engine
         }
         JobKind::DeflateDecompress => {
             let limit = job.expected_output_len.ok_or(EngineError::MissingOutputLen)?;
-            let out = pedal_deflate::decompress_with_limit(&job.input, limit)
-                .map_err(|e| EngineError::Decode(e.to_string()))?;
+            let decoded = if job.final_block {
+                pedal_deflate::decompress_with_limit(&job.input, limit).map(|out| (out, false))
+            } else {
+                pedal_deflate::decompress_fragment_with_limit(&job.input, limit)
+            };
+            let (out, final_in_fragment) =
+                decoded.map_err(|e| EngineError::Decode(e.to_string()))?;
+            if final_in_fragment {
+                return Err(EngineError::Decode("final block in a non-final fragment".into()));
+            }
             let n = out.len();
             (out, n)
         }
@@ -216,6 +226,35 @@ mod tests {
         )
         .unwrap();
         assert_eq!(d.output, total);
+    }
+
+    #[test]
+    fn fragment_decompress_jobs_decode_one_fragment_each() {
+        let costs = bf2_costs();
+        let parts: [&[u8]; 2] = [b"first fragment first fragment ", b"second and last"];
+        let frags: Vec<Vec<u8>> = parts
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                pedal_deflate::compress_fragment(p, pedal_deflate::Level::DEFAULT, i == 1)
+            })
+            .collect();
+        let job = |frag: &Vec<u8>, len: usize, final_block: bool| {
+            CompressJob::new(JobKind::DeflateDecompress, frag.clone())
+                .with_expected_len(len)
+                .with_final_block(final_block)
+        };
+        // Each fragment decodes on its own with the matching final bit.
+        let first = execute(&job(&frags[0], parts[0].len(), false), &costs).unwrap();
+        assert_eq!(first.output, parts[0]);
+        let last = execute(&job(&frags[1], parts[1].len(), true), &costs).unwrap();
+        assert_eq!(last.output, parts[1]);
+        // A terminated fragment where a non-final one belongs is an error,
+        // and so is an unterminated one where the stream must end.
+        let err = execute(&job(&frags[1], parts[1].len(), false), &costs).unwrap_err();
+        assert!(matches!(err, EngineError::Decode(_)), "{err:?}");
+        let err = execute(&job(&frags[0], parts[0].len(), true), &costs).unwrap_err();
+        assert!(matches!(err, EngineError::Decode(_)), "{err:?}");
     }
 
     #[test]

@@ -44,7 +44,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use pedal::{wire, Datatype, Design, PedalHeader};
 use pedal_datasets::workload::Arrival;
 use pedal_dpu::{Direction, Placement, SimDuration, SimInstant};
-use pedal_obs::{Json, ToJson};
+use pedal_obs::{percentile, Json, ToJson};
 use pedal_policy::{fnv1a64, AdaptivePolicy, PolicyLog, PolicyRecord, PolicySnapshot};
 use pedal_service::{
     BackpressurePolicy, CompletedJob, JobDesc, JobId, PedalService, ServiceConfig, ServiceStats,
@@ -121,20 +121,12 @@ impl ClassStats {
 
     /// Nearest-rank p99 of end-to-end latency over completed jobs.
     pub fn latency_p99_ns(&self) -> Option<u64> {
-        percentile(&self.latencies_ns, 99)
+        percentile(&self.latencies_ns, 0.99)
     }
 
     pub fn latency_p50_ns(&self) -> Option<u64> {
-        percentile(&self.latencies_ns, 50)
+        percentile(&self.latencies_ns, 0.50)
     }
-}
-
-fn percentile(sorted: &[u64], p: u64) -> Option<u64> {
-    if sorted.is_empty() {
-        return None;
-    }
-    let rank = (p * sorted.len() as u64).div_ceil(100).max(1) as usize;
-    Some(sorted[rank.min(sorted.len()) - 1])
 }
 
 impl ToJson for ClassStats {
@@ -677,12 +669,16 @@ mod tests {
 
     #[test]
     fn percentile_is_nearest_rank() {
-        assert_eq!(percentile(&[], 99), None);
-        assert_eq!(percentile(&[7], 50), Some(7));
-        assert_eq!(percentile(&[1, 2, 3, 4], 50), Some(2));
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&v, 99), Some(99));
-        assert_eq!(percentile(&v, 100), Some(100));
+        let with = |latencies_ns: Vec<u64>| ClassStats { latencies_ns, ..ClassStats::default() };
+        assert_eq!(with(vec![]).latency_p99_ns(), None);
+        assert_eq!(with(vec![]).latency_p50_ns(), None);
+        assert_eq!(with(vec![7]).latency_p50_ns(), Some(7));
+        assert_eq!(with(vec![7]).latency_p99_ns(), Some(7));
+        assert_eq!(with(vec![1, 2, 3, 4]).latency_p50_ns(), Some(2));
+        let v = with((1..=100).collect());
+        assert_eq!(v.latency_p50_ns(), Some(50));
+        assert_eq!(v.latency_p99_ns(), Some(99));
+        assert_eq!(percentile(&v.latencies_ns, 1.0), Some(100));
     }
 
     #[test]

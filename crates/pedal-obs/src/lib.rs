@@ -31,6 +31,7 @@ pub mod prom;
 pub mod registry;
 pub mod ring;
 pub mod slo;
+pub mod stats;
 pub mod trace;
 pub mod window;
 
@@ -42,7 +43,8 @@ pub use prom::{counters_monotone, metric_name, validate_exposition, PromCheck, P
 pub use registry::{HistSummary, MetricsRegistry, MetricsSnapshot, METRICS_SCHEMA};
 pub use ring::{EventRing, LaneRecorder, Track, DEFAULT_RING_CAPACITY};
 pub use slo::{SloTable, TenantId, TenantSloSnapshot};
+pub use stats::percentile;
 pub use trace::{
     chrome_trace_json, validate_chrome_trace, Collector, TraceCheck, TraceLog, TraceValidateError,
 };
-pub use window::{EwmaRate, HighWatermark, WindowConfig, WindowedCounter, WindowedHistogram};
+pub use window::{HighWatermark, WindowConfig, WindowedCounter, WindowedHistogram};

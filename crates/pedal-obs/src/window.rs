@@ -1,5 +1,5 @@
-//! Rolling virtual-time windows: histograms, counters, EWMA rates, and
-//! high-watermark gauges.
+//! Rolling virtual-time windows: histograms, counters, and high-watermark
+//! gauges.
 //!
 //! Everything here is keyed on **virtual** time ([`SimInstant`]), so a
 //! "rolling p99 over the last 80 ms" is deterministic across hosts and
@@ -18,7 +18,6 @@ use crate::hist::LogHistogram;
 use crate::registry::HistSummary;
 use pedal_dpu::{SimDuration, SimInstant};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Shape of a rolling window: `slots` ring slots of `slot` virtual time
 /// each; the rolling view covers `slot * slots`.
@@ -212,46 +211,6 @@ impl WindowedCounter {
     }
 }
 
-struct EwmaState {
-    level: f64,
-    last_ns: u64,
-}
-
-/// Exponentially-weighted moving rate over virtual time: each observed
-/// `amount` is spread over the time constant `tau`, and the level decays
-/// as `e^(-dt/tau)` between observations. `per_sec` reads the rate
-/// decayed to `now` without mutating state.
-pub struct EwmaRate {
-    tau_ns: f64,
-    state: Mutex<EwmaState>,
-}
-
-impl EwmaRate {
-    pub fn new(tau: SimDuration) -> Self {
-        Self {
-            tau_ns: tau.as_nanos().max(1) as f64,
-            state: Mutex::new(EwmaState { level: 0.0, last_ns: 0 }),
-        }
-    }
-
-    /// Fold in `amount` observed at virtual instant `at`. Out-of-order
-    /// observations (earlier than the last) are folded in without
-    /// rewinding the clock.
-    pub fn observe(&self, at: SimInstant, amount: f64) {
-        let mut s = self.state.lock().unwrap();
-        let dt = at.0.saturating_sub(s.last_ns) as f64;
-        s.level = s.level * (-dt / self.tau_ns).exp() + amount / self.tau_ns;
-        s.last_ns = s.last_ns.max(at.0);
-    }
-
-    /// The rate in `amount` units per (virtual) second, decayed to `now`.
-    pub fn per_sec(&self, now: SimInstant) -> f64 {
-        let s = self.state.lock().unwrap();
-        let dt = now.0.saturating_sub(s.last_ns) as f64;
-        s.level * (-dt / self.tau_ns).exp() * 1e9
-    }
-}
-
 /// A monotone high-watermark gauge (e.g. peak queue depth).
 #[derive(Debug, Default)]
 pub struct HighWatermark(AtomicU64);
@@ -381,21 +340,6 @@ mod tests {
         assert_eq!(c.sum_at(at(1_500)), 12);
         assert_eq!(c.sum_at(at(4_500)), 7, "epoch 0 expired at 4000");
         assert_eq!(c.sum_at(at(50_000)), 0);
-    }
-
-    #[test]
-    fn ewma_rate_decays_and_converges() {
-        let r = EwmaRate::new(SimDuration(1_000_000)); // tau = 1 ms
-                                                       // A steady 1 observation per µs should converge near 1e6/sec.
-        for i in 1..=5_000u64 {
-            r.observe(at(i * 1_000), 1.0);
-        }
-        let rate = r.per_sec(at(5_000_000));
-        assert!((rate / 1.0e6 - 1.0).abs() < 0.05, "rate {rate}");
-        // And decay toward zero once the source stops.
-        let later = r.per_sec(at(5_000_000 + 5_000_000));
-        assert!(later < rate * 0.01, "decayed {later} vs {rate}");
-        assert!(later > 0.0);
     }
 
     #[test]

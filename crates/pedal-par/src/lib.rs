@@ -74,10 +74,10 @@ impl Default for ParConfig {
 }
 
 /// Run `make(i)` for every `i in 0..jobs` across `threads` workers
-/// (strided assignment, same idiom as `pedal::parallel`) and return the
-/// outputs in index order. Deterministic by construction: each output
-/// depends only on its index, and placement is by index.
-fn fan_out<T, F>(jobs: usize, threads: usize, make: F) -> Vec<T>
+/// (strided assignment) and return the outputs in index order.
+/// Deterministic by construction: each output depends only on its index,
+/// and placement is by index.
+pub fn fan_out<T, F>(jobs: usize, threads: usize, make: F) -> Vec<T>
 where
     T: Send + Default,
     F: Fn(usize) -> T + Sync,
@@ -225,30 +225,11 @@ pub fn par_lz4_frame(src: &[u8], block_size: usize, accel: u32, workers: usize) 
     let blocks = fan_out(jobs, threads, |i| {
         let start = i * block_size;
         let end = (start + block_size).min(src.len());
-        let chunk = &src[start..end];
-        let packed = pedal_lz4::compress_block(chunk, accel);
-        let mut out = Vec::with_capacity(packed.len().min(chunk.len()) + 8);
-        if packed.len() >= chunk.len() {
-            // Store uncompressed: high bit of the length marks a raw block.
-            out.extend_from_slice(&((chunk.len() as u32) | 0x8000_0000).to_le_bytes());
-            out.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
-            out.extend_from_slice(chunk);
-        } else {
-            out.extend_from_slice(&(packed.len() as u32).to_le_bytes());
-            out.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
-            out.extend_from_slice(&packed);
-        }
-        out
+        let mut block = Vec::new();
+        pedal_lz4::encode_frame_block(&mut block, &src[start..end], accel);
+        block
     });
-    let mut out = Vec::with_capacity(src.len() / 2 + 32);
-    out.extend_from_slice(&pedal_lz4::frame::FRAME_MAGIC.to_le_bytes());
-    out.extend_from_slice(&(src.len() as u64).to_le_bytes());
-    out.extend_from_slice(&(block_size as u32).to_le_bytes());
-    for b in &blocks {
-        out.extend_from_slice(b);
-    }
-    out.extend_from_slice(&0u32.to_le_bytes());
-    out
+    pedal_lz4::assemble_frame(src.len(), block_size, &blocks)
 }
 
 // ---------------------------------------------------------------------

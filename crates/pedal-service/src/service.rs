@@ -253,10 +253,8 @@ impl ServiceConfig {
     }
 }
 
-/// Default fragment size for fanned-out jobs (matches pedal-par).
-pub const DEFAULT_PAR_CHUNK: usize = 1 << 20;
-/// Smallest accepted fragment size.
-pub const MIN_PAR_CHUNK: usize = 64 * 1024;
+/// Default and smallest fragment sizes for fanned-out jobs.
+pub use pedal_par::{DEFAULT_CHUNK as DEFAULT_PAR_CHUNK, MIN_CHUNK as MIN_PAR_CHUNK};
 
 // ---------------------------------------------------------------------
 // Adaptive policy state

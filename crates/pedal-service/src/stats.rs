@@ -1,7 +1,7 @@
 //! Aggregate service telemetry in virtual time.
 
 use pedal_dpu::{SimDuration, SimInstant};
-use pedal_obs::{HistSummary, Json, PromWriter, TenantSloSnapshot, ToJson};
+use pedal_obs::{percentile, HistSummary, Json, PromWriter, TenantSloSnapshot, ToJson};
 
 use crate::job::{CompletedJob, LaneId};
 
@@ -479,58 +479,9 @@ impl ServiceSnapshot {
     }
 }
 
-/// Nearest-rank percentile over an ascending-sorted slice; `None` when
-/// the sample set is empty (a zero would be indistinguishable from a
-/// genuine zero-duration measurement).
-pub(crate) fn percentile(sorted: &[SimDuration], p: f64) -> Option<SimDuration> {
-    if sorted.is_empty() {
-        return None;
-    }
-    let rank = ((p.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    Some(sorted[rank - 1])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn d(ns: u64) -> SimDuration {
-        SimDuration(ns)
-    }
-
-    #[test]
-    fn percentile_of_empty_is_none_not_zero() {
-        assert_eq!(percentile(&[], 0.50), None);
-        assert_eq!(percentile(&[], 0.99), None);
-    }
-
-    #[test]
-    fn percentile_of_single_sample_is_exact_everywhere() {
-        let one = [d(123_456)];
-        for p in [0.0, 0.01, 0.50, 0.99, 1.0] {
-            assert_eq!(percentile(&one, p), Some(d(123_456)), "p={p}");
-        }
-    }
-
-    #[test]
-    fn percentile_nearest_rank_matches_by_hand() {
-        let v: Vec<SimDuration> = (1..=100).map(d).collect();
-        assert_eq!(percentile(&v, 0.50), Some(d(50)));
-        assert_eq!(percentile(&v, 0.99), Some(d(99)));
-        assert_eq!(percentile(&v, 1.0), Some(d(100)));
-        assert_eq!(percentile(&v, 0.0), Some(d(1)));
-        // Two samples: p50 is the first, p99 the second.
-        let two = [d(10), d(20)];
-        assert_eq!(percentile(&two, 0.50), Some(d(10)));
-        assert_eq!(percentile(&two, 0.99), Some(d(20)));
-    }
-
-    #[test]
-    fn percentile_clamps_out_of_range_p() {
-        let v = [d(5), d(6)];
-        assert_eq!(percentile(&v, -1.0), Some(d(5)));
-        assert_eq!(percentile(&v, 2.0), Some(d(6)));
-    }
 
     #[test]
     fn empty_stats_report_none_percentiles() {

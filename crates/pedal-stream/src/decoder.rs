@@ -1,19 +1,12 @@
 //! Resumable PSF1 decoder: feed wire bytes at any granularity, drain
-//! plaintext as frames complete.
+//! plaintext as frames complete; or split a complete stream into validated
+//! frames to decode on several workers.
 
 use crate::frame::{
-    max_payload_len, Cursor, StreamError, CODEC_DEFLATE, CODEC_LZ4, CODEC_PCO, FRAME_LAST,
-    FRAME_RAW, MAGIC, MAX_CHUNK_SIZE, VERSION,
+    check_stream_sum, read_frame, read_header, read_trailer, Cursor, Frame, Header, StreamError,
+    CODEC_DEFLATE,
 };
 use pedal_zlib::{adler32, Adler32};
-
-/// Decoder-side codec selector, recovered from the stream header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CodecKind {
-    Deflate,
-    Lz4,
-    Pco,
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
@@ -35,9 +28,7 @@ pub struct StreamDecoder {
     buf: Vec<u8>,
     pos: usize,
     state: State,
-    codec: CodecKind,
-    chunk_size: usize,
-    payload_bound: usize,
+    header: Header,
     next_index: u64,
     emitted: usize,
     adler: Adler32,
@@ -53,9 +44,8 @@ impl StreamDecoder {
             buf: Vec::new(),
             pos: 0,
             state: State::Header,
-            codec: CodecKind::Deflate,
-            chunk_size: 0,
-            payload_bound: 0,
+            // Placeholder until the header is parsed.
+            header: Header { codec: CODEC_DEFLATE, chunk_size: 0 },
             next_index: 0,
             emitted: 0,
             adler: Adler32::new(),
@@ -120,122 +110,36 @@ impl StreamDecoder {
     /// One parsing step. `Ok(true)` means progress was made; `Ok(false)`
     /// means more input is needed.
     fn step(&mut self) -> Result<bool, StreamError> {
+        let mut c = Cursor::new(&self.buf[self.pos..]);
         match self.state {
-            State::Header => self.step_header(),
-            State::Frame => self.step_frame(),
-            State::Trailer => self.step_trailer(),
-            State::Done => Ok(false),
-        }
-    }
-
-    fn step_header(&mut self) -> Result<bool, StreamError> {
-        let mut c = Cursor::new(&self.buf[self.pos..]);
-        let Some(magic) = c.bytes(4) else { return Ok(false) };
-        if magic != MAGIC {
-            return Err(StreamError::BadMagic);
-        }
-        let Some(version) = c.u8() else { return Ok(false) };
-        if version != VERSION {
-            return Err(StreamError::BadVersion(version));
-        }
-        let Some(codec_id) = c.u8() else { return Ok(false) };
-        let codec = match codec_id {
-            CODEC_DEFLATE => CodecKind::Deflate,
-            CODEC_LZ4 => CodecKind::Lz4,
-            CODEC_PCO => CodecKind::Pco,
-            other => return Err(StreamError::UnknownCodec(other)),
-        };
-        let Some(hflags) = c.u8() else { return Ok(false) };
-        if hflags != 0 {
-            return Err(StreamError::ReservedFlags(hflags));
-        }
-        let Some(chunk_size) = c.uvarint()? else { return Ok(false) };
-        if chunk_size == 0 || chunk_size > MAX_CHUNK_SIZE {
-            return Err(StreamError::BadChunkSize(chunk_size));
-        }
-        self.codec = codec;
-        self.chunk_size = chunk_size as usize;
-        self.payload_bound = max_payload_len(self.chunk_size);
-        self.pos += c.at;
-        self.state = State::Frame;
-        Ok(true)
-    }
-
-    fn step_frame(&mut self) -> Result<bool, StreamError> {
-        let mut c = Cursor::new(&self.buf[self.pos..]);
-        let Some(flags) = c.u8() else { return Ok(false) };
-        if flags & !(FRAME_LAST | FRAME_RAW) != 0 {
-            return Err(StreamError::ReservedFlags(flags));
-        }
-        let last = flags & FRAME_LAST != 0;
-        let raw = flags & FRAME_RAW != 0;
-        let Some(index) = c.uvarint()? else { return Ok(false) };
-        if index != self.next_index {
-            return Err(StreamError::FrameOutOfOrder { expected: self.next_index, got: index });
-        }
-        let Some(raw_len) = c.uvarint()? else { return Ok(false) };
-        if raw_len > self.chunk_size as u64 {
-            return Err(StreamError::RawLenTooLarge { raw_len, chunk_size: self.chunk_size });
-        }
-        let raw_len = raw_len as usize;
-        if self.emitted.checked_add(raw_len).is_none_or(|t| t > self.limit) {
-            return Err(StreamError::OutputLimitExceeded(self.limit));
-        }
-        let Some(payload_len) = c.uvarint()? else { return Ok(false) };
-        if payload_len > self.payload_bound as u64 {
-            return Err(StreamError::PayloadTooLarge { payload_len, bound: self.payload_bound });
-        }
-        let Some(sum) = c.u32le() else { return Ok(false) };
-        let Some(payload) = c.bytes(payload_len as usize) else { return Ok(false) };
-        if adler32(payload) != sum {
-            return Err(StreamError::PayloadChecksum);
-        }
-        let decoded: Vec<u8> = if raw {
-            if payload.len() != raw_len {
-                return Err(StreamError::LengthMismatch { declared: raw_len, got: payload.len() });
+            State::Header => {
+                let Some(header) = read_header(&mut c)? else { return Ok(false) };
+                self.header = header;
+                self.state = State::Frame;
             }
-            payload.to_vec()
-        } else {
-            match self.codec {
-                CodecKind::Deflate => {
-                    let (bytes, saw_final) =
-                        pedal_deflate::decompress_fragment_with_limit(payload, raw_len)?;
-                    if saw_final != last {
-                        return Err(StreamError::FinalFlagMismatch);
-                    }
-                    bytes
-                }
-                CodecKind::Lz4 => pedal_lz4::decompress_block(payload, Some(raw_len), raw_len)?,
-                CodecKind::Pco => pedal_pco::decode_bytes_chunk(payload, raw_len)?,
+            State::Frame => {
+                let Some(frame) =
+                    read_frame(&mut c, &self.header, self.next_index, self.emitted, self.limit)?
+                else {
+                    return Ok(false);
+                };
+                let decoded = frame.decode(self.header.codec)?;
+                self.adler.update(&decoded);
+                self.ready.extend_from_slice(&decoded);
+                self.emitted += frame.raw_len;
+                self.next_index += 1;
+                self.state = if frame.last { State::Trailer } else { State::Frame };
             }
-        };
-        if decoded.len() != raw_len {
-            return Err(StreamError::LengthMismatch { declared: raw_len, got: decoded.len() });
-        }
-        self.adler.update(&decoded);
-        self.ready.extend_from_slice(&decoded);
-        self.emitted += raw_len;
-        self.next_index += 1;
-        self.pos += c.at;
-        self.state = if last { State::Trailer } else { State::Frame };
-        Ok(true)
-    }
-
-    fn step_trailer(&mut self) -> Result<bool, StreamError> {
-        let mut c = Cursor::new(&self.buf[self.pos..]);
-        let Some(total) = c.uvarint()? else { return Ok(false) };
-        if total != self.emitted as u64 {
-            return Err(StreamError::TotalMismatch {
-                declared: total,
-                decoded: self.emitted as u64,
-            });
-        }
-        let Some(sum) = c.u32le() else { return Ok(false) };
-        if sum != self.adler.finish() {
-            return Err(StreamError::StreamChecksum);
+            State::Trailer => {
+                let Some(sum) = read_trailer(&mut c, self.emitted as u64)? else {
+                    return Ok(false);
+                };
+                check_stream_sum(sum, self.adler.finish())?;
+                self.state = State::Done;
+            }
+            State::Done => return Ok(false),
         }
         self.pos += c.at;
-        self.state = State::Done;
         Ok(true)
     }
 
@@ -258,4 +162,49 @@ pub fn decode_all(stream: &[u8], limit: usize) -> Result<Vec<u8>, StreamError> {
     let mut dec = StreamDecoder::new(limit);
     dec.feed(stream)?;
     dec.finish()
+}
+
+/// A complete PSF1 stream whose frames passed every check
+/// [`StreamDecoder`] makes before decoding a payload, and whose trailer
+/// total matches them. Payloads are borrowed, not decoded.
+#[derive(Debug, Clone)]
+pub struct Frames<'a> {
+    /// Codec id from the stream header.
+    pub codec: u8,
+    pub frames: Vec<Frame<'a>>,
+    /// Plaintext bytes the frames declare (and the trailer confirms).
+    pub total: usize,
+    stream_sum: u32,
+}
+
+impl Frames<'_> {
+    /// Check the frames' concatenated plaintext against the trailer.
+    pub fn verify(&self, plaintext: &[u8]) -> Result<(), StreamError> {
+        check_stream_sum(self.stream_sum, adler32(plaintext))
+    }
+}
+
+/// Split a complete PSF1 stream into validated frames without decoding
+/// them. `limit` caps the declared plaintext, as in [`decode_all`]. A
+/// stream accepted here and whose frames all decode and pass
+/// [`Frames::verify`] decodes to the same bytes through [`decode_all`].
+pub fn split_frames(stream: &[u8], limit: usize) -> Result<Frames<'_>, StreamError> {
+    let mut c = Cursor::new(stream);
+    let header = read_header(&mut c)?.ok_or(StreamError::Truncated)?;
+    let mut frames = Vec::new();
+    let mut total = 0usize;
+    loop {
+        let frame = read_frame(&mut c, &header, frames.len() as u64, total, limit)?
+            .ok_or(StreamError::Truncated)?;
+        total += frame.raw_len;
+        frames.push(frame);
+        if frame.last {
+            break;
+        }
+    }
+    let stream_sum = read_trailer(&mut c, total as u64)?.ok_or(StreamError::Truncated)?;
+    if c.at < stream.len() {
+        return Err(StreamError::TrailingBytes(stream.len() - c.at));
+    }
+    Ok(Frames { codec: header.codec, frames, total, stream_sum })
 }

@@ -2,8 +2,8 @@
 //! soon as a chunk is provably not the stream's last.
 
 use crate::frame::{
-    put_uvarint, CODEC_DEFLATE, CODEC_LZ4, CODEC_PCO, FRAME_LAST, FRAME_RAW, MAGIC, MAX_CHUNK_SIZE,
-    VERSION,
+    write_frame, write_header, write_trailer, Payload, CODEC_DEFLATE, CODEC_LZ4, CODEC_PCO,
+    MAX_CHUNK_SIZE,
 };
 use pedal_deflate::Level;
 use pedal_pco::PcoConfig;
@@ -46,6 +46,20 @@ impl StreamCodec {
             StreamCodec::Pco(_) => "pco",
         }
     }
+
+    /// Encode one chunk as a frame payload. DEFLATE emits a sync-flush
+    /// fragment (a terminated one when `last`); LZ4 and pco fall back to
+    /// the raw chunk when compression would expand it.
+    pub fn encode_chunk(&self, chunk: &[u8], last: bool) -> Payload {
+        let bytes = match self {
+            StreamCodec::Deflate(level) => pedal_deflate::compress_fragment(chunk, *level, last),
+            StreamCodec::Lz4 { accel } => pedal_lz4::compress_block(chunk, *accel),
+            StreamCodec::Pco(cfg) => pedal_pco::encode_bytes_chunk(chunk, cfg),
+        };
+        // DEFLATE fragments stay encoded: they must stitch into one stream.
+        let raw = !matches!(self, StreamCodec::Deflate(_)) && bytes.len() >= chunk.len();
+        Payload { bytes: if raw { chunk.to_vec() } else { bytes }, raw }
+    }
 }
 
 /// Encoder configuration: codec plus the plaintext chunk size each frame
@@ -66,6 +80,18 @@ impl StreamConfig {
     pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
         self.chunk_size = chunk_size.clamp(1, MAX_CHUNK_SIZE as usize);
         self
+    }
+
+    /// The chunk size on the wire (the field is public, so clamp again).
+    fn chunk(&self) -> usize {
+        self.chunk_size.clamp(1, MAX_CHUNK_SIZE as usize)
+    }
+
+    /// The plaintext of each frame a stream of `data` carries, in order:
+    /// full chunks and a shorter tail, or one empty chunk for empty input.
+    pub fn chunks<'a>(&self, data: &'a [u8]) -> impl Iterator<Item = &'a [u8]> {
+        let empty = data.is_empty().then_some(data);
+        data.chunks(self.chunk()).chain(empty)
     }
 }
 
@@ -118,13 +144,9 @@ pub struct StreamEncoder {
 
 impl StreamEncoder {
     pub fn new(cfg: &StreamConfig) -> Self {
-        let chunk = cfg.chunk_size.clamp(1, MAX_CHUNK_SIZE as usize);
+        let chunk = cfg.chunk();
         let mut ready = Vec::with_capacity(16);
-        ready.extend_from_slice(&MAGIC);
-        ready.push(VERSION);
-        ready.push(cfg.codec.id());
-        ready.push(0); // header flags, reserved
-        put_uvarint(&mut ready, chunk as u64);
+        write_header(&mut ready, cfg.codec.id(), chunk);
         let wire_out = ready.len() as u64;
         Self {
             codec: cfg.codec.clone(),
@@ -182,11 +204,6 @@ impl StreamEncoder {
         self.ready.len()
     }
 
-    /// Frames emitted so far.
-    pub fn frames_emitted(&self) -> u64 {
-        self.next_index
-    }
-
     /// Frames stored raw so far (codec output would have expanded).
     pub fn raw_frames(&self) -> u64 {
         self.raw_frames
@@ -205,9 +222,7 @@ impl StreamEncoder {
         let tail = std::mem::take(&mut self.pending);
         self.emit_frame(&tail, true);
         let before = self.ready.len();
-        put_uvarint(&mut self.ready, self.total_raw);
-        let sum = self.adler.finish();
-        self.ready.extend_from_slice(&sum.to_le_bytes());
+        write_trailer(&mut self.ready, self.total_raw, self.adler.finish());
         self.wire_out += (self.ready.len() - before) as u64;
         self.finished = true;
         let stats = EncoderStats {
@@ -220,43 +235,11 @@ impl StreamEncoder {
     }
 
     fn emit_frame(&mut self, chunk: &[u8], last: bool) {
-        let (payload, raw) = match &self.codec {
-            StreamCodec::Deflate(level) => {
-                (pedal_deflate::compress_fragment(chunk, *level, last), false)
-            }
-            StreamCodec::Lz4 { accel } => {
-                let p = pedal_lz4::compress_block(chunk, *accel);
-                if p.len() >= chunk.len() {
-                    (chunk.to_vec(), true)
-                } else {
-                    (p, false)
-                }
-            }
-            StreamCodec::Pco(cfg) => {
-                let p = pedal_pco::encode_bytes_chunk(chunk, cfg);
-                if p.len() >= chunk.len() {
-                    (chunk.to_vec(), true)
-                } else {
-                    (p, false)
-                }
-            }
-        };
-        let mut flags = 0u8;
-        if last {
-            flags |= FRAME_LAST;
-        }
-        if raw {
-            flags |= FRAME_RAW;
-        }
+        let payload = self.codec.encode_chunk(chunk, last);
         let before = self.ready.len();
-        self.ready.push(flags);
-        put_uvarint(&mut self.ready, self.next_index);
-        put_uvarint(&mut self.ready, chunk.len() as u64);
-        put_uvarint(&mut self.ready, payload.len() as u64);
-        self.ready.extend_from_slice(&adler32(&payload).to_le_bytes());
-        self.ready.extend_from_slice(&payload);
+        write_frame(&mut self.ready, self.next_index, chunk.len(), &payload, last);
         self.wire_out += (self.ready.len() - before) as u64;
-        if raw {
+        if payload.raw {
             self.raw_frames += 1;
         }
         self.adler.update(chunk);
@@ -283,4 +266,20 @@ pub fn encode_all(data: &[u8], cfg: &StreamConfig) -> Vec<u8> {
     let mut enc = StreamEncoder::new(cfg);
     enc.push(data);
     enc.finish()
+}
+
+/// Frame payloads encoded elsewhere (in parallel, or on an engine) into a
+/// complete PSF1 stream: `payloads[i]` encodes the `i`-th of
+/// [`StreamConfig::chunks`]`(data)`, as [`StreamCodec::encode_chunk`]
+/// would. With those payloads the result equals [`encode_all`].
+pub fn assemble(cfg: &StreamConfig, data: &[u8], payloads: &[Payload]) -> Vec<u8> {
+    assert_eq!(payloads.len(), cfg.chunks(data).count(), "one payload per chunk");
+    let framed: usize = payloads.iter().map(|p| p.bytes.len() + 24).sum();
+    let mut out = Vec::with_capacity(framed + 32);
+    write_header(&mut out, cfg.codec.id(), cfg.chunk());
+    for (i, (chunk, p)) in cfg.chunks(data).zip(payloads).enumerate() {
+        write_frame(&mut out, i as u64, chunk.len(), p, i + 1 == payloads.len());
+    }
+    write_trailer(&mut out, data.len() as u64, adler32(data));
+    out
 }

@@ -17,6 +17,8 @@
 //! covers the compressed payload (cheap per-frame integrity);
 //! `stream_adler` covers the whole plaintext.
 
+use pedal_zlib::adler32;
+
 /// Stream magic: "PSF1" (Pedal Streaming Frames, version family 1).
 pub const MAGIC: [u8; 4] = *b"PSF1";
 /// Format version carried in the header.
@@ -150,6 +152,176 @@ pub fn max_payload_len(chunk_size: usize) -> usize {
     pedal_deflate::max_compressed_len(chunk_size)
 }
 
+/// A validated header: known codec id, chunk size in `1..=MAX_CHUNK_SIZE`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Header {
+    pub codec: u8,
+    pub chunk_size: usize,
+}
+
+/// One encoded frame payload.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Payload {
+    pub bytes: Vec<u8>,
+    /// The payload is the chunk itself, stored raw.
+    pub raw: bool,
+}
+
+/// One frame whose header, bounds and payload checksum have been
+/// validated; the payload is borrowed from the stream, not yet decoded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frame<'a> {
+    /// The frame carries [`FRAME_LAST`].
+    pub last: bool,
+    /// The frame carries [`FRAME_RAW`]: the payload is the plaintext.
+    pub raw: bool,
+    /// Declared plaintext length.
+    pub raw_len: usize,
+    pub payload: &'a [u8],
+}
+
+impl Frame<'_> {
+    /// Decode the payload with the stream's `codec` id, checking the
+    /// DEFLATE final-block marker against the frame's last-frame flag and
+    /// the decoded length against `raw_len`.
+    pub fn decode(&self, codec: u8) -> Result<Vec<u8>, StreamError> {
+        let decoded = if self.raw {
+            self.payload.to_vec()
+        } else {
+            match codec {
+                CODEC_DEFLATE => {
+                    let (bytes, saw_final) =
+                        pedal_deflate::decompress_fragment_with_limit(self.payload, self.raw_len)?;
+                    if saw_final != self.last {
+                        return Err(StreamError::FinalFlagMismatch);
+                    }
+                    bytes
+                }
+                CODEC_LZ4 => {
+                    pedal_lz4::decompress_block(self.payload, Some(self.raw_len), self.raw_len)?
+                }
+                CODEC_PCO => pedal_pco::decode_bytes_chunk(self.payload, self.raw_len)?,
+                other => return Err(StreamError::UnknownCodec(other)),
+            }
+        };
+        self.check_len(&decoded)?;
+        Ok(decoded)
+    }
+
+    /// Check plaintext decoded elsewhere (e.g. on an engine) against the
+    /// declared `raw_len`.
+    pub fn check_len(&self, decoded: &[u8]) -> Result<(), StreamError> {
+        let (declared, got) = (self.raw_len, decoded.len());
+        (got == declared).then_some(()).ok_or(StreamError::LengthMismatch { declared, got })
+    }
+}
+
+/// Append the stream header.
+pub(crate) fn write_header(out: &mut Vec<u8>, codec: u8, chunk_size: usize) {
+    out.extend_from_slice(&MAGIC);
+    out.push(VERSION);
+    out.push(codec);
+    out.push(0); // header flags, reserved
+    put_uvarint(out, chunk_size as u64);
+}
+
+/// Append frame `index`, which carries `raw_len` plaintext bytes.
+pub(crate) fn write_frame(out: &mut Vec<u8>, index: u64, raw_len: usize, p: &Payload, last: bool) {
+    out.push(if last { FRAME_LAST } else { 0 } | if p.raw { FRAME_RAW } else { 0 });
+    put_uvarint(out, index);
+    put_uvarint(out, raw_len as u64);
+    put_uvarint(out, p.bytes.len() as u64);
+    out.extend_from_slice(&adler32(&p.bytes).to_le_bytes());
+    out.extend_from_slice(&p.bytes);
+}
+
+/// Append the trailer: plaintext total and whole-plaintext Adler-32.
+pub(crate) fn write_trailer(out: &mut Vec<u8>, total_raw: u64, stream_adler: u32) {
+    put_uvarint(out, total_raw);
+    out.extend_from_slice(&stream_adler.to_le_bytes());
+}
+
+/// Parse the stream header. `Ok(None)` means more input is needed.
+pub(crate) fn read_header(c: &mut Cursor<'_>) -> Result<Option<Header>, StreamError> {
+    let Some(magic) = c.bytes(4) else { return Ok(None) };
+    if magic != MAGIC {
+        return Err(StreamError::BadMagic);
+    }
+    let Some(version) = c.u8() else { return Ok(None) };
+    if version != VERSION {
+        return Err(StreamError::BadVersion(version));
+    }
+    let Some(codec) = c.u8() else { return Ok(None) };
+    if !(CODEC_DEFLATE..=CODEC_PCO).contains(&codec) {
+        return Err(StreamError::UnknownCodec(codec));
+    }
+    let Some(hflags) = c.u8() else { return Ok(None) };
+    if hflags != 0 {
+        return Err(StreamError::ReservedFlags(hflags));
+    }
+    let Some(chunk_size) = c.uvarint()? else { return Ok(None) };
+    if chunk_size == 0 || chunk_size > MAX_CHUNK_SIZE {
+        return Err(StreamError::BadChunkSize(chunk_size));
+    }
+    Ok(Some(Header { codec, chunk_size: chunk_size as usize }))
+}
+
+/// Parse and validate frame `index`: reserved flags, sequence order, raw
+/// length against the chunk size and the output budget (`emitted` bytes
+/// already accounted of `limit`), payload length against its bound, and
+/// the payload checksum. `Ok(None)` means more input is needed.
+pub(crate) fn read_frame<'a>(
+    c: &mut Cursor<'a>,
+    header: &Header,
+    index: u64,
+    emitted: usize,
+    limit: usize,
+) -> Result<Option<Frame<'a>>, StreamError> {
+    let Some(flags) = c.u8() else { return Ok(None) };
+    if flags & !(FRAME_LAST | FRAME_RAW) != 0 {
+        return Err(StreamError::ReservedFlags(flags));
+    }
+    let Some(got) = c.uvarint()? else { return Ok(None) };
+    if got != index {
+        return Err(StreamError::FrameOutOfOrder { expected: index, got });
+    }
+    let Some(raw_len) = c.uvarint()? else { return Ok(None) };
+    if raw_len > header.chunk_size as u64 {
+        return Err(StreamError::RawLenTooLarge { raw_len, chunk_size: header.chunk_size });
+    }
+    let raw_len = raw_len as usize;
+    if emitted.checked_add(raw_len).is_none_or(|t| t > limit) {
+        return Err(StreamError::OutputLimitExceeded(limit));
+    }
+    let Some(payload_len) = c.uvarint()? else { return Ok(None) };
+    let bound = max_payload_len(header.chunk_size);
+    if payload_len > bound as u64 {
+        return Err(StreamError::PayloadTooLarge { payload_len, bound });
+    }
+    let Some(sum) = c.u32le() else { return Ok(None) };
+    let Some(payload) = c.bytes(payload_len as usize) else { return Ok(None) };
+    if adler32(payload) != sum {
+        return Err(StreamError::PayloadChecksum);
+    }
+    let last = flags & FRAME_LAST != 0;
+    Ok(Some(Frame { last, raw: flags & FRAME_RAW != 0, raw_len, payload }))
+}
+
+/// Parse the trailer after `decoded` plaintext bytes and return its
+/// stream checksum. `Ok(None)` means more input is needed.
+pub(crate) fn read_trailer(c: &mut Cursor<'_>, decoded: u64) -> Result<Option<u32>, StreamError> {
+    let Some(total) = c.uvarint()? else { return Ok(None) };
+    if total != decoded {
+        return Err(StreamError::TotalMismatch { declared: total, decoded });
+    }
+    Ok(c.u32le())
+}
+
+/// Compare the trailer's stream checksum with the decoded plaintext's.
+pub(crate) fn check_stream_sum(declared: u32, plaintext: u32) -> Result<(), StreamError> {
+    (declared == plaintext).then_some(()).ok_or(StreamError::StreamChecksum)
+}
+
 /// Append `v` as a LEB128 varint.
 pub(crate) fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
@@ -224,39 +396,22 @@ pub struct FrameSpan {
     pub last: bool,
 }
 
-/// Best-effort structural scan of a PSF1 stream: the header length and
-/// the spans of every complete frame. Stops at the first malformed or
-/// truncated frame (returning what was parsed so far) and returns `None`
-/// when the header itself is absent or invalid. Never decodes payloads,
-/// never verifies checksums — this exists so mutators can cut on frame
-/// boundaries, not to validate streams.
+/// Structural scan of a PSF1 stream: the header length and the spans of
+/// the leading frames that pass the decoder's pre-decode checks, or `None`
+/// for an invalid header. Exists so mutators can cut valid streams on
+/// frame boundaries, not to validate streams.
 pub fn frame_spans(stream: &[u8]) -> Option<(usize, Vec<FrameSpan>)> {
     let mut c = Cursor::new(stream);
-    if c.bytes(4)? != MAGIC || c.u8()? != VERSION {
-        return None;
-    }
-    let codec = c.u8()?;
-    if !(CODEC_DEFLATE..=CODEC_PCO).contains(&codec) {
-        return None;
-    }
-    c.u8()?; // header flags
-    c.uvarint().ok().flatten()?;
+    let header = read_header(&mut c).ok().flatten()?;
     let header_len = c.at;
     let mut spans = Vec::new();
     loop {
         let start = c.at;
-        let Some(flags) = c.u8() else { break };
-        let (Ok(Some(_index)), Ok(Some(_raw_len)), Ok(Some(payload_len))) =
-            (c.uvarint(), c.uvarint(), c.uvarint())
-        else {
+        let Ok(Some(frame)) = read_frame(&mut c, &header, spans.len() as u64, 0, usize::MAX) else {
             break;
         };
-        if c.u32le().is_none() || c.bytes(payload_len.min(usize::MAX as u64) as usize).is_none() {
-            break;
-        }
-        let last = flags & FRAME_LAST != 0;
-        spans.push(FrameSpan { start, end: c.at, last });
-        if last {
+        spans.push(FrameSpan { start, end: c.at, last: frame.last });
+        if frame.last {
             break;
         }
     }

@@ -16,6 +16,11 @@
 //! * **LZ4** — independent blocks with a raw-stored fallback,
 //! * **pco** — bytes-mode chunks with the same fallback.
 //!
+//! PSF1 is also the container of `pedal::parallel`'s chunked DEFLATE,
+//! whose frames are coded on several workers and the C-Engine: there
+//! [`assemble`] frames precomputed payloads and [`split_frames`] yields
+//! validated [`Frame`]s, through the same readers and writers.
+//!
 //! The contract that makes streaming safe to deploy anywhere in the
 //! pipeline: encoder output is a pure function of `(data, codec,
 //! chunk_size)` — independent of write granularity — and the decoder
@@ -54,13 +59,13 @@ mod frame;
 pub use pedal_deflate::Level;
 pub use pedal_pco::PcoConfig;
 
-pub use decoder::{decode_all, StreamDecoder};
+pub use decoder::{decode_all, split_frames, Frames, StreamDecoder};
 pub use encoder::{
-    encode_all, EncoderStats, StreamCodec, StreamConfig, StreamEncoder, DEFAULT_CHUNK,
+    assemble, encode_all, EncoderStats, StreamCodec, StreamConfig, StreamEncoder, DEFAULT_CHUNK,
 };
 pub use frame::{
-    frame_spans, max_payload_len, FrameSpan, StreamError, CODEC_DEFLATE, CODEC_LZ4, CODEC_PCO,
-    FRAME_LAST, FRAME_RAW, MAGIC, MAX_CHUNK_SIZE, VERSION,
+    frame_spans, max_payload_len, Frame, FrameSpan, Payload, StreamError, CODEC_DEFLATE, CODEC_LZ4,
+    CODEC_PCO, FRAME_LAST, FRAME_RAW, MAGIC, MAX_CHUNK_SIZE, VERSION,
 };
 
 #[cfg(test)]
@@ -103,6 +108,58 @@ mod tests {
                 assert_eq!(back, data, "{} n={n}", cfg.codec.name());
             }
         }
+    }
+
+    #[test]
+    fn assemble_and_split_match_the_incremental_codec() {
+        for cfg in configs(256) {
+            for n in [0usize, 1, 256, 257, 1024, 5000] {
+                let data = sample(n);
+                let chunks: Vec<&[u8]> = cfg.chunks(&data).collect();
+                let payloads: Vec<Payload> = chunks
+                    .iter()
+                    .enumerate()
+                    .map(|(i, c)| cfg.codec.encode_chunk(c, i + 1 == chunks.len()))
+                    .collect();
+                let wire = assemble(&cfg, &data, &payloads);
+                assert_eq!(wire, encode_all(&data, &cfg), "{} n={n}", cfg.codec.name());
+
+                let split = split_frames(&wire, n).expect("valid stream splits");
+                assert_eq!((split.codec, split.total), (cfg.codec.id(), n));
+                assert_eq!(split.frames.len(), chunks.len());
+                let mut out = Vec::new();
+                for f in &split.frames {
+                    out.extend_from_slice(&f.decode(split.codec).unwrap());
+                }
+                split.verify(&out).unwrap();
+                assert_eq!(out, data, "{} n={n}", cfg.codec.name());
+            }
+        }
+    }
+
+    #[test]
+    fn split_rejects_what_the_decoder_rejects() {
+        let cfg = &configs(128)[0];
+        let data = sample(1000);
+        let wire = encode_all(&data, cfg);
+        for cut in [0, 5, wire.len() / 2, wire.len() - 1] {
+            assert_eq!(split_frames(&wire[..cut], data.len()).unwrap_err(), StreamError::Truncated);
+        }
+        assert_eq!(
+            split_frames(&wire, data.len() - 1).unwrap_err(),
+            StreamError::OutputLimitExceeded(data.len() - 1)
+        );
+        let mut extra = wire.clone();
+        extra.push(0);
+        assert_eq!(split_frames(&extra, data.len()).unwrap_err(), StreamError::TrailingBytes(1));
+        // A flipped trailer checksum passes the split (the plaintext is not
+        // decoded yet) and fails verification.
+        let mut bad = wire.clone();
+        let n = bad.len();
+        bad[n - 1] ^= 1;
+        let split = split_frames(&bad, data.len()).unwrap();
+        assert_eq!(split.verify(&data), Err(StreamError::StreamChecksum));
+        assert_eq!(decode_all(&bad, data.len()), Err(StreamError::StreamChecksum));
     }
 
     #[test]

@@ -195,20 +195,24 @@ fn main() {
     put_uvarint(&mut bad, u64::MAX); // enc_len bomb
     write("bad_sz3_enclen_overflow.bin", &bad);
 
-    // Chunked container whose single chunk declares a u64::MAX compressed
-    // size (wrapped `i + comp`), and one whose per-chunk original sizes
-    // overflow the running total.
-    let mut pchk = Vec::from(*b"PCHK");
-    put_uvarint(&mut pchk, 1); // chunks
-    put_uvarint(&mut pchk, 4096); // orig
-    put_uvarint(&mut pchk, u64::MAX); // comp bomb
-    write("bad_pchk_comp_overflow.bin", &pchk);
+    // Chunked DEFLATE stream (PSF1, what `pedal::compress_chunked` emits)
+    // whose single frame declares a u64::MAX payload length, and a valid
+    // two-frame stream whose raw lengths overrun a 4096-byte expected
+    // total.
+    let mut psf1 = pedal_stream::MAGIC.to_vec();
+    psf1.extend_from_slice(&[pedal_stream::VERSION, pedal_stream::CODEC_DEFLATE, 0]);
+    put_uvarint(&mut psf1, 4096); // chunk size
+    psf1.push(pedal_stream::FRAME_LAST);
+    put_uvarint(&mut psf1, 0); // index
+    put_uvarint(&mut psf1, 4096); // raw length
+    put_uvarint(&mut psf1, u64::MAX); // payload length bomb
+    psf1.extend_from_slice(&[0; 8]); // checksum + payload bytes
+    write("bad_psf1_paylen_overflow.bin", &psf1);
 
-    let mut pchk = Vec::from(*b"PCHK");
-    put_uvarint(&mut pchk, 2);
-    put_uvarint(&mut pchk, u64::MAX); // orig #1
-    put_uvarint(&mut pchk, 1); // comp #1
-    put_uvarint(&mut pchk, u64::MAX); // orig #2 -> total wraps
-    put_uvarint(&mut pchk, 1); // comp #2
-    write("bad_pchk_total_overflow.bin", &pchk);
+    let cfg = pedal_stream::StreamConfig::new(pedal_stream::StreamCodec::Deflate(
+        pedal_deflate::Level::DEFAULT,
+    ))
+    .with_chunk_size(4096);
+    let two_frames = DatasetId::SilesiaXml.generate_bytes(8192);
+    write("bad_psf1_total_overrun.bin", &pedal_stream::encode_all(&two_frames, &cfg));
 }

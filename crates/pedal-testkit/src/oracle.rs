@@ -9,7 +9,7 @@
 //! [`ErrorClass`] on rejection — placement must never change what a
 //! stream means or how it fails.
 
-use pedal::{Design, PedalConfig, PedalContext, PedalError};
+use pedal::{Design, ParallelStrategy, PedalConfig, PedalContext, PedalError};
 use pedal_dpu::Platform;
 
 /// Coarse failure taxonomy for verdict comparison. Codec and engine
@@ -97,6 +97,49 @@ impl DiffOracle {
     }
 }
 
+impl DiffOracle {
+    /// The chunked DEFLATE decoders a PSF1 stream naming DEFLATE must
+    /// agree with: [`pedal::decompress_chunked`] on BF2 as SoC x2 and as
+    /// hybrid. The hybrid planner hands leading fragments to the C-Engine
+    /// only when they outweigh its 1.5 ms job overhead, so on the small
+    /// sweep corpus it decodes on one SoC core.
+    pub const CHUNKED: [ParallelStrategy; 2] =
+        [ParallelStrategy::SocParallel { cores: 2 }, ParallelStrategy::Hybrid { soc_cores: 1 }];
+
+    /// Decode a PSF1 stream through every [`Self::CHUNKED`] strategy and
+    /// check it against the streaming decoder's verdict: `reference` is
+    /// its output when it decoded exactly `expected_len` bytes, and then
+    /// every chunked decode must return the same bytes; otherwise every
+    /// chunked decode must reject.
+    pub fn check_chunked(
+        &self,
+        stream: &[u8],
+        expected_len: usize,
+        reference: Option<&[u8]>,
+    ) -> Result<(), String> {
+        for strategy in Self::CHUNKED {
+            let r = pedal::decompress_chunked(&self.bf2.doca, stream, expected_len, strategy);
+            match (reference, r) {
+                (Some(want), Ok(got)) if got.bytes != want => {
+                    return Err(format!("chunked {strategy:?} decoded different bytes"));
+                }
+                (Some(_), Err(e)) => {
+                    return Err(format!("chunked {strategy:?} rejected a valid stream: {e}"));
+                }
+                (None, Ok(got)) => {
+                    return Err(format!(
+                        "chunked {strategy:?} accepted a stream the stream decoder rejects \
+                         ({} bytes)",
+                        got.bytes.len()
+                    ));
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+}
+
 impl Default for DiffOracle {
     fn default() -> Self {
         Self::new()
@@ -156,6 +199,24 @@ mod tests {
             let (decoded, _) = pedal::wire::decompress_payload(&payload, input.len()).unwrap();
             assert_eq!(decoded, input, "{design}: pco floats must be bit-exact");
         }
+    }
+
+    #[test]
+    fn chunked_decoders_agree_on_deflate_streams() {
+        let oracle = DiffOracle::new();
+        let corpus = crate::corpus::build_corpus(crate::corpus::CodecId::Stream, 2048);
+        let mut checked = 0;
+        for base in corpus.iter().filter(|b| b.encoded[5] == pedal_stream::CODEC_DEFLATE) {
+            let (wire, n) = (&base.encoded, base.original.len());
+            oracle.check_chunked(wire, n, Some(&base.original)).unwrap();
+            // A wrong expected length and a flipped trailer both reject.
+            oracle.check_chunked(wire, n + 1, None).unwrap();
+            let mut bad = wire.clone();
+            *bad.last_mut().unwrap() ^= 1;
+            oracle.check_chunked(&bad, n, None).unwrap();
+            checked += 1;
+        }
+        assert!(checked > 0);
     }
 
     #[test]

@@ -182,7 +182,8 @@ fn decode_one(
         }
         CodecId::Stream => {
             // Streaming oracle: the one-shot decode and a decoder fed one
-            // byte at a time must agree — same bytes out, or both reject.
+            // byte at a time must agree — same bytes out, or both reject —
+            // and so must the chunked decoders for DEFLATE streams.
             // Partial-frame hostile inputs (FrameTruncate/FrameReorder)
             // land here with the rest of the mutation classes.
             let one_shot = pedal_stream::decode_all(stream, orig_len);
@@ -198,6 +199,14 @@ fn decode_one(
                     return Err(format!("one-shot rejected a byte-fed-valid stream: {e}"));
                 }
                 _ => {}
+            }
+            // Chunked differential: `pedal::decompress_chunked` reads the
+            // same container when the payloads are DEFLATE fragments.
+            if stream.starts_with(&pedal_stream::MAGIC)
+                && stream.get(5) == Some(&pedal_stream::CODEC_DEFLATE)
+            {
+                let reference = one_shot.as_ref().ok().filter(|d| d.len() == orig_len);
+                oracle.check_chunked(stream, orig_len, reference.map(Vec::as_slice))?;
             }
             check_lossless(one_shot.map_err(|e| e.to_string()), base, mutated)
         }

@@ -9,22 +9,23 @@
 //!
 //! * [`ParallelStrategy::SocParallel`] — the input is split into chunks
 //!   compressed concurrently on up to `soc_cores` ARM cores (real host
-//!   threads via `std::thread::scope`; virtual time is the slowest core's
-//!   track),
+//!   threads via [`pedal_par::fan_out`]; virtual time is the slowest
+//!   core's track),
 //! * [`ParallelStrategy::Hybrid`] — chunks are divided between the
 //!   C-Engine (a single FIFO server) and the SoC cores, split by their
 //!   calibrated throughput ratio so both tracks finish together.
 //!
-//! The container is a simple self-describing chunk stream, so any PEDAL
-//! peer can decompress regardless of how the chunks were produced.
+//! The container is a PSF1 stream (`pedal-stream`) of sync-flush DEFLATE
+//! fragments: the engine and the SoC emit the same fragment bytes, so the
+//! output equals `pedal_stream::encode_all` for every strategy, and any
+//! PEDAL peer can decompress it regardless of how the chunks were
+//! produced.
 
 use crate::context::PedalError;
-use crate::wire::{get_uvarint, put_uvarint};
 use pedal_doca::{CompressJob, DocaContext, JobKind};
 use pedal_dpu::{Algorithm, CostModel, Direction, Placement, SimDuration, SimInstant};
-
-/// Chunked-container magic.
-const CHUNK_MAGIC: &[u8; 4] = b"PCHK";
+pub use pedal_par::DEFAULT_CHUNK;
+use pedal_stream::{Payload, StreamCodec, StreamConfig, StreamError, CODEC_DEFLATE};
 
 /// How to parallelize a chunked compression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,116 +51,42 @@ pub struct ParallelOutcome {
     pub chunks: usize,
 }
 
-/// Default chunk size: big enough to amortize per-chunk costs, small enough
-/// to load-balance (matches DOCA's preferred job granularity).
-pub const DEFAULT_CHUNK: usize = 1 << 20;
-
-/// Compress `data` as a chunked container with DEFLATE.
+/// Compress `data` as a PSF1 stream of DEFLATE fragments, one per
+/// `chunk_size` (at least 4 KiB) chunk.
 ///
 /// Real chunk compression runs on host threads (one per simulated core);
 /// the virtual makespan models `cores` SoC cores plus, for
-/// [`ParallelStrategy::Hybrid`], the engine's FIFO track.
+/// [`ParallelStrategy::Hybrid`], the engine's FIFO track, which takes the
+/// leading chunks.
 pub fn compress_chunked(
     doca: &DocaContext,
     data: &[u8],
     chunk_size: usize,
     strategy: ParallelStrategy,
 ) -> Result<ParallelOutcome, PedalError> {
-    let costs = doca.costs;
-    let chunk_size = chunk_size.max(4096);
-    let chunks: Vec<&[u8]> = data.chunks(chunk_size).collect();
+    let cfg = StreamConfig::new(StreamCodec::Deflate(pedal_deflate::Level::DEFAULT))
+        .with_chunk_size(chunk_size.max(4096));
+    let chunks: Vec<&[u8]> = cfg.chunks(data).collect();
     let n = chunks.len();
+    let (engine_take, cores) = plan(doca, strategy, JobKind::DeflateCompress, n, cfg.chunk_size);
 
-    // Decide which chunks the engine takes.
-    let engine_ok = doca.supports(JobKind::DeflateCompress);
-    let (engine_take, cores) = match strategy {
-        ParallelStrategy::SocParallel { cores } => (0usize, cores.max(1)),
-        ParallelStrategy::Hybrid { soc_cores } => {
-            let cores = soc_cores.max(1);
-            if engine_ok {
-                let take = optimal_engine_take(n, chunk_size, cores, costs, Direction::Compress);
-                (take, cores)
-            } else {
-                (0, cores)
-            }
-        }
-    };
-    let engine_take = engine_take.min(n);
-
-    // Really compress: engine chunks sequentially through the DOCA queue,
-    // SoC chunks in parallel threads.
-    let mut packed: Vec<Option<Vec<u8>>> = vec![None; n];
+    let mut payloads = Vec::with_capacity(n);
     let mut engine_time = SimDuration::ZERO;
-    let t0 = SimInstant::EPOCH;
-    for (i, chunk) in chunks.iter().enumerate().take(engine_take) {
-        let (r, done) = doca
-            .submit(CompressJob::new(JobKind::DeflateCompress, chunk.to_vec()), t0 + engine_time)
-            .map_err(|e| PedalError::Doca(e.to_string()))?;
-        packed[i] = Some(r.output);
-        engine_time = done.elapsed_since(t0);
+    for (i, chunk) in chunks[..engine_take].iter().enumerate() {
+        let job =
+            CompressJob::new(JobKind::DeflateCompress, chunk.to_vec()).with_final_block(i + 1 == n);
+        let (r, done) = doca.submit(job, SimInstant::EPOCH + engine_time).map_err(doca_err)?;
+        payloads.push(Payload { bytes: r.output, raw: false });
+        engine_time = done.elapsed_since(SimInstant::EPOCH);
     }
-
-    let soc_chunks = &chunks[engine_take..];
-    let mut soc_packed: Vec<Vec<u8>> = Vec::new();
-    if !soc_chunks.is_empty() {
-        let threads = cores.min(soc_chunks.len());
-        let mut results: Vec<Vec<(usize, Vec<u8>)>> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let soc_chunks = &soc_chunks;
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        let mut i = t;
-                        while i < soc_chunks.len() {
-                            out.push((
-                                i,
-                                pedal_deflate::compress(
-                                    soc_chunks[i],
-                                    pedal_deflate::Level::DEFAULT,
-                                ),
-                            ));
-                            i += threads;
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                results.push(h.join().expect("compression worker panicked"));
-            }
-        });
-        let mut flat: Vec<(usize, Vec<u8>)> = results.into_iter().flatten().collect();
-        flat.sort_by_key(|(i, _)| *i);
-        soc_packed = flat.into_iter().map(|(_, v)| v).collect();
-    }
-
-    // Virtual SoC track: round-robin chunk assignment across cores.
-    let mut core_busy = vec![SimDuration::ZERO; cores];
-    for (k, chunk) in soc_chunks.iter().enumerate() {
-        core_busy[k % cores] +=
-            costs.soc_lossless(Algorithm::Deflate, Direction::Compress, chunk.len());
-    }
-    let soc_time = core_busy.into_iter().max().unwrap_or(SimDuration::ZERO);
-
-    // Assemble container.
-    for (slot, blob) in packed.iter_mut().skip(engine_take).zip(soc_packed) {
-        *slot = Some(blob);
-    }
-    let mut out = Vec::with_capacity(data.len() / 2 + 32);
-    out.extend_from_slice(CHUNK_MAGIC);
-    put_uvarint(&mut out, n as u64);
-    for (chunk, blob) in chunks.iter().zip(packed.iter()) {
-        let blob = blob.as_ref().expect("all chunks compressed");
-        put_uvarint(&mut out, chunk.len() as u64);
-        put_uvarint(&mut out, blob.len() as u64);
-    }
-    for blob in packed.iter() {
-        out.extend_from_slice(blob.as_ref().unwrap());
-    }
+    let soc = &chunks[engine_take..];
+    payloads.extend(pedal_par::fan_out(soc.len(), cores.min(soc.len()), |j| {
+        cfg.codec.encode_chunk(soc[j], engine_take + j + 1 == n)
+    }));
+    let soc_time = soc_track(doca.costs, Direction::Compress, cores, soc.iter().map(|c| c.len()));
 
     Ok(ParallelOutcome {
-        bytes: out,
+        bytes: pedal_stream::assemble(&cfg, data, &payloads),
         makespan: engine_time.max(soc_time),
         engine_time,
         soc_time,
@@ -167,141 +94,110 @@ pub fn compress_chunked(
     })
 }
 
-/// Decompress a chunked container, splitting work the same way.
+/// Decompress a PSF1 stream of DEFLATE fragments, splitting work the same
+/// way. Every frame is validated before any is decoded; a decode failure
+/// reports the first failing frame in index order.
 pub fn decompress_chunked(
     doca: &DocaContext,
     payload: &[u8],
     expected_len: usize,
     strategy: ParallelStrategy,
 ) -> Result<ParallelOutcome, PedalError> {
-    let costs = doca.costs;
-    if payload.len() < 5 || &payload[..4] != CHUNK_MAGIC {
-        return Err(PedalError::Codec("bad chunked container magic".into()));
+    let stream = pedal_stream::split_frames(payload, expected_len).map_err(codec_err)?;
+    if stream.codec != CODEC_DEFLATE {
+        return Err(PedalError::Codec(format!(
+            "chunked stream codec id {} is not DEFLATE",
+            stream.codec
+        )));
     }
-    let mut i = 4usize;
-    let n = get_uvarint(payload, &mut i).ok_or(PedalError::Codec("chunk count truncated".into()))?
-        as usize;
-    if n > payload.len() {
-        return Err(PedalError::Codec("absurd chunk count".into()));
+    if stream.total != expected_len {
+        return Err(PedalError::LengthMismatch { expected: expected_len, actual: stream.total });
     }
-    let mut sizes = Vec::with_capacity(n);
-    let mut total_orig = 0usize;
-    for _ in 0..n {
-        let orig = get_uvarint(payload, &mut i)
-            .ok_or(PedalError::Codec("chunk header truncated".into()))? as usize;
-        let comp = get_uvarint(payload, &mut i)
-            .ok_or(PedalError::Codec("chunk header truncated".into()))? as usize;
-        // Checked add: declared chunk sizes are untrusted and must not
-        // wrap the running total.
-        total_orig =
-            total_orig.checked_add(orig).ok_or(PedalError::Codec("chunk sizes overflow".into()))?;
-        sizes.push((orig, comp));
-    }
-    if total_orig != expected_len {
-        return Err(PedalError::LengthMismatch { expected: expected_len, actual: total_orig });
-    }
-    let mut blobs = Vec::with_capacity(n);
-    for &(_, comp) in &sizes {
-        let end = i
-            .checked_add(comp)
-            .filter(|&end| end <= payload.len())
-            .ok_or(PedalError::Codec("chunk body truncated".into()))?;
-        blobs.push(&payload[i..end]);
-        i = end;
-    }
+    let n = stream.frames.len();
+    // Frames are near-uniform in plaintext size; plan on the average.
+    let avg = (stream.total / n).max(1);
+    let (engine_take, cores) = plan(doca, strategy, JobKind::DeflateDecompress, n, avg);
+    let (engine_frames, soc_frames) = stream.frames.split_at(engine_take);
 
-    let engine_ok = doca.supports(JobKind::DeflateDecompress);
-    let (engine_take, cores) = match strategy {
-        ParallelStrategy::SocParallel { cores } => (0usize, cores.max(1)),
-        ParallelStrategy::Hybrid { soc_cores } => {
-            let cores = soc_cores.max(1);
-            if engine_ok {
-                // Chunks are near-uniform in original size; plan on the
-                // average decompressed chunk.
-                let avg = (total_orig / n.max(1)).max(1);
-                (optimal_engine_take(n, avg, cores, costs, Direction::Decompress), cores)
-            } else {
-                (0, cores)
-            }
-        }
-    };
-    let engine_take = engine_take.min(n);
-
-    let mut parts: Vec<Option<Vec<u8>>> = vec![None; n];
+    let mut parts = Vec::with_capacity(n);
     let mut engine_time = SimDuration::ZERO;
-    for k in 0..engine_take {
-        let (r, done) = doca
-            .submit(
-                CompressJob::new(JobKind::DeflateDecompress, blobs[k].to_vec())
-                    .with_expected_len(sizes[k].0),
-                SimInstant::EPOCH + engine_time,
-            )
-            .map_err(|e| PedalError::Doca(e.to_string()))?;
-        parts[k] = Some(r.output);
+    for f in engine_frames {
+        if f.raw {
+            parts.push(f.decode(stream.codec).map_err(codec_err)?);
+            continue;
+        }
+        let job = CompressJob::new(JobKind::DeflateDecompress, f.payload.to_vec())
+            .with_expected_len(f.raw_len)
+            .with_final_block(f.last);
+        let (r, done) = doca.submit(job, SimInstant::EPOCH + engine_time).map_err(doca_err)?;
         engine_time = done.elapsed_since(SimInstant::EPOCH);
+        f.check_len(&r.output).map_err(codec_err)?;
+        parts.push(r.output);
     }
+    let decoded = pedal_par::fan_out(soc_frames.len(), cores.min(soc_frames.len()), |j| {
+        Some(soc_frames[j].decode(stream.codec))
+    });
+    for part in decoded {
+        parts.push(part.expect("fan_out fills every slot").map_err(codec_err)?);
+    }
+    let soc_time =
+        soc_track(doca.costs, Direction::Decompress, cores, soc_frames.iter().map(|f| f.raw_len));
 
-    let rest: Vec<(usize, &[u8], usize)> =
-        (engine_take..n).map(|k| (k, blobs[k], sizes[k].0)).collect();
-    let mut failures: Vec<String> = Vec::new();
-    if !rest.is_empty() {
-        let threads = cores.min(rest.len());
-        type ChunkResults = Vec<(usize, Result<Vec<u8>, String>)>;
-        let mut results: Vec<ChunkResults> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let rest = &rest;
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        let mut j = t;
-                        while j < rest.len() {
-                            let (k, blob, orig) = rest[j];
-                            let r = pedal_deflate::decompress_with_limit(blob, orig)
-                                .map_err(|e| e.to_string());
-                            out.push((k, r));
-                            j += threads;
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                results.push(h.join().expect("decompression worker panicked"));
-            }
-        });
-        for (k, r) in results.into_iter().flatten() {
-            match r {
-                Ok(v) => parts[k] = Some(v),
-                Err(e) => failures.push(e),
-            }
-        }
-    }
-    if let Some(e) = failures.pop() {
-        return Err(PedalError::Codec(e));
-    }
-
-    let mut core_busy = vec![SimDuration::ZERO; cores];
-    for (j, &(_, _, orig)) in rest.iter().enumerate() {
-        core_busy[j % cores] += costs.soc_lossless(Algorithm::Deflate, Direction::Decompress, orig);
-    }
-    let soc_time = core_busy.into_iter().max().unwrap_or(SimDuration::ZERO);
-
-    let mut out = Vec::with_capacity(expected_len);
-    for (k, part) in parts.into_iter().enumerate() {
-        let part = part.ok_or(PedalError::Codec("missing chunk".into()))?;
-        if part.len() != sizes[k].0 {
-            return Err(PedalError::Codec(format!("chunk {k} size mismatch")));
-        }
-        out.extend_from_slice(&part);
-    }
+    let bytes = parts.concat();
+    stream.verify(&bytes).map_err(codec_err)?;
     Ok(ParallelOutcome {
-        bytes: out,
+        bytes,
         makespan: engine_time.max(soc_time),
         engine_time,
         soc_time,
         chunks: n,
     })
+}
+
+fn codec_err(e: StreamError) -> PedalError {
+    PedalError::Codec(e.to_string())
+}
+
+fn doca_err(e: pedal_doca::DocaError) -> PedalError {
+    PedalError::Doca(e.to_string())
+}
+
+/// How many leading chunks of `n` (each about `chunk_bytes`) the engine
+/// takes, and how many SoC cores share the rest.
+fn plan(
+    doca: &DocaContext,
+    strategy: ParallelStrategy,
+    kind: JobKind,
+    n: usize,
+    chunk_bytes: usize,
+) -> (usize, usize) {
+    match strategy {
+        ParallelStrategy::SocParallel { cores } => (0, cores.max(1)),
+        ParallelStrategy::Hybrid { soc_cores } => {
+            let cores = soc_cores.max(1);
+            let take = if doca.supports(kind) {
+                optimal_engine_take(n, chunk_bytes, cores, doca.costs, kind.direction())
+            } else {
+                0
+            };
+            (take, cores)
+        }
+    }
+}
+
+/// Virtual SoC track: chunks of `sizes` bytes assigned round-robin across
+/// `cores`; the slowest core's busy time.
+fn soc_track(
+    costs: CostModel,
+    dir: Direction,
+    cores: usize,
+    sizes: impl Iterator<Item = usize>,
+) -> SimDuration {
+    let mut core_busy = vec![SimDuration::ZERO; cores];
+    for (k, len) in sizes.enumerate() {
+        core_busy[k % cores] += costs.soc_lossless(Algorithm::Deflate, dir, len);
+    }
+    core_busy.into_iter().max().unwrap_or(SimDuration::ZERO)
 }
 
 /// Choose how many of `n` uniform chunks the engine should take so the
@@ -392,6 +288,78 @@ mod tests {
             .unwrap();
             assert_eq!(d.bytes, data, "cores {cores}");
         }
+    }
+
+    #[test]
+    fn output_is_the_psf1_stream_for_every_strategy_and_platform() {
+        let text = data();
+        let strategies = [
+            ParallelStrategy::SocParallel { cores: 1 },
+            ParallelStrategy::SocParallel { cores: 2 },
+            ParallelStrategy::SocParallel { cores: 8 },
+            ParallelStrategy::Hybrid { soc_cores: 1 },
+            ParallelStrategy::Hybrid { soc_cores: 8 },
+        ];
+        let chunk = 4096;
+        let cfg = StreamConfig::new(StreamCodec::Deflate(pedal_deflate::Level::DEFAULT))
+            .with_chunk_size(chunk);
+        // Streams whose fragments came from both the engine and the SoC.
+        let mut mixed = 0;
+        for platform in [Platform::BlueField2, Platform::BlueField3] {
+            let doca = DocaContext::open(platform).unwrap();
+            // Empty, one byte, exact chunk multiples, ragged tail.
+            for len in [0, 1, chunk, 3 * chunk, 3 * chunk + 123, 40 * chunk + 1] {
+                let input = &text[..len];
+                let expected = pedal_stream::encode_all(input, &cfg);
+                for strategy in strategies {
+                    let c = compress_chunked(&doca, input, chunk, strategy).unwrap();
+                    assert_eq!(c.bytes, expected, "{platform:?} {strategy:?} len {len}");
+                    assert_eq!(c.chunks, len.div_ceil(chunk).max(1));
+                    if c.engine_time > SimDuration::ZERO && c.soc_time > SimDuration::ZERO {
+                        mixed += 1;
+                    }
+                    let d = decompress_chunked(&doca, &c.bytes, len, strategy).unwrap();
+                    assert_eq!(d.bytes, input, "{platform:?} {strategy:?} len {len}");
+                }
+            }
+        }
+        assert!(mixed > 0, "BF2 hybrid must split some stream across both tracks");
+    }
+
+    #[test]
+    fn engine_decodes_fragments_of_a_hybrid_stream() {
+        // BF2 decompresses on the engine; with one SoC core the planner
+        // gives it the leading non-final fragments and the SoC the rest.
+        let doca = DocaContext::open(Platform::BlueField2).unwrap();
+        let data = data();
+        let c =
+            compress_chunked(&doca, &data, 256 * 1024, ParallelStrategy::SocParallel { cores: 2 })
+                .unwrap();
+        let d = decompress_chunked(
+            &doca,
+            &c.bytes,
+            data.len(),
+            ParallelStrategy::Hybrid { soc_cores: 1 },
+        )
+        .unwrap();
+        assert_eq!(d.bytes, data);
+        assert!(d.engine_time > SimDuration::ZERO && d.soc_time > SimDuration::ZERO);
+    }
+
+    #[test]
+    fn non_deflate_streams_are_rejected() {
+        let doca = DocaContext::open(Platform::BlueField2).unwrap();
+        let data = b"lz4 frames are not a chunked DEFLATE stream".repeat(100);
+        let cfg = StreamConfig::new(StreamCodec::Lz4 { accel: 1 }).with_chunk_size(4096);
+        let wire = pedal_stream::encode_all(&data, &cfg);
+        assert_eq!(pedal_stream::decode_all(&wire, data.len()).unwrap(), data);
+        let r = decompress_chunked(
+            &doca,
+            &wire,
+            data.len(),
+            ParallelStrategy::SocParallel { cores: 2 },
+        );
+        assert!(matches!(r, Err(PedalError::Codec(_))), "{r:?}");
     }
 
     #[test]

@@ -50,6 +50,16 @@ echo "==> chunk-parallel determinism (1/2/8 workers, fixed-seed corpus)"
 # channels, and round-trip through our own decoders.
 cargo run --release -q -p bench --bin par_determinism
 
+echo "==> parallel/hybrid ablation regenerates byte-identically (A4)"
+# SoC-parallel and hybrid chunked DEFLATE on both platforms (~10 s):
+# every makespan, engine share and decompress time in the table is
+# virtual time, so the output must equal the committed
+# results/ablation_hybrid.txt byte for byte.
+cargo run --release -q -p bench --bin ablation_hybrid | diff -u results/ablation_hybrid.txt - || {
+    echo "verify: FAIL — ablation_hybrid output differs from results/ablation_hybrid.txt" >&2
+    exit 1
+}
+
 echo "==> chunk-parallel speedup gate (16 MiB, 4 channels >= 2x)"
 # Writes results/BENCH_ablation_par.json (mirrored at the repo root) and
 # exits non-zero unless the 4-channel fan-out reaches 2x single-channel
