@@ -21,7 +21,7 @@
 //!   4. byte identity — every store-raw framing round-trips through
 //!      `wire::decompress_payload` to the original bytes.
 //!
-//! Writes `results/BENCH_adaptive.json` (mirrored at the repo root).
+//! Writes `BENCH_adaptive.json` at the repo root.
 
 use bench::{banner, BenchReport, Table};
 use pedal::{wire, Design};

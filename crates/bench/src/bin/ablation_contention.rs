@@ -5,8 +5,8 @@
 //! paper's suggestion that future DPUs expose more engine parallelism
 //! ("expanding compression algorithms or providing programmability").
 //!
-//! Also writes `results/BENCH_ablation_contention.json` with the same
-//! numbers in machine-readable form.
+//! Also writes `BENCH_ablation_contention.json` at the repo root with the
+//! same numbers in machine-readable form.
 
 use bench::{banner, dataset, fmt_ms, BenchReport, Table};
 use pedal_datasets::DatasetId;

@@ -14,7 +14,7 @@
 //!   3. best-effort sheds under the same load (the ladder is real);
 //!   4. byte identity — every completion matches `wire::compress_payload`.
 //!
-//! Writes `results/BENCH_fleet.json` (mirrored at the repo root).
+//! Writes `BENCH_fleet.json` at the repo root.
 
 use bench::{banner, BenchReport, Table};
 use pedal::{wire, Datatype, Design};

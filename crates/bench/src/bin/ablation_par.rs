@@ -8,8 +8,8 @@
 //!
 //! The harness exits non-zero unless the 4-channel fan-out reaches at
 //! least 2x single-channel throughput — the gate the verify script
-//! relies on. Results land in `results/BENCH_ablation_par.json`
-//! (mirrored at the repo root).
+//! relies on. Results land in `BENCH_ablation_par.json` at the repo
+//! root.
 
 use bench::{banner, dataset, BenchReport, Table};
 use pedal::{Datatype, Design};

@@ -14,7 +14,7 @@
 //! seeds: same input -> same bytes, decode(encode(x)) bit-exact for all
 //! four column widths including NaN payloads, infinities, and signed
 //! zeros. Exits non-zero if any gate fails. Results land in
-//! `results/BENCH_ablation_pco.json` (mirrored at the repo root).
+//! `BENCH_ablation_pco.json` at the repo root.
 
 use bench::{banner, dataset, fmt_ms, BenchReport, Table};
 use pedal_datasets::DatasetId;

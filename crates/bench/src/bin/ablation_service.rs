@@ -6,7 +6,7 @@
 //! here is deterministic.
 //!
 //! Besides the tables, this harness writes machine-readable results to
-//! `results/BENCH_ablation_service.json` and — from a traced profile
+//! `BENCH_ablation_service.json` at the repo root and — from a traced profile
 //! run — `results/trace_service.json` (Chrome `chrome://tracing` /
 //! Perfetto format) plus `results/metrics_service.jsonl`.
 

@@ -15,8 +15,7 @@
 //!    wire bytes and the virtual completion time exactly, for every
 //!    chunk size swept.
 //!
-//! Results land in `results/BENCH_streaming.json` (mirrored at the
-//! repo root).
+//! Results land in `BENCH_streaming.json` at the repo root.
 
 use bench::{banner, dataset, BenchReport, Table};
 use pedal::{Datatype, Design};

@@ -1,6 +1,6 @@
 //! benchdiff — the bench-regression gate.
 //!
-//! Compares every `BENCH_*.json` mirrored at the repository root
+//! Compares every `BENCH_*.json` at the repository root
 //! against its committed copy (`git show HEAD:<file>`) and fails when
 //! any gated metric regresses past the threshold. Because every bench
 //! number is virtual-time, an unchanged tree always passes; a failure
@@ -56,7 +56,7 @@ fn main() {
         die("--baseline and --current must be given together");
     }
 
-    // Default mode: every root-mirrored BENCH_*.json vs its HEAD copy.
+    // Default mode: every root BENCH_*.json vs its HEAD copy.
     let root = repo_root();
     let mut names: Vec<String> = std::fs::read_dir(&root)
         .expect("read repo root")
@@ -66,7 +66,7 @@ fn main() {
         .collect();
     names.sort();
     if names.is_empty() {
-        die("no BENCH_*.json mirrors at the repo root");
+        die("no BENCH_*.json at the repo root");
     }
     let mut failed = false;
     let mut gated = 0usize;

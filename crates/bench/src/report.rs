@@ -1,13 +1,11 @@
 //! Machine-readable result emission for the harness binaries.
 //!
 //! Every harness prints its human-facing tables to stdout as before, and
-//! additionally writes a `results/BENCH_<name>.json` document so scripts
-//! (and the verify gate) can consume the same numbers without scraping
-//! table text. Each `BENCH_<name>.json` is also mirrored at the
-//! repository root, where the verify gate asserts its presence. Traced
-//! runs drop their Chrome trace / metrics JSONL next to the `results/`
-//! copy. All serialization goes through `pedal_obs::Json` — the repo
-//! carries no external serde dependency.
+//! additionally writes a `BENCH_<name>.json` document at the repository
+//! root so scripts (and the verify gate) can consume the same numbers
+//! without scraping table text. Traced runs drop their Chrome trace /
+//! metrics JSONL under `results/`. All serialization goes through
+//! `pedal_obs::Json` — the repo carries no external serde dependency.
 
 use std::path::PathBuf;
 
@@ -34,7 +32,7 @@ pub fn write_results_file(filename: &str, contents: &str) -> PathBuf {
 }
 
 /// Accumulates one harness run's machine-readable output and writes it
-/// as `results/BENCH_<name>.json`.
+/// as `BENCH_<name>.json` at the repository root.
 pub struct BenchReport {
     name: String,
     fields: Vec<(String, Json)>,
@@ -56,16 +54,13 @@ impl BenchReport {
         self
     }
 
-    /// Write `results/BENCH_<name>.json`, mirror it at the repository
-    /// root, and report where the primary copy went.
+    /// Write `BENCH_<name>.json` at the repository root and report
+    /// where it went.
     pub fn write(&self) -> PathBuf {
         let doc = Json::Obj(self.fields.clone()).to_string();
-        let filename = format!("BENCH_{}.json", self.name);
-        let path = write_results_file(&filename, &doc);
-        let mirror = repo_root().join(&filename);
-        std::fs::write(&mirror, &doc)
-            .unwrap_or_else(|e| panic!("mirror {}: {e}", mirror.display()));
-        println!("\n[report] {} (mirrored at {})", path.display(), mirror.display());
+        let path = repo_root().join(format!("BENCH_{}.json", self.name));
+        std::fs::write(&path, &doc).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        println!("\n[report] {}", path.display());
         path
     }
 }
@@ -109,17 +104,18 @@ mod tests {
         assert_eq!(parsed.get("artifact").and_then(Json::as_str), Some("unit_test"));
     }
 
+    /// The report lands at the repository root, the one copy the verify
+    /// gate checks, and nowhere under `results/`.
     #[test]
     fn write_mirrors_report_at_repo_root() {
-        let mut r = BenchReport::new("report_mirror_unit_test");
+        let mut r = BenchReport::new("report_unit_test");
         r.set("ok", Json::u64(1));
-        let primary = r.write();
-        let mirror = repo_root().join("BENCH_report_mirror_unit_test.json");
-        let a = std::fs::read_to_string(&primary).expect("primary written");
-        let b = std::fs::read_to_string(&mirror).expect("mirror written");
-        assert_eq!(a, b, "root mirror must be byte-identical");
-        let _ = std::fs::remove_file(primary);
-        let _ = std::fs::remove_file(mirror);
+        let path = r.write();
+        assert_eq!(path, repo_root().join("BENCH_report_unit_test.json"));
+        let doc = std::fs::read_to_string(&path).expect("report written");
+        assert_eq!(doc, Json::Obj(r.fields.clone()).to_string());
+        assert!(!results_dir().join("BENCH_report_unit_test.json").exists());
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]

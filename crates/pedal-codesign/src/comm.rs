@@ -250,7 +250,7 @@ impl PedalComm {
                 let (szmsg, _) = mpi.recv(src, TAG)?;
                 let mut i = 0usize;
                 let len = get_uvarint(&szmsg, &mut i)
-                    .ok_or(CommError::Pedal(PedalError::Codec("gather size".into())))?
+                    .map_err(|_| CommError::Pedal(PedalError::Codec("gather size".into())))?
                     as usize;
                 let (msg, _) = self.recv(mpi, src, TAG + 1, len)?;
                 out[src] = msg;

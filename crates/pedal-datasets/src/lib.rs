@@ -145,12 +145,6 @@ impl DatasetId {
             DatasetId::FloatColumn => gen_float_columns(target, 0x4643_4F03),
         }
     }
-
-    /// For the lossy datasets: the data as little-endian f32s.
-    pub fn generate_f32(self) -> Vec<f32> {
-        assert!(self.is_lossy_dataset(), "{} is not a float dataset", self.name());
-        bytes_to_f32(&self.generate())
-    }
 }
 
 /// Reinterpret little-endian bytes as f32 values.

@@ -118,14 +118,6 @@ impl OpenLoopConfig {
         }
     }
 
-    pub fn with_tenants(mut self, paying: u32, space: u32, paying_pct: u32) -> Self {
-        assert!(paying_pct <= 100, "paying_pct is a percentage");
-        self.paying_tenants = paying;
-        self.tenant_space = space;
-        self.paying_pct = paying_pct;
-        self
-    }
-
     pub fn with_payload(mut self, min: usize, max: usize) -> Self {
         assert!(min > 0 && min <= max, "payload range must be non-empty");
         self.payload_min = min;

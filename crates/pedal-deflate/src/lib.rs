@@ -25,6 +25,7 @@ pub mod encoder;
 pub mod huffman;
 pub mod inflate;
 pub mod lz77;
+pub mod varint;
 
 pub use encoder::{deflate as compress, deflate_fragment as compress_fragment, Level};
 pub use inflate::{

@@ -132,10 +132,6 @@ impl SimClock {
         Self { now: AtomicU64::new(0) }
     }
 
-    pub fn starting_at(t: SimInstant) -> Self {
-        Self { now: AtomicU64::new(t.0) }
-    }
-
     pub fn now(&self) -> SimInstant {
         SimInstant(self.now.load(Ordering::Acquire))
     }

@@ -33,12 +33,6 @@ impl NodeSpec {
         }
     }
 
-    pub fn with_lanes(mut self, soc_workers: usize, ce_channels: usize) -> Self {
-        self.soc_workers = soc_workers;
-        self.ce_channels = ce_channels;
-        self
-    }
-
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity;
         self
@@ -162,36 +156,6 @@ impl FleetConfig {
     /// [`crate::FleetRun::digest`].
     pub fn with_adaptive_policy(mut self, policy: PolicyConfig) -> Self {
         self.adaptive = Some(policy);
-        self
-    }
-
-    pub fn with_paying(mut self, tenants: u32, slo: SimDuration, bucket: BucketSpec) -> Self {
-        self.paying_tenants = tenants;
-        self.paying_slo = slo;
-        self.paying_bucket = bucket;
-        self
-    }
-
-    pub fn with_best_effort(mut self, slo: SimDuration, bucket: BucketSpec) -> Self {
-        self.best_effort_slo = slo;
-        self.best_effort_bucket = bucket;
-        self
-    }
-
-    pub fn with_epoch(mut self, epoch: SimDuration) -> Self {
-        self.epoch = epoch;
-        self
-    }
-
-    pub fn with_ladder(mut self, degrade_pct: u32, store_pct: u32) -> Self {
-        assert!(degrade_pct <= store_pct, "ladder thresholds must be ordered");
-        self.degrade_pct = degrade_pct;
-        self.store_pct = store_pct;
-        self
-    }
-
-    pub fn with_backlog_guard(mut self, guard: SimDuration) -> Self {
-        self.backlog_guard = guard;
         self
     }
 

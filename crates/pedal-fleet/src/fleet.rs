@@ -244,10 +244,6 @@ impl FleetRun {
         }
         format!("{:016x}", fnv1a64(combined.as_bytes()))
     }
-
-    pub fn total_shed(&self) -> u64 {
-        self.paying.shed + self.best_effort.shed
-    }
 }
 
 struct Node {

@@ -158,11 +158,6 @@ impl BusSubscription {
         self.state.queue.lock().unwrap().drain(..).collect()
     }
 
-    /// Pop one frame if available.
-    pub fn try_next(&self) -> Option<MetricsFrame> {
-        self.state.queue.lock().unwrap().pop_front()
-    }
-
     /// Frames this subscriber lost to a full or busy queue.
     pub fn dropped(&self) -> u64 {
         self.state.dropped.load(Ordering::Relaxed)

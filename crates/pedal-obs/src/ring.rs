@@ -87,10 +87,6 @@ impl LaneRecorder {
         Self { track: String::new(), ring: EventRing::new(1), enabled: false }
     }
 
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     pub fn track(&self) -> &str {
         &self.track
     }

@@ -22,6 +22,8 @@
 //! offset always fits and divides exactly: bin membership at encode time
 //! is "sorted values in `[lower_j, lower_{j+1})`", precisely the set the
 //! stride and width were computed from.
+//!
+//! Offsets are packed at the width of their bin by [`crate::bits`].
 
 use crate::latent::Latent;
 

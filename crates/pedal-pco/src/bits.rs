@@ -1,113 +1,35 @@
-//! LSB-first bit packing for bin offsets.
-//!
-//! Offsets are variable-width (0..=64 bits per value, the width coming
-//! from the bin table), so both sides must agree bit-for-bit. Writes and
-//! reads go through checked shifts: a hostile stream can declare any
-//! offset width, and shift-by-64 on a `u64` is UB-adjacent (a panic in
-//! debug, silent nonsense in release) — every data-dependent shift here
-//! either splits into sub-word halves or goes through `checked_shl`.
+//! Offset bit packing for the bins: each offset is written LSB first
+//! with `pedal_deflate::bitio` at the width of its bin (0..=64 bits).
 
 use crate::PcoError;
+use pedal_deflate::bitio::{BitReader, BitWriter};
 
-/// Mask of the low `bits` bits of a `u64`, valid for `bits <= 64`.
-#[inline]
-pub fn low_mask(bits: u32) -> u64 {
-    if bits >= 64 {
-        u64::MAX
+/// Append an offset of `bits` bits (`offset < 2^bits`, `bits <= 64`),
+/// LSB first. The shared bit writer takes at most 32 bits per call, so a
+/// wider offset goes in as its low 32 bits, then the rest.
+pub fn write_offset(w: &mut BitWriter, offset: u64, bits: u32) {
+    if bits > 32 {
+        w.write_bits(offset & 0xFFFF_FFFF, 32);
+        w.write_bits(offset >> 32, bits - 32);
     } else {
-        (1u64 << bits) - 1
+        w.write_bits(offset, bits);
     }
 }
 
-#[derive(Default)]
-pub struct BitWriter {
-    out: Vec<u8>,
-    acc: u64,
-    nbits: u32,
-}
-
-impl BitWriter {
-    pub fn new() -> Self {
-        Self::default()
+/// Read an offset written by [`write_offset`]. The width comes from a bin
+/// table that may be hostile, so it is checked here: above 64 bits, or
+/// past the end of the stream, is a corrupt stream.
+pub fn read_offset(r: &mut BitReader<'_>, bits: u32) -> Result<u64, PcoError> {
+    if bits > 64 {
+        return Err(PcoError::corrupt("offset width exceeds 64 bits"));
     }
-
-    /// Append the low `bits` bits of `value`, LSB first. `bits <= 64`.
-    pub fn write(&mut self, value: u64, bits: u32) {
-        assert!(bits <= 64, "bit width {bits} exceeds u64");
-        if bits > 32 {
-            // Split so every accumulator shift stays strictly below 64.
-            self.write_small(value & low_mask(32), 32);
-            self.write_small(value >> 32, bits - 32);
-        } else {
-            self.write_small(value & low_mask(bits), bits);
-        }
+    let underrun = |_| PcoError::corrupt("offset bitstream underrun");
+    let lo = r.read_bits(bits.min(32)).map_err(underrun)? as u64;
+    if bits <= 32 {
+        return Ok(lo);
     }
-
-    fn write_small(&mut self, value: u64, bits: u32) {
-        debug_assert!(bits <= 32 && self.nbits < 8);
-        // nbits < 8 and bits <= 32, so the shift is at most 39.
-        self.acc |= value.checked_shl(self.nbits).expect("accumulator shift < 40");
-        self.nbits += bits;
-        while self.nbits >= 8 {
-            self.out.push((self.acc & 0xFF) as u8);
-            self.acc >>= 8;
-            self.nbits -= 8;
-        }
-    }
-
-    /// Flush the trailing partial byte and return the packed stream.
-    pub fn finish(mut self) -> Vec<u8> {
-        if self.nbits > 0 {
-            self.out.push((self.acc & 0xFF) as u8);
-        }
-        self.out
-    }
-}
-
-pub struct BitReader<'a> {
-    data: &'a [u8],
-    pos: usize,
-    acc: u64,
-    nbits: u32,
-}
-
-impl<'a> BitReader<'a> {
-    pub fn new(data: &'a [u8]) -> Self {
-        Self { data, pos: 0, acc: 0, nbits: 0 }
-    }
-
-    /// Read `bits` bits (`<= 64`), LSB first. Errors on underrun.
-    pub fn read(&mut self, bits: u32) -> Result<u64, PcoError> {
-        if bits > 64 {
-            return Err(PcoError::corrupt("offset width exceeds 64 bits"));
-        }
-        if bits > 32 {
-            let lo = self.read_small(32)?;
-            let hi = self.read_small(bits - 32)?;
-            // hi holds at most 32 significant bits; the shift is exactly 32.
-            Ok(lo | hi.checked_shl(32).expect("shift of 32 on u64"))
-        } else {
-            self.read_small(bits)
-        }
-    }
-
-    fn read_small(&mut self, bits: u32) -> Result<u64, PcoError> {
-        debug_assert!(bits <= 32);
-        while self.nbits < bits {
-            let byte = *self
-                .data
-                .get(self.pos)
-                .ok_or_else(|| PcoError::corrupt("offset bitstream underrun"))?;
-            self.pos += 1;
-            // nbits < 32 here, so the shift is at most 31.
-            self.acc |= (byte as u64).checked_shl(self.nbits).expect("accumulator shift < 32");
-            self.nbits += 8;
-        }
-        let v = self.acc & low_mask(bits);
-        self.acc = if bits >= 64 { 0 } else { self.acc >> bits };
-        self.nbits -= bits;
-        Ok(v)
-    }
+    let hi = r.read_bits(bits - 32).map_err(underrun)? as u64;
+    Ok(lo | hi << 32)
 }
 
 #[cfg(test)]
@@ -122,6 +44,7 @@ mod tests {
             (0b101, 3),
             (0xFFFF, 16),
             (0xDEAD_BEEF, 32),
+            (0x1_0000_0001, 33),
             (0x0123_4567_89AB_CDEF, 61),
             (u64::MAX, 64),
             (0, 64),
@@ -129,38 +52,40 @@ mod tests {
         ];
         let mut w = BitWriter::new();
         for &(v, b) in &cases {
-            w.write(v, b);
+            write_offset(&mut w, v, b);
         }
         let packed = w.finish();
         let mut r = BitReader::new(&packed);
         for &(v, b) in &cases {
-            assert_eq!(r.read(b).unwrap(), v & low_mask(b), "width {b}");
+            assert_eq!(read_offset(&mut r, b).unwrap(), v, "width {b}");
         }
     }
 
     #[test]
     fn underrun_is_an_error() {
         let mut r = BitReader::new(&[0xFF]);
-        assert!(r.read(8).is_ok());
-        assert!(r.read(1).is_err());
+        assert!(read_offset(&mut r, 8).is_ok());
+        assert_eq!(read_offset(&mut r, 1), Err(PcoError::corrupt("offset bitstream underrun")));
+        // The high half of a wide offset can run out too.
+        assert!(read_offset(&mut BitReader::new(&[0xFF; 5]), 41).is_err());
     }
 
     #[test]
     fn width_65_is_rejected() {
         let mut r = BitReader::new(&[0; 16]);
-        assert!(r.read(65).is_err());
+        assert!(read_offset(&mut r, 65).is_err());
     }
 
     #[test]
     fn full_width_values_survive() {
         let mut w = BitWriter::new();
         for i in 0..100u64 {
-            w.write(u64::MAX - i, 64);
+            write_offset(&mut w, u64::MAX - i, 64);
         }
         let packed = w.finish();
         let mut r = BitReader::new(&packed);
         for i in 0..100u64 {
-            assert_eq!(r.read(64).unwrap(), u64::MAX - i);
+            assert_eq!(read_offset(&mut r, 64).unwrap(), u64::MAX - i);
         }
     }
 }

@@ -30,7 +30,9 @@ pub use latent::{f32_to_latent, f64_to_latent, latent_to_f32, latent_to_f64, Lat
 pub use rans::SCALE_BITS;
 
 use bins::Bin;
-use bits::{BitReader, BitWriter};
+use bits::{read_offset, write_offset};
+use pedal_deflate::bitio::{BitReader, BitWriter};
+use pedal_deflate::varint::{get_uvarint, put_uvarint, VarintError};
 
 pub const MAGIC: [u8; 4] = *b"PCO1";
 pub const VERSION: u8 = 1;
@@ -104,20 +106,8 @@ impl std::fmt::Display for PcoError {
 impl std::error::Error for PcoError {}
 
 // ---------------------------------------------------------------------
-// Varints and the byte reader
+// The byte reader
 // ---------------------------------------------------------------------
-
-fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
 
 struct ByteReader<'a> {
     data: &'a [u8],
@@ -152,24 +142,10 @@ impl<'a> ByteReader<'a> {
     }
 
     fn uvarint(&mut self) -> Result<u64, PcoError> {
-        let mut v: u64 = 0;
-        let mut shift: u32 = 0;
-        loop {
-            let byte = self.u8()?;
-            if shift == 63 && byte > 1 {
-                return Err(PcoError::corrupt("varint overflows 64 bits"));
-            }
-            v |= ((byte & 0x7F) as u64)
-                .checked_shl(shift)
-                .ok_or_else(|| PcoError::corrupt("varint too long"))?;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(PcoError::corrupt("varint too long"));
-            }
-        }
+        get_uvarint(self.data, &mut self.pos).map_err(|e| match e {
+            VarintError::Truncated => PcoError::corrupt("unexpected end of stream"),
+            VarintError::Overflow => PcoError::corrupt("varint overflows 64 bits"),
+        })
     }
 
     fn usize_bounded(&mut self, limit: usize, what: &str) -> Result<usize, PcoError> {
@@ -296,7 +272,7 @@ fn encode_column_body<L: Latent>(vals: &[L], cfg: &PcoConfig, out: &mut Vec<u8>)
         let b = &bins[s as usize];
         // Exact by construction: the bin's stride is the GCD over the
         // offsets of precisely the values index_of maps to it.
-        offs.write(v.wrapping_sub(b.lower).to_u64() / b.gcd, b.offset_bits);
+        write_offset(&mut offs, v.wrapping_sub(b.lower).to_u64() / b.gcd, b.offset_bits);
     }
     let offs = offs.finish();
 
@@ -380,7 +356,7 @@ fn decode_column_body<L: Latent>(
     let mut total_bits: u64 = 0;
     for &s in &symbols {
         let b = &bins[s as usize];
-        let off = reader.read(b.offset_bits)?;
+        let off = read_offset(&mut reader, b.offset_bits)?;
         total_bits += b.offset_bits as u64;
         // Hostile streams can pair a wide stride with a wide offset, so
         // the rescale and the add are both checked against L's range.

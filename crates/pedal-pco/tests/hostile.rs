@@ -3,6 +3,7 @@
 //! mutation fuzzing of valid streams, and crafted streams that target
 //! the checked-arithmetic paths in the rANS coder and bin unpacking.
 
+use pedal_deflate::varint::put_uvarint;
 use pedal_pco::{DeltaSpec, PcoConfig, PcoError};
 
 /// SplitMix64: tiny, deterministic, dependency-free.
@@ -143,18 +144,6 @@ fn mutated_streams_never_panic_and_respect_limits() {
     }
 }
 
-fn varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            break;
-        }
-        out.push(b | 0x80);
-    }
-}
-
 /// Hand-build a u32 column stream whose single bin has `lower`,
 /// `offset_bits`, and stride `gcd`, one symbol, and a raw offset of
 /// all-ones.
@@ -163,18 +152,18 @@ fn crafted_stream(lower: u32, offset_bits: u8, gcd: u64) -> Vec<u8> {
     s.extend_from_slice(b"PCO1");
     s.push(1); // version
     s.push(1); // tag u32
-    varint(&mut s, 1); // n = 1
+    put_uvarint(&mut s, 1); // n = 1
     s.push(0); // delta order 0
     s.push(0); // n_bins - 1
     s.extend_from_slice(&lower.to_le_bytes());
     s.push(offset_bits);
-    varint(&mut s, gcd);
+    put_uvarint(&mut s, gcd);
     s.push(12); // scale bits
-    varint(&mut s, 4096); // single-symbol frequency = full scale
-    varint(&mut s, 0); // no rANS words
+    put_uvarint(&mut s, 4096); // single-symbol frequency = full scale
+    put_uvarint(&mut s, 0); // no rANS words
     s.extend_from_slice(&(1u32 << 16).to_le_bytes()); // final state = L
     let off_bytes = (offset_bits as usize).div_ceil(8);
-    varint(&mut s, off_bytes as u64);
+    put_uvarint(&mut s, off_bytes as u64);
     s.extend(std::iter::repeat_n(0xFFu8, off_bytes));
     s
 }

@@ -60,7 +60,6 @@ mod job;
 mod queue;
 mod service;
 mod stats;
-mod streaming;
 
 pub use job::{CompletedJob, JobDesc, JobId, JobMetrics, JobOp, JobOutput, LaneId, ServiceError};
 pub use pedal_obs::{BusSubscription, FrameKind, MetricsFrame, TenantId, TenantSloSnapshot};
@@ -70,6 +69,3 @@ pub use service::{
     series, LiveConfig, PedalService, ServiceConfig, TraceConfig, DEFAULT_PAR_CHUNK, MIN_PAR_CHUNK,
 };
 pub use stats::{LaneStats, RollingStats, ServiceSnapshot, ServiceStats};
-pub use streaming::{
-    run_streaming_job, StreamingConfig, StreamingReport, DEFAULT_CHUNKS_IN_FLIGHT,
-};

@@ -159,11 +159,6 @@ impl ServiceConfig {
         self
     }
 
-    pub fn with_channel_depth(mut self, depth: usize) -> Self {
-        self.channel_depth = depth;
-        self
-    }
-
     pub fn with_batching(mut self, threshold: usize, max_jobs: usize, window: SimDuration) -> Self {
         self.batch_threshold = threshold;
         self.batch_max_jobs = max_jobs;

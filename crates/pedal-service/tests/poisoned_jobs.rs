@@ -4,6 +4,7 @@
 //! submitted *after* the poison — completes normally, under all three
 //! backpressure policies.
 
+use pedal::wire::put_uvarint;
 use pedal::{Datatype, Design, PedalConfig, PedalContext};
 use pedal_dpu::{Pcg32, Platform};
 use pedal_service::{BackpressurePolicy, JobDesc, PedalService, ServiceConfig, ServiceError};
@@ -19,18 +20,6 @@ fn text_payload(rng: &mut Pcg32, len: usize) -> Vec<u8> {
 
 fn f32_payload(rng: &mut Pcg32, elements: usize) -> Vec<u8> {
     (0..elements).flat_map(|_| (rng.gen_range(-1e3f64..1e3) as f32).to_le_bytes()).collect()
-}
-
-fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            return;
-        }
-        out.push(b | 0x80);
-    }
 }
 
 /// One hostile decompress payload per corruption family, covering SoC and

@@ -17,6 +17,7 @@
 //! covers the compressed payload (cheap per-frame integrity);
 //! `stream_adler` covers the whole plaintext.
 
+use pedal_deflate::varint::{get_uvarint, put_uvarint, VarintError};
 use pedal_zlib::adler32;
 
 /// Stream magic: "PSF1" (Pedal Streaming Frames, version family 1).
@@ -54,7 +55,7 @@ pub enum StreamError {
     ReservedFlags(u8),
     /// Declared chunk size is zero or exceeds [`MAX_CHUNK_SIZE`].
     BadChunkSize(u64),
-    /// A varint ran past 10 bytes without terminating.
+    /// A varint does not fit in 64 bits.
     VarintOverflow,
     /// Frame index does not match the expected sequence position.
     FrameOutOfOrder { expected: u64, got: u64 },
@@ -92,7 +93,7 @@ impl std::fmt::Display for StreamError {
             StreamError::UnknownCodec(c) => write!(f, "unknown stream codec id {c}"),
             StreamError::ReservedFlags(b) => write!(f, "reserved flag bits set: {b:#04x}"),
             StreamError::BadChunkSize(n) => write!(f, "invalid chunk size {n}"),
-            StreamError::VarintOverflow => write!(f, "varint exceeds 10 bytes"),
+            StreamError::VarintOverflow => write!(f, "varint overflows 64 bits"),
             StreamError::FrameOutOfOrder { expected, got } => {
                 write!(f, "frame index {got} out of order (expected {expected})")
             }
@@ -322,15 +323,6 @@ pub(crate) fn check_stream_sum(declared: u32, plaintext: u32) -> Result<(), Stre
     (declared == plaintext).then_some(()).ok_or(StreamError::StreamChecksum)
 }
 
-/// Append `v` as a LEB128 varint.
-pub(crate) fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push((v as u8) | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
-}
-
 /// Incremental reader over a byte slice. Every accessor returns
 /// `Ok(None)` when the slice is too short — the signal that a streaming
 /// decoder must wait for more input — and only errors on structurally
@@ -364,23 +356,11 @@ impl<'a> Cursor<'a> {
     }
 
     pub fn uvarint(&mut self) -> Result<Option<u64>, StreamError> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        for i in 0.. {
-            let Some(&b) = self.buf.get(self.at + i) else {
-                return Ok(None);
-            };
-            if shift >= 64 || (shift == 63 && b > 1) {
-                return Err(StreamError::VarintOverflow);
-            }
-            v |= ((b & 0x7F) as u64) << shift;
-            if b & 0x80 == 0 {
-                self.at += i + 1;
-                return Ok(Some(v));
-            }
-            shift += 7;
+        match get_uvarint(self.buf, &mut self.at) {
+            Ok(v) => Ok(Some(v)),
+            Err(VarintError::Truncated) => Ok(None),
+            Err(VarintError::Overflow) => Err(StreamError::VarintOverflow),
         }
-        unreachable!("loop returns")
     }
 }
 

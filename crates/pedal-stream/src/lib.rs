@@ -280,4 +280,65 @@ mod tests {
         // One frame of a 1 KiB chunk plus header slop, never the stream.
         assert!(peak < 2 * 1024 + 256, "peak buffered {peak}");
     }
+
+    /// A varint that overflows 64 bits, in the header or in a frame, is
+    /// `VarintOverflow` however the bytes arrive; each cut-off prefix
+    /// only waits for more input.
+    #[test]
+    fn decoder_rejects_overflowed_varints() {
+        let wire = encode_all(&sample(1000), &configs(256)[0]);
+        let overflow = [&[0xFFu8; 9][..], &[0x7F]].concat();
+        // Header chunk size (after magic, version, codec, flags), then a
+        // frame index (after the 2-byte chunk size and the flags byte).
+        for at in [7usize, 10] {
+            let bad = [&wire[..at], &overflow[..]].concat();
+            assert_eq!(decode_all(&bad, 1000), Err(StreamError::VarintOverflow), "at {at}");
+            let mut dec = StreamDecoder::new(1000);
+            for (k, b) in bad.iter().enumerate() {
+                let fed = dec.feed(std::slice::from_ref(b));
+                if k + 1 < bad.len() {
+                    assert_eq!(fed, Ok(()), "at {at}, byte {k}");
+                } else {
+                    assert_eq!(fed, Err(StreamError::VarintOverflow), "at {at}");
+                }
+            }
+        }
+    }
+
+    /// Fed pieces of at most one chunk, the encoder holds at most one
+    /// pending chunk and one sealed frame, never the stream, and what it
+    /// hands out decodes byte for byte.
+    #[test]
+    fn encoder_holds_at_most_two_chunks() {
+        let chunk = 64 << 10;
+        let cfg = StreamConfig::new(StreamCodec::Deflate(Level::STORED)).with_chunk_size(chunk);
+        let data = sample(4 << 20);
+        let bound = 2 * chunk + 1024;
+        let mut enc = StreamEncoder::new(&cfg);
+        let mut dec = StreamDecoder::new(data.len());
+        let mut pos = 0usize;
+        let mut deliver = |blob: &[u8]| {
+            dec.feed(blob).expect("encoded frames decode");
+            let out = dec.take();
+            assert_eq!(out, data[pos..pos + out.len()], "decoded bytes diverge at {pos}");
+            pos += out.len();
+        };
+        let sizes = [chunk, 1, chunk - 1, 5000, chunk / 2 + 7];
+        let mut rest = &data[..];
+        for &n in sizes.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (piece, tail) = rest.split_at(n.min(rest.len()));
+            rest = tail;
+            enc.push(piece);
+            let held = enc.pending_len() + enc.ready_len();
+            assert!(held <= bound, "holds {held} after push, bound {bound}");
+            deliver(&enc.take());
+            assert!(enc.pending_len() <= chunk && enc.ready_len() == 0);
+        }
+        deliver(&enc.finish());
+        assert!(dec.is_finished());
+        assert_eq!(pos, data.len());
+    }
 }

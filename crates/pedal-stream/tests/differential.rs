@@ -7,7 +7,8 @@
 
 use pedal_par::ParConfig;
 use pedal_stream::{
-    encode_all, frame_spans, Level, StreamCodec, StreamConfig, StreamDecoder, StreamEncoder,
+    encode_all, frame_spans, split_frames, Level, StreamCodec, StreamConfig, StreamDecoder,
+    StreamEncoder,
 };
 
 /// Mixed compressible/incompressible bytes, deterministic.
@@ -184,34 +185,10 @@ fn encoder_works_through_std_io_write() {
     assert_eq!(wire, one_shot);
 }
 
-/// Parse the payload bytes out of every frame of a PSF1 stream.
+/// The payload bytes of every frame of a PSF1 stream.
 fn frame_payloads(wire: &[u8]) -> Vec<Vec<u8>> {
-    fn uvarint(b: &[u8], i: &mut usize) -> u64 {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = b[*i];
-            *i += 1;
-            v |= u64::from(byte & 0x7F) << shift;
-            if byte & 0x80 == 0 {
-                return v;
-            }
-            shift += 7;
-        }
-    }
-    let (_, spans) = frame_spans(wire).expect("scannable stream");
-    spans
-        .iter()
-        .map(|s| {
-            let f = &wire[s.start..s.end];
-            let mut i = 1usize; // flags byte
-            let _index = uvarint(f, &mut i);
-            let _raw_len = uvarint(f, &mut i);
-            let payload_len = uvarint(f, &mut i) as usize;
-            i += 4; // payload Adler-32
-            f[i..i + payload_len].to_vec()
-        })
-        .collect()
+    let split = split_frames(wire, usize::MAX).expect("valid stream");
+    split.frames.iter().map(|f| f.payload.to_vec()).collect()
 }
 
 /// The generalization contract with pedal-par: concatenating the DEFLATE

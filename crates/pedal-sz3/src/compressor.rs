@@ -19,7 +19,7 @@ use crate::huff;
 use crate::interp_nd::interp_walk;
 use crate::predictor::{interp_cubic, interp_linear, lorenzo_predict, PredictorKind};
 use crate::quantizer::{Quantized, Quantizer};
-use crate::varint::{get_uvarint, put_uvarint};
+use pedal_deflate::varint::{get_uvarint, put_uvarint};
 
 /// Magic prefix of the core stream.
 const CORE_MAGIC: &[u8; 4] = b"SZ3R";
@@ -312,9 +312,9 @@ pub fn decode_core_with_limit<T: Float>(
     }
     let predictor = PredictorKind::from_tag(core[i]).ok_or(Sz3Error::BadHeader("predictor"))?;
     i += 1;
-    let nx = get_uvarint(core, &mut i).ok_or(Sz3Error::BadHeader("nx"))? as usize;
-    let ny = get_uvarint(core, &mut i).ok_or(Sz3Error::BadHeader("ny"))? as usize;
-    let nz = get_uvarint(core, &mut i).ok_or(Sz3Error::BadHeader("nz"))? as usize;
+    let nx = get_uvarint(core, &mut i).map_err(|_| Sz3Error::BadHeader("nx"))? as usize;
+    let ny = get_uvarint(core, &mut i).map_err(|_| Sz3Error::BadHeader("ny"))? as usize;
+    let nz = get_uvarint(core, &mut i).map_err(|_| Sz3Error::BadHeader("nz"))? as usize;
     let dims = Dims { nx, ny, nz };
     // Untrusted dimensions: the product must neither overflow nor outrun
     // the caller's budget — checked before any size-`n` allocation.
@@ -333,12 +333,13 @@ pub fn decode_core_with_limit<T: Float>(
     if eb <= 0.0 || eb.is_nan() || !eb.is_finite() {
         return Err(Sz3Error::BadHeader("eb value"));
     }
-    let radius = get_uvarint(core, &mut i).ok_or(Sz3Error::BadHeader("radius"))?;
+    let radius = get_uvarint(core, &mut i).map_err(|_| Sz3Error::BadHeader("radius"))?;
     if radius <= 1 || radius > MAX_RADIUS as u64 {
         return Err(Sz3Error::BadHeader("radius value"));
     }
-    let n_outliers = get_uvarint(core, &mut i).ok_or(Sz3Error::BadHeader("outliers"))? as usize;
-    let enc_len = get_uvarint(core, &mut i).ok_or(Sz3Error::BadHeader("enc len"))? as usize;
+    let n_outliers =
+        get_uvarint(core, &mut i).map_err(|_| Sz3Error::BadHeader("outliers"))? as usize;
+    let enc_len = get_uvarint(core, &mut i).map_err(|_| Sz3Error::BadHeader("enc len"))? as usize;
     // Checked add: a near-u64::MAX declared length must not wrap the
     // bounds comparison.
     let enc_end = i
@@ -472,7 +473,8 @@ pub fn unseal_with_limit(
     }
     let backend = BackendKind::from_tag(sealed[4]).ok_or(Sz3Error::BadHeader("backend tag"))?;
     let mut i = 5usize;
-    let core_len = get_uvarint(sealed, &mut i).ok_or(Sz3Error::BadHeader("core len"))? as usize;
+    let core_len =
+        get_uvarint(sealed, &mut i).map_err(|_| Sz3Error::BadHeader("core len"))? as usize;
     if core_len > max_core_len {
         return Err(Sz3Error::LimitExceeded { needed: core_len, limit: max_core_len });
     }
@@ -714,6 +716,15 @@ mod tests {
             decode_core_with_limit::<f32>(&big, 1 << 20),
             Err(Sz3Error::LimitExceeded { .. })
         ));
+    }
+
+    #[test]
+    fn overflowed_dimension_is_a_bad_header() {
+        // nx (16, one byte) as a 10-byte varint whose last byte overflows
+        // 64 bits.
+        let (core, _) = encode_core(&wave_field_f32(16), &Sz3Config::default());
+        let bad = [&core[..7], &[0xFF; 9], &[0x7F], &core[8..]].concat();
+        assert_eq!(decode_core::<f32>(&bad), Err(Sz3Error::BadHeader("nx")));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use pedal_deflate::bitio::{BitReader, BitWriter};
 use pedal_deflate::huffman::{build_code_lengths, Decoder, Encoder, MAX_BITS};
 
-use crate::varint::{get_uvarint, put_uvarint};
+use pedal_deflate::varint::{get_uvarint, put_uvarint};
 
 /// Symbol values may span this many values, or as many as the stream has
 /// symbols, before the alphabet is found by sorting instead of a table.
@@ -134,8 +134,8 @@ pub fn decode(data: &[u8]) -> Result<Vec<u32>, HuffStreamError> {
 /// hostile header cannot trigger an out-of-budget allocation.
 pub fn decode_with_limit(data: &[u8], max_symbols: usize) -> Result<Vec<u32>, HuffStreamError> {
     let mut i = 0usize;
-    let n = get_uvarint(data, &mut i).ok_or(HuffStreamError::BadHeader)? as usize;
-    let k = get_uvarint(data, &mut i).ok_or(HuffStreamError::BadHeader)? as usize;
+    let n = get_uvarint(data, &mut i).map_err(|_| HuffStreamError::BadHeader)? as usize;
+    let k = get_uvarint(data, &mut i).map_err(|_| HuffStreamError::BadHeader)? as usize;
     if n > max_symbols {
         return Err(HuffStreamError::LimitExceeded(max_symbols));
     }
@@ -153,7 +153,7 @@ pub fn decode_with_limit(data: &[u8], max_symbols: usize) -> Result<Vec<u32>, Hu
     let mut distinct = Vec::with_capacity(k);
     let mut prev = 0u64;
     for _ in 0..k {
-        let d = get_uvarint(data, &mut i).ok_or(HuffStreamError::BadHeader)?;
+        let d = get_uvarint(data, &mut i).map_err(|_| HuffStreamError::BadHeader)?;
         // Checked add: a near-u64::MAX delta must not wrap the running
         // symbol value past the u32 plausibility check.
         prev = prev
@@ -167,7 +167,7 @@ pub fn decode_with_limit(data: &[u8], max_symbols: usize) -> Result<Vec<u32>, Hu
     }
     let lengths = &data[i..i + k];
     i += k;
-    let payload_len = get_uvarint(data, &mut i).ok_or(HuffStreamError::BadHeader)? as usize;
+    let payload_len = get_uvarint(data, &mut i).map_err(|_| HuffStreamError::BadHeader)? as usize;
     // Checked add: a near-u64::MAX declared length must not wrap the
     // bounds comparison.
     let payload_end = i
@@ -203,6 +203,15 @@ pub fn decode_with_limit(data: &[u8], max_symbols: usize) -> Result<Vec<u32>, Hu
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn overflowed_count_is_a_bad_header() {
+        // The symbol count (3, one byte) as a 10-byte varint whose last
+        // byte overflows 64 bits.
+        let blob = encode(&[1u32, 2, 1]);
+        let bad = [&[0xFFu8; 9][..], &[0x7F], &blob[1..]].concat();
+        assert_eq!(decode(&bad), Err(HuffStreamError::BadHeader));
+    }
 
     #[test]
     fn roundtrip_small() {
@@ -285,11 +294,11 @@ mod tests {
         // A ~10-byte blob declaring 2^40 copies of one symbol: the limited
         // decode must reject it without materializing the vector.
         let mut blob = Vec::new();
-        crate::varint::put_uvarint(&mut blob, 1u64 << 40); // n
-        crate::varint::put_uvarint(&mut blob, 1); // k
-        crate::varint::put_uvarint(&mut blob, 7); // the symbol
+        put_uvarint(&mut blob, 1u64 << 40); // n
+        put_uvarint(&mut blob, 1); // k
+        put_uvarint(&mut blob, 7); // the symbol
         blob.push(1); // its code length
-        crate::varint::put_uvarint(&mut blob, 0); // payload_len
+        put_uvarint(&mut blob, 0); // payload_len
         assert_eq!(decode_with_limit(&blob, 1 << 20), Err(HuffStreamError::LimitExceeded(1 << 20)));
     }
 
@@ -297,8 +306,8 @@ mod tests {
     fn absurd_alphabet_rejected_before_allocation() {
         // k far larger than the blob itself cannot be a valid symbol table.
         let mut blob = Vec::new();
-        crate::varint::put_uvarint(&mut blob, 100); // n
-        crate::varint::put_uvarint(&mut blob, 1u64 << 50); // k
+        put_uvarint(&mut blob, 100); // n
+        put_uvarint(&mut blob, 1u64 << 50); // k
         assert_eq!(decode(&blob), Err(HuffStreamError::BadHeader));
     }
 
@@ -309,11 +318,11 @@ mod tests {
         let syms = vec![1u32, 2, 1, 2, 1];
         let blob = encode(&syms);
         let mut i = 0usize;
-        let n = crate::varint::get_uvarint(&blob, &mut i).unwrap();
+        let n = get_uvarint(&blob, &mut i).unwrap();
         assert_eq!(n, 5);
         // Re-write the count as an absurd value, keeping the rest.
         let mut bad = Vec::new();
-        crate::varint::put_uvarint(&mut bad, 1u64 << 45);
+        put_uvarint(&mut bad, 1u64 << 45);
         bad.extend_from_slice(&blob[i..]);
         assert_eq!(decode(&bad), Err(HuffStreamError::BadStream));
     }

@@ -29,7 +29,6 @@ pub mod metrics;
 pub mod predictor;
 pub mod quantizer;
 pub mod select;
-pub mod varint;
 
 pub use backend::{
     backend_compress, backend_decompress, backend_decompress_with_limit, BackendError, BackendKind,

@@ -7,8 +7,8 @@
 //! Same idiom as the rest of the repo: fixed Pcg32 seeds so every failure
 //! reproduces, `--features fuzz` multiplies case counts.
 
+use pedal_deflate::varint::put_uvarint;
 use pedal_dpu::Pcg32;
-use pedal_sz3::varint::put_uvarint;
 use pedal_sz3::{
     compress, compress_checked, decode_core_with_limit, decompress, encode_core, huff, BackendKind,
     Dims, Field, PredictorKind, Sz3Config, Sz3Error,

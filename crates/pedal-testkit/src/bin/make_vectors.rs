@@ -12,21 +12,10 @@
 use std::fs;
 use std::path::PathBuf;
 
+use pedal::wire::put_uvarint;
 use pedal::{wire, Datatype, Design};
 use pedal_datasets::DatasetId;
 use pedal_sz3::{huff, Dims, Field, Sz3Config};
-
-fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            return;
-        }
-        out.push(b | 0x80);
-    }
-}
 
 fn main() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/vectors");

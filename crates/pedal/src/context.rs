@@ -32,16 +32,6 @@ pub enum Datatype {
     Float64,
 }
 
-impl Datatype {
-    pub fn element_bytes(self) -> usize {
-        match self {
-            Datatype::Byte => 1,
-            Datatype::Float32 => 4,
-            Datatype::Float64 => 8,
-        }
-    }
-}
-
 /// How per-message overheads are charged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverheadMode {

@@ -90,10 +90,6 @@ impl PedalPool {
     pub fn misses(&self) -> u64 {
         self.stats().misses
     }
-
-    pub fn total_acquire_cost(&self) -> SimDuration {
-        self.stats().acquire_cost
-    }
 }
 
 #[cfg(test)]

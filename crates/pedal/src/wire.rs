@@ -19,9 +19,9 @@ use crate::header::{PedalHeader, HEADER_LEN};
 use pedal_dpu::{Algorithm, Placement};
 use pedal_sz3::{BackendKind, Dims, Field, PredictorKind, Sz3Config};
 
-/// LEB128 varint primitives, shared with the parallel container and the
-/// co-design's gather framing.
-pub use pedal_sz3::varint::{get_uvarint, put_uvarint};
+/// The shared LEB128 varint writer and reader, which frame the original
+/// length here and the co-design's gather sizes.
+pub use pedal_deflate::varint::{get_uvarint, put_uvarint};
 
 /// Build a full PEDAL message: header, original length varint, body.
 pub fn frame(header: PedalHeader, original_len: usize, body: &[u8]) -> Vec<u8> {
@@ -37,7 +37,8 @@ pub fn unframe(payload: &[u8]) -> Result<(PedalHeader, usize, &[u8]), PedalError
     let header = PedalHeader::parse(payload)?;
     let mut i = HEADER_LEN;
     let original_len = get_uvarint(payload, &mut i)
-        .ok_or(PedalError::Codec("truncated length field".into()))? as usize;
+        .map_err(|_| PedalError::Codec("truncated length field".into()))?
+        as usize;
     Ok((header, original_len, &payload[i..]))
 }
 
@@ -317,6 +318,16 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn overflowed_length_field_is_rejected() {
+        let overflow = [0xFFu8, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F];
+        let payload = [&PedalHeader::Uncompressed.to_bytes()[..], &overflow, b"body"].concat();
+        assert!(matches!(
+            unframe(&payload),
+            Err(PedalError::Codec(m)) if m == "truncated length field"
+        ));
     }
 
     #[test]

@@ -61,8 +61,7 @@ cargo run --release -q -p bench --bin ablation_hybrid | diff -u results/ablation
 }
 
 echo "==> chunk-parallel speedup gate (16 MiB, 4 channels >= 2x)"
-# Writes results/BENCH_ablation_par.json (mirrored at the repo root) and
-# exits non-zero unless the 4-channel fan-out reaches 2x single-channel
+# Writes BENCH_ablation_par.json at the repo root and exits non-zero unless the 4-channel fan-out reaches 2x single-channel
 # virtual throughput.
 cargo run --release -q -p bench --bin ablation_par
 
@@ -70,9 +69,8 @@ echo "==> pco numeric codec gate (determinism + ratio vs DEFLATE)"
 # Fixed-seed determinism sweep (all four column widths plus bytes mode,
 # non-finite floats included) and the ratio acceptance: pco must beat
 # the DEFLATE-backend ratio on every float dataset (exaalt + obs_error)
-# at <= 2x the SoC virtual-time cost. Writes
-# results/BENCH_ablation_pco.json (mirrored at the repo root) and exits
-# non-zero if any gate fails.
+# at <= 2x the SoC virtual-time cost. Writes BENCH_ablation_pco.json
+# at the repo root and exits non-zero if any gate fails.
 cargo run --release -q -p bench --bin ablation_pco
 
 echo "==> streaming frame protocol gate (overlap >= 1.3x, byte identity)"
@@ -80,8 +78,8 @@ echo "==> streaming frame protocol gate (overlap >= 1.3x, byte identity)"
 # 16 MiB BF2 message: byte-identical round-trip on every path, wire
 # bytes and virtual times deterministic across replays and window
 # sizes (fixed chunk), and the streamed path must beat sequential by
-# >= 1.3x one-way virtual time. Writes results/BENCH_streaming.json
-# (mirrored at the repo root) and exits non-zero if any gate fails.
+# >= 1.3x one-way virtual time. Writes BENCH_streaming.json at the
+# repo root and exits non-zero if any gate fails.
 cargo run --release -q -p bench --bin ablation_streaming
 
 echo "==> offload service ablation (channels, load, backpressure, live metrics)"
@@ -90,12 +88,11 @@ echo "==> offload service ablation (channels, load, backpressure, live metrics)"
 # hold exactly the burst (calm phase expired), per-tenant SLO
 # attainment must split 0%/100% on impossible/generous targets, and the
 # Prometheus exposition must validate. Writes
-# results/BENCH_ablation_service.json (mirrored at the repo root).
+# BENCH_ablation_service.json at the repo root.
 cargo run --release -q -p bench --bin ablation_service
 
 echo "==> engine contention ablation (concurrent streams, FIFO queueing)"
-# Writes results/BENCH_ablation_contention.json (mirrored at the repo
-# root).
+# Writes BENCH_ablation_contention.json at the repo root.
 cargo run --release -q -p bench --bin ablation_contention
 
 echo "==> fleet determinism & property suite"
@@ -110,8 +107,8 @@ echo "==> fleet overload gate (paying SLO holds, best-effort sheds)"
 # Sustained bursty overload on a BF2+BF3 fleet: paying tenants' SLO
 # attainment must stay 100% while best-effort traffic sheds; every
 # completion byte-checked against the synchronous oracle; full-run
-# replay must be digest-identical. Writes results/BENCH_fleet.json
-# (mirrored at the repo root) and exits non-zero if any gate fails.
+# replay must be digest-identical. Writes BENCH_fleet.json at the repo
+# root and exits non-zero if any gate fails.
 cargo run --release -q -p bench --bin ablation_fleet
 
 echo "==> adaptive-policy gate (closed loop beats every static config)"
@@ -120,12 +117,12 @@ echo "==> adaptive-policy gate (closed loop beats every static config)"
 # configuration in virtual-time goodput at <= 1% compression-ratio
 # cost, its replay (and policy log) must be digest-identical, and every
 # store-raw frame must round-trip byte-exact. Writes
-# results/BENCH_adaptive.json (mirrored at the repo root) and exits
-# non-zero if any gate fails.
+# BENCH_adaptive.json at the repo root and exits non-zero if any gate
+# fails.
 cargo run --release -q -p bench --bin ablation_adaptive
 
-echo "==> bench reports mirrored at repo root"
-# Every bench bin mirrors its BENCH_<name>.json at the repository root;
+echo "==> bench reports at repo root"
+# Every bench bin writes its BENCH_<name>.json at the repository root;
 # all seven gated reports must be present.
 ls BENCH_*.json >/dev/null 2>&1 || {
     echo "verify: FAIL — no BENCH_*.json at the repository root" >&2
@@ -142,20 +139,20 @@ done
 
 echo "==> bench-regression gate (benchdiff vs committed baselines)"
 # Proves the gate itself trips on a synthetic 25% regression, then
-# compares every root-mirrored BENCH_*.json just regenerated above
+# compares every root BENCH_*.json just regenerated above
 # against its committed copy. All numbers are virtual-time, so an
 # unchanged tree always passes; a failure is a real behaviour change
-# (refresh the committed mirrors deliberately if it is intentional).
+# (refresh the committed reports deliberately if it is intentional).
 cargo run --release -q -p bench --bin benchdiff -- --self-test
 cargo run --release -q -p bench --bin benchdiff
 
-echo "==> frozen mirrors regenerate byte-identically"
+echo "==> frozen reports regenerate byte-identically"
 # benchdiff ignores unclassified keys such as bytes_out and wire_bytes
 # and gates ratios only at 20 %, so an encoder that changed output bytes
-# would pass it. The mirrors are a frozen oracle: every BENCH_*.json the
+# would pass it. The reports are a frozen oracle: every BENCH_*.json the
 # stages above rewrote must equal its committed (or staged) copy.
 if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
-    git diff --exit-code --stat -- 'BENCH_*.json' 'results/BENCH_*.json' || {
+    git diff --exit-code --stat -- 'BENCH_*.json' || {
         echo "verify: FAIL — a regenerated BENCH_*.json differs from git" >&2
         exit 1
     }

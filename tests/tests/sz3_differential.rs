@@ -14,9 +14,9 @@
 
 use pedal_datasets::{bytes_to_f32, DatasetId, Pcg32};
 use pedal_deflate::bitio::BitReader;
+use pedal_deflate::varint::{get_uvarint, put_uvarint};
 use pedal_fleet::fnv1a64;
 use pedal_sz3::huff::{self, HuffStreamError};
-use pedal_sz3::varint::{get_uvarint, put_uvarint};
 use pedal_sz3::{encode_core, Dims, Field, Float, PredictorKind, Sz3Config};
 
 const PREDICTORS: [(PredictorKind, &str); 3] = [
@@ -345,8 +345,8 @@ struct Header {
 /// The blob header checks, in the order the format defines them.
 fn parse_header(data: &[u8], max_symbols: usize) -> Result<Header, HuffStreamError> {
     let mut i = 0usize;
-    let n = get_uvarint(data, &mut i).ok_or(HuffStreamError::BadHeader)? as usize;
-    let k = get_uvarint(data, &mut i).ok_or(HuffStreamError::BadHeader)? as usize;
+    let n = get_uvarint(data, &mut i).map_err(|_| HuffStreamError::BadHeader)? as usize;
+    let k = get_uvarint(data, &mut i).map_err(|_| HuffStreamError::BadHeader)? as usize;
     if n > max_symbols {
         return Err(HuffStreamError::LimitExceeded(max_symbols));
     }
@@ -359,7 +359,7 @@ fn parse_header(data: &[u8], max_symbols: usize) -> Result<Header, HuffStreamErr
     let mut distinct = Vec::with_capacity(k);
     let mut prev = 0u64;
     for _ in 0..k {
-        let d = get_uvarint(data, &mut i).ok_or(HuffStreamError::BadHeader)?;
+        let d = get_uvarint(data, &mut i).map_err(|_| HuffStreamError::BadHeader)?;
         prev = prev
             .checked_add(d)
             .filter(|&p| p <= u32::MAX as u64)
@@ -380,7 +380,7 @@ fn reference_decode(data: &[u8], max_symbols: usize) -> Result<Vec<u32>, HuffStr
         return Ok(Vec::new());
     }
     let mut i = h.payload_len_at;
-    let payload_len = get_uvarint(data, &mut i).ok_or(HuffStreamError::BadHeader)? as usize;
+    let payload_len = get_uvarint(data, &mut i).map_err(|_| HuffStreamError::BadHeader)? as usize;
     let end = i
         .checked_add(payload_len)
         .filter(|&end| end <= data.len())
