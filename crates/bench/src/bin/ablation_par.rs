@@ -14,9 +14,9 @@
 use bench::{banner, dataset, BenchReport, Table};
 use pedal::{Datatype, Design};
 use pedal_datasets::DatasetId;
+use pedal_deflate::{compress_fragment, stitch_fragments, Level};
 use pedal_dpu::Platform;
 use pedal_obs::Json;
-use pedal_par::{par_deflate, Level, ParConfig};
 use pedal_service::{JobDesc, JobMetrics, PedalService, ServiceConfig};
 
 const PAYLOAD: usize = 16 * 1024 * 1024;
@@ -117,13 +117,18 @@ fn main() {
     );
     report.set("stitch_overhead_frac", Json::num(overhead));
 
-    // The service body equals the library-level stitching for the same
-    // chunk size — the engine path adds nothing of its own.
+    // The service body equals the stitched per-chunk fragments for the
+    // same chunk size — the engine path adds nothing of its own.
     let (_, _, body) = pedal::wire::unframe(fan_ref.as_ref().expect("fan-out ran")).expect("frame");
+    let frags: Vec<Vec<u8>> = data
+        .chunks(CHUNK)
+        .enumerate()
+        .map(|(i, c)| compress_fragment(c, Level::DEFAULT, i + 1 == chunks))
+        .collect();
     assert_eq!(
         body,
-        par_deflate(&data, Level::DEFAULT, &ParConfig::new(4).with_chunk_size(CHUNK)),
-        "service fan-out body must equal pedal-par stitching"
+        stitch_fragments(&frags).expect("chunk ranges are never empty"),
+        "service fan-out body must equal the stitched fragments"
     );
 
     report.set("speedup_4ch", Json::num(speedup4));

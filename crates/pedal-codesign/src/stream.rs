@@ -18,8 +18,8 @@ use pedal_mpi::stream::{StreamReceiver, StreamSender};
 use pedal_mpi::{Bytes, RankCtx};
 use pedal_stream::{Level, PcoConfig, StreamCodec, StreamConfig, StreamDecoder, StreamEncoder};
 
-/// Default chunk for streamed sends: 1 MiB, matching `pedal-par` shards.
-pub const DEFAULT_STREAM_CHUNK: usize = 1 << 20;
+/// Default chunk for streamed sends: the 1 MiB stream chunk.
+pub use pedal_stream::DEFAULT_CHUNK as DEFAULT_STREAM_CHUNK;
 
 /// Knobs for one streamed transfer. Output bytes (and therefore virtual
 /// wire time) are a pure function of `(data, design, chunk_size)` — the

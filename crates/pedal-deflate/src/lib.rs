@@ -5,6 +5,9 @@
 //!
 //! * [`compress`] / [`decompress`] — one-shot raw DEFLATE streams,
 //! * [`Level`] — a zlib-like 0..=9 effort ladder,
+//! * [`compress_fragment`] / [`stitch_fragments`] — sync-flush fragments
+//!   compressed independently (on any worker) and concatenated, in
+//!   order, into one stream,
 //! * the LZ77 tokenizer and canonical Huffman machinery as public modules
 //!   so the SZ3 pipeline and the simulated C-Engine can reuse them.
 //!
@@ -25,6 +28,7 @@ pub mod encoder;
 pub mod huffman;
 pub mod inflate;
 pub mod lz77;
+mod stitch;
 pub mod varint;
 
 pub use encoder::{deflate as compress, deflate_fragment as compress_fragment, Level};
@@ -32,6 +36,7 @@ pub use inflate::{
     inflate as decompress, inflate_fragment_with_limit as decompress_fragment_with_limit,
     inflate_with_limit as decompress_with_limit, InflateError,
 };
+pub use stitch::{stitch_fragments, StitchError};
 
 /// Upper bound on the compressed size of `n` input bytes (stored-block
 /// worst case plus per-chunk framing; block splitting can leave a short
@@ -75,6 +80,44 @@ mod tests {
             assert!(!enc.is_empty());
             assert_eq!(decompress(&enc).unwrap(), b"");
         }
+    }
+
+    #[test]
+    fn stitcher_rejects_zero_length_trailing_fragment() {
+        const CHUNK: usize = 64 * 1024;
+        let level = Level::DEFAULT;
+        // A buggy chunker splitting an exact chunk-multiple input into
+        // jobs+1 ranges hands the stitcher a zero-length trailing chunk:
+        // its fragment is a bare empty-final block right after a
+        // fragment that already ended in a sync flush.
+        let data: Vec<u8> =
+            (0..2 * CHUNK as u32).map(|i| (i / 5 % 97) as u8 ^ (i >> 13) as u8).collect();
+        let good = vec![
+            compress_fragment(&data[..CHUNK], level, false),
+            compress_fragment(&data[CHUNK..], level, true),
+        ];
+        let stitched = stitch_fragments(&good).unwrap();
+        assert_eq!(decompress(&stitched).unwrap(), data);
+
+        let double_flush = vec![
+            compress_fragment(&data[..CHUNK], level, false),
+            compress_fragment(&data[CHUNK..], level, false),
+            compress_fragment(&[], level, true),
+        ];
+        assert_eq!(stitch_fragments(&double_flush), Err(StitchError::DoubleFlush(2)));
+        // A bare sync flush mid-stream is the same defect.
+        let mid_sync = vec![
+            compress_fragment(&data[..CHUNK], level, false),
+            compress_fragment(&[], level, false),
+            compress_fragment(&data[CHUNK..], level, true),
+        ];
+        assert_eq!(stitch_fragments(&mid_sync), Err(StitchError::DoubleFlush(1)));
+        // And a fragment with no bytes at all is rejected outright.
+        assert_eq!(stitch_fragments(&[Vec::new()]), Err(StitchError::EmptyFragment(0)));
+        // But the lone empty-final fragment IS the empty stream.
+        let empty = vec![compress_fragment(&[], level, true)];
+        let stitched = stitch_fragments(&empty).unwrap();
+        assert_eq!(decompress(&stitched).unwrap(), b"");
     }
 
     #[test]

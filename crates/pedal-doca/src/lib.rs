@@ -30,4 +30,4 @@ pub mod workq;
 pub use device::{CapabilityError, DocaContext, DocaError};
 pub use engine::{CompressJob, EngineError, JobKind, JobResult};
 pub use memmap::{BufInventory, DocaBuf, MemMap};
-pub use workq::{BatchHandle, ChannelSet, JobHandle, QueueFull, Workq};
+pub use workq::{BatchHandle, JobHandle, QueueFull, Workq};

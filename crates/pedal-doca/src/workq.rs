@@ -1,13 +1,13 @@
-//! Simulated `doca_workq`: FIFO job submission against a single engine with
-//! virtual-time queueing, plus multi-channel operation.
+//! Simulated `doca_workq`: FIFO job submission against a single engine
+//! channel with virtual-time queueing.
 //!
 //! The engine is modelled as one server per channel: a job's start time is
 //! `max(submit_time, channel_busy_until)` and its completion is
 //! `start + service_time`. This surfaces engine contention when multiple
 //! submitters share one DPU (exercised by the engine-contention ablation).
-//! [`ChannelSet`] exposes N independent channels with per-channel depth
-//! limits — the hardware exposes several work queues against the same
-//! compression block, which the serving layer exploits for concurrency.
+//! The hardware exposes several work queues against the same compression
+//! block; each [`Workq`] is one of them, with its own depth limit, which
+//! the serving layer exploits for concurrency.
 
 use crate::engine::{execute, CompressJob, EngineError, JobResult};
 use pedal_dpu::{CostModel, SimInstant};
@@ -193,65 +193,6 @@ impl Workq {
     }
 }
 
-/// N independent engine channels, each its own FIFO server with its own
-/// depth limit. Models the multiple `doca_workq`s an application can create
-/// against the same compress device.
-#[derive(Debug)]
-pub struct ChannelSet {
-    channels: Vec<Workq>,
-}
-
-impl ChannelSet {
-    pub fn new(costs: CostModel, channels: usize, depth: usize) -> Self {
-        let channels = channels.max(1);
-        Self { channels: (0..channels).map(|_| Workq::new(costs, depth)).collect() }
-    }
-
-    pub fn len(&self) -> usize {
-        self.channels.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.channels.is_empty()
-    }
-
-    pub fn channel(&self, idx: usize) -> &Workq {
-        &self.channels[idx]
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = &Workq> {
-        self.channels.iter()
-    }
-
-    /// Submit on a specific channel.
-    pub fn submit_on(
-        &self,
-        idx: usize,
-        job: CompressJob,
-        now: SimInstant,
-    ) -> Result<JobHandle, QueueFull> {
-        self.channels[idx].submit(job, now)
-    }
-
-    /// Index of the channel that would start a job soonest at `now`.
-    pub fn least_loaded(&self, now: SimInstant) -> usize {
-        let mut best = (SimInstant(u64::MAX), 0usize);
-        for (i, ch) in self.channels.iter().enumerate() {
-            let free = ch.busy_until().max(now);
-            if free < best.0 {
-                best = (free, i);
-            }
-        }
-        best.1
-    }
-
-    pub fn reset(&self) {
-        for ch in &self.channels {
-            ch.reset();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,18 +306,19 @@ mod tests {
 
     #[test]
     fn channels_are_independent_servers() {
-        let set = ChannelSet::new(CostModel::for_platform(Platform::BlueField2), 2, 8);
+        let costs = CostModel::for_platform(Platform::BlueField2);
+        let (ch0, ch1) = (Workq::new(costs, 8), Workq::new(costs, 8));
         let now = SimInstant::EPOCH;
-        let a = set
-            .submit_on(0, CompressJob::new(JobKind::DeflateCompress, vec![1u8; 4_000_000]), now)
+        let a = ch0
+            .submit(CompressJob::new(JobKind::DeflateCompress, vec![1u8; 4_000_000]), now)
             .unwrap();
         // Same instant on the other channel: no queueing behind channel 0.
-        let b = set
-            .submit_on(1, CompressJob::new(JobKind::DeflateCompress, vec![2u8; 4_000_000]), now)
+        let b = ch1
+            .submit(CompressJob::new(JobKind::DeflateCompress, vec![2u8; 4_000_000]), now)
             .unwrap();
         assert_eq!(a.started_at, now);
         assert_eq!(b.started_at, now);
-        assert_eq!(set.least_loaded(now), set.least_loaded(now), "deterministic");
+        assert!(ch0.busy_until() > now && ch1.busy_until() > now);
     }
 
     #[test]
@@ -419,16 +361,5 @@ mod tests {
             t.total_ns(pedal_obs::SpanKind::EngineExecute),
             b.completed_at.0 - b.started_at.0
         );
-    }
-
-    #[test]
-    fn least_loaded_prefers_idle_channel() {
-        let set = ChannelSet::new(CostModel::for_platform(Platform::BlueField2), 3, 8);
-        let now = SimInstant::EPOCH;
-        set.submit_on(0, CompressJob::new(JobKind::DeflateCompress, vec![1u8; 4_000_000]), now)
-            .unwrap();
-        set.submit_on(1, CompressJob::new(JobKind::DeflateCompress, vec![1u8; 2_000_000]), now)
-            .unwrap();
-        assert_eq!(set.least_loaded(now), 2);
     }
 }

@@ -54,17 +54,20 @@ impl From<Lz4Error> for FrameError {
 pub fn compress_frame(src: &[u8], block_size: usize, accel: u32) -> Vec<u8> {
     let block_size = block_size.max(1);
     let mut out = Vec::with_capacity(src.len() / 2 + 32);
-    put_frame_header(&mut out, src.len(), block_size);
+    out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
+    out.extend_from_slice(&(src.len() as u64).to_le_bytes());
+    out.extend_from_slice(&(block_size as u32).to_le_bytes());
     for chunk in src.chunks(block_size) {
         encode_frame_block(&mut out, chunk, accel);
     }
-    out.extend_from_slice(&END_MARK);
+    // End mark: a zero-length block.
+    out.extend_from_slice(&[0; 4]);
     out
 }
 
 /// Append the frame block for one `chunk` of the source: its LZ4 block,
 /// or the chunk stored raw when compression would expand it.
-pub fn encode_frame_block(out: &mut Vec<u8>, chunk: &[u8], accel: u32) {
+fn encode_frame_block(out: &mut Vec<u8>, chunk: &[u8], accel: u32) {
     let packed = compress_block(chunk, accel);
     // Store uncompressed: high bit of the length marks a raw block.
     let (len, body) = if packed.len() >= chunk.len() {
@@ -75,28 +78,6 @@ pub fn encode_frame_block(out: &mut Vec<u8>, chunk: &[u8], accel: u32) {
     out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
     out.extend_from_slice(body);
-}
-
-/// Frame the [`encode_frame_block`]s of a `content_len`-byte source's
-/// `block_size` chunks, encoded elsewhere (e.g. in parallel): equals
-/// [`compress_frame`] of that source.
-pub fn assemble_frame(content_len: usize, block_size: usize, blocks: &[Vec<u8>]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(blocks.iter().map(Vec::len).sum::<usize>() + 20);
-    put_frame_header(&mut out, content_len, block_size.max(1));
-    for b in blocks {
-        out.extend_from_slice(b);
-    }
-    out.extend_from_slice(&END_MARK);
-    out
-}
-
-/// End mark: a zero-length block.
-const END_MARK: [u8; 4] = [0; 4];
-
-fn put_frame_header(out: &mut Vec<u8>, content_len: usize, block_size: usize) {
-    out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-    out.extend_from_slice(&(content_len as u64).to_le_bytes());
-    out.extend_from_slice(&(block_size as u32).to_le_bytes());
 }
 
 /// Decompress a framed stream produced by [`compress_frame`].

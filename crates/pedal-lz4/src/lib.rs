@@ -17,8 +17,7 @@ pub use block::{
     compress_block, compress_bound, decompress_block, decompress_block_with_limit, Lz4Error,
 };
 pub use frame::{
-    assemble_frame, compress_frame, decompress_frame, decompress_frame_with_limit,
-    encode_frame_block, FrameError, DEFAULT_BLOCK_SIZE,
+    compress_frame, decompress_frame, decompress_frame_with_limit, FrameError, DEFAULT_BLOCK_SIZE,
 };
 
 /// One-shot framed compression with default parameters.

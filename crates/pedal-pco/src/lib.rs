@@ -17,7 +17,8 @@
 //! so a decoder needs no out-of-band type information; a bytes mode
 //! (tag 5) views arbitrary byte streams as little-endian u32 words
 //! plus a raw tail, and supports multi-chunk streams whose chunks can
-//! be encoded independently (the hook `pedal-par` uses for fan-out).
+//! be encoded independently (the hook `pedal-stream` uses for its
+//! pco frames).
 
 mod bins;
 mod bits;
@@ -472,8 +473,8 @@ pub fn decompress_f64_with_limit(stream: &[u8], max_elems: usize) -> Result<Vec<
 
 /// Encode one chunk of a bytes-mode stream: the chunk's word-aligned
 /// prefix as a u32 column, the `len % 4` tail raw. Chunks are fully
-/// independent, so `pedal-par` can encode them on any worker layout
-/// and [`assemble_bytes_container`] still produces identical output.
+/// independent, so any caller can encode them on any worker layout
+/// (`pedal-stream` codes one per PSF1 frame).
 pub fn encode_bytes_chunk(chunk: &[u8], cfg: &PcoConfig) -> Vec<u8> {
     let words: Vec<u32> =
         chunk.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes"))).collect();
@@ -487,7 +488,7 @@ pub fn encode_bytes_chunk(chunk: &[u8], cfg: &PcoConfig) -> Vec<u8> {
 
 /// Wrap independently encoded chunks into a self-describing bytes-mode
 /// container. `total_len` must equal the sum of the chunk input sizes.
-pub fn assemble_bytes_container(total_len: usize, blobs: &[Vec<u8>]) -> Vec<u8> {
+fn assemble_bytes_container(total_len: usize, blobs: &[Vec<u8>]) -> Vec<u8> {
     let body: usize = blobs.iter().map(|b| b.len()).sum();
     let mut out = Vec::with_capacity(16 + 4 * blobs.len() + body);
     out.extend_from_slice(&MAGIC);
@@ -511,7 +512,7 @@ pub fn compress_bytes(data: &[u8], cfg: &PcoConfig) -> Vec<u8> {
 
 /// Compress a byte stream as fixed-size independent chunks. The output
 /// depends only on `data` and `chunk_bytes`, never on who encodes which
-/// chunk — the determinism contract `pedal-par` relies on.
+/// chunk.
 pub fn compress_bytes_chunked(data: &[u8], chunk_bytes: usize, cfg: &PcoConfig) -> Vec<u8> {
     let chunk_bytes = chunk_bytes.max(1);
     let blobs: Vec<Vec<u8>> =

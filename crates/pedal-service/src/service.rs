@@ -9,7 +9,7 @@ use std::thread::JoinHandle;
 
 use pedal::exec::{Executed, Executor};
 use pedal::{wire, Datatype, Design, PedalHeader};
-use pedal_doca::{ChannelSet, CompressJob, JobKind, Workq};
+use pedal_doca::{CompressJob, JobKind, Workq};
 use pedal_dpu::{
     Algorithm, CostModel, Direction, Placement, Platform, SimClock, SimDuration, SimInstant,
 };
@@ -237,7 +237,7 @@ impl ServiceConfig {
         self.batch_max_jobs = self.batch_max_jobs.clamp(1, self.channel_depth);
         if self.par_threshold > 0 {
             // Tiny fragments hurt ratio (history resets per chunk) and
-            // flood descriptors; floor matches pedal-par's MIN_CHUNK.
+            // flood descriptors.
             self.par_chunk = self.par_chunk.max(MIN_PAR_CHUNK);
         }
         // Degenerate windows (zero-width slots, single slot) would make
@@ -248,8 +248,13 @@ impl ServiceConfig {
     }
 }
 
-/// Default and smallest fragment sizes for fanned-out jobs.
-pub use pedal_par::{DEFAULT_CHUNK as DEFAULT_PAR_CHUNK, MIN_CHUNK as MIN_PAR_CHUNK};
+/// Default fragment size for fanned-out jobs: the 1 MiB stream chunk.
+pub use pedal::parallel::DEFAULT_CHUNK as DEFAULT_PAR_CHUNK;
+
+/// Smallest fragment size for fanned-out jobs: below this the
+/// per-fragment framing and the lost cross-chunk matches swamp any
+/// parallel win.
+pub const MIN_PAR_CHUNK: usize = 64 * 1024;
 
 // ---------------------------------------------------------------------
 // Adaptive policy state
@@ -522,7 +527,6 @@ impl PedalService {
             live,
         });
         let lane_metrics = LaneMetrics::resolve(&shared.metrics);
-        let channels = Arc::new(ChannelSet::new(costs, cfg.ce_channels, cfg.channel_depth));
         let collector = Collector::new();
         let recorder = |track: String| {
             if cfg.trace.enabled {
@@ -562,14 +566,12 @@ impl PedalService {
             let (tx, rx) = mpsc::channel();
             ce_tx.push(tx);
             let env = lane_env();
-            let channels = channels.clone();
+            let wq = Workq::new(costs, cfg.channel_depth);
             let (rec, sink) = recorder(format!("ce-{c}"));
             lanes.push(
                 std::thread::Builder::new()
                     .name(format!("pedal-ce{c}"))
-                    .spawn(move || {
-                        run_lane(env, LaneId::Channel(c), rx, Some((channels, c)), rec, sink)
-                    })
+                    .spawn(move || run_lane(env, LaneId::Channel(c), rx, Some(wq), rec, sink))
                     .expect("spawn channel lane"),
             );
         }
@@ -1265,18 +1267,18 @@ struct LaneEnv {
 type Outcome = (Result<JobOutput, ServiceError>, SimInstant);
 
 /// Each lane is a serial server in virtual time: a job starts at
-/// `max(dispatch instant, previous completion)`. C-Engine lanes own one
-/// channel of the shared [`ChannelSet`] and are its only submitter, so
-/// the channel's FIFO state evolves deterministically.
+/// `max(dispatch instant, previous completion)`. A C-Engine lane owns
+/// its engine channel's work queue and is its only submitter, so the
+/// channel's FIFO state evolves deterministically.
 fn run_lane(
     env: LaneEnv,
     lane: LaneId,
     rx: Receiver<LaneMsg>,
-    channels: Option<(Arc<ChannelSet>, usize)>,
+    workq: Option<Workq>,
     mut rec: LaneRecorder,
     sink: Option<Collector>,
 ) -> LaneStats {
-    let wq: Option<&Workq> = channels.as_ref().map(|(cs, i)| cs.channel(*i));
+    let wq = workq.as_ref();
     let exec = Executor { workq: wq, ..env.exec };
     let mut stats = LaneStats::new(lane);
     let mut virt_free = SimInstant::EPOCH;
@@ -1437,7 +1439,7 @@ fn finish_parent(
             // marker-only fragments slip through) before concatenating.
             let frag_bytes: Vec<Vec<u8>> =
                 st.frags.iter_mut().flatten().map(|f| std::mem::take(&mut f.bytes)).collect();
-            match pedal_par::stitch_fragments(&frag_bytes) {
+            match pedal_deflate::stitch_fragments(&frag_bytes) {
                 Ok(stitched) => {
                     let completed = frag_done + env.exec.costs.memcpy(stitched.len());
                     rec.span(SpanKind::Memcpy, frag_done, completed, stitched.len() as u64);

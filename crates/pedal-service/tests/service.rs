@@ -357,7 +357,7 @@ fn failed_decodes_are_reported_not_lost() {
 
 /// The fanned-out payload must be one valid stream whose bytes depend
 /// only on the data and the chunk size — byte-identical at every channel
-/// count, and equal to the library-level `pedal_par` stitching.
+/// count, and equal to the stitched per-chunk DEFLATE fragments.
 #[test]
 fn fan_out_output_is_deterministic_across_channel_counts() {
     let mut rng = Pcg32::seed_from_u64(0x5E1C_0010);
@@ -379,13 +379,20 @@ fn fan_out_output_is_deterministic_across_channel_counts() {
     assert_eq!(one, two, "1 vs 2 channels must produce identical bytes");
     assert_eq!(one, eight, "1 vs 8 channels must produce identical bytes");
 
-    // The stitched body is exactly what pedal-par produces for the same
-    // chunk size (worker count is irrelevant by construction).
+    // The stitched body is exactly the per-chunk sync-flush fragments of
+    // the same chunk size, concatenated in order.
     let (header, original_len, body) = pedal::wire::unframe(&one).unwrap();
     assert!(matches!(header, pedal::PedalHeader::Compressed(_)));
     assert_eq!(original_len, data.len());
-    let cfg = pedal_par::ParConfig::new(3).with_chunk_size(chunk);
-    assert_eq!(body, pedal_par::par_deflate(&data, pedal_par::Level::DEFAULT, &cfg));
+    let n = data.len().div_ceil(chunk);
+    let frags: Vec<Vec<u8>> = data
+        .chunks(chunk)
+        .enumerate()
+        .map(|(i, c)| {
+            pedal_deflate::compress_fragment(c, pedal_deflate::Level::DEFAULT, i + 1 == n)
+        })
+        .collect();
+    assert_eq!(body, pedal_deflate::stitch_fragments(&frags).unwrap());
 
     // And it decodes back through the service.
     let svc = PedalService::start(ServiceConfig::new(Platform::BlueField2));

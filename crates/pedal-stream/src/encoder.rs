@@ -9,7 +9,12 @@ use pedal_deflate::Level;
 use pedal_pco::PcoConfig;
 use pedal_zlib::{adler32, Adler32};
 
-/// Default streaming chunk: 1 MiB, matching `pedal-par`'s default shard.
+/// Default chunk: 1 MiB. The one default for every chunked path (PSF1
+/// streams, `pedal::parallel`, the service fan-out): it balances fan-out
+/// (a 16 MiB payload fills 16 channels) against per-chunk ratio loss
+/// (matches cannot cross chunk boundaries, and each non-final DEFLATE
+/// fragment pays a 5-byte sync flush — about 0.5% ratio overhead at
+/// this size on silesia-xml, `BENCH_ablation_par.json`).
 pub const DEFAULT_CHUNK: usize = 1 << 20;
 
 /// Which codec fills the frame payloads, with its encoder-side knobs.
@@ -17,8 +22,8 @@ pub const DEFAULT_CHUNK: usize = 1 << 20;
 #[derive(Debug, Clone)]
 pub enum StreamCodec {
     /// Sync-flush DEFLATE fragments; concatenated payloads form one
-    /// valid RFC 1951 stream (byte-identical to `pedal_par::par_deflate`
-    /// at the same chunk size).
+    /// valid RFC 1951 stream (byte-identical to
+    /// `pedal_deflate::stitch_fragments` over the same chunks).
     Deflate(Level),
     /// Independent LZ4 blocks, raw-stored when compression expands.
     Lz4 {

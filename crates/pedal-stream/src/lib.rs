@@ -2,8 +2,8 @@
 //!
 //! Incremental streaming codec tier: a `Write`-style encoder and a
 //! resumable decoder over the self-describing **PSF1** frame protocol,
-//! generalizing `pedal-par`'s sync-flush DEFLATE fragments so the wire
-//! never waits on the codec.
+//! built on sync-flush DEFLATE fragments so the wire never waits on the
+//! codec.
 //!
 //! A PSF1 stream is a header, a run of self-describing frames (flags +
 //! sequential index + lengths + payload checksum + payload), and a
@@ -12,7 +12,7 @@
 //!
 //! * **DEFLATE** — sync-flush fragments; concatenating the payloads
 //!   yields one valid RFC 1951 stream, byte-identical to
-//!   `pedal_par::par_deflate` at the same chunk size,
+//!   `pedal_deflate::stitch_fragments` over the same chunks,
 //! * **LZ4** — independent blocks with a raw-stored fallback,
 //! * **pco** — bytes-mode chunks with the same fallback.
 //!

@@ -2,10 +2,9 @@
 //! wire bytes must be a pure function of `(data, codec, chunk_size)` —
 //! never of how the input was sliced across writes — and the decoder
 //! must reproduce the plaintext exactly even when fed one byte at a
-//! time. The DEFLATE payload concatenation is additionally pinned to
-//! `pedal_par::par_deflate` at the same chunk size.
+//! time. The DEFLATE payloads are additionally pinned to per-chunk
+//! `pedal_deflate::compress_fragment` calls, stitched in order.
 
-use pedal_par::ParConfig;
 use pedal_stream::{
     encode_all, frame_spans, split_frames, Level, StreamCodec, StreamConfig, StreamDecoder,
     StreamEncoder,
@@ -191,36 +190,35 @@ fn frame_payloads(wire: &[u8]) -> Vec<Vec<u8>> {
     split.frames.iter().map(|f| f.payload.to_vec()).collect()
 }
 
-/// The generalization contract with pedal-par: concatenating the DEFLATE
-/// frame payloads yields exactly `par_deflate` at the same chunk size —
-/// one valid RFC 1951 stream, independent of worker count.
+/// The parallel-DEFLATE contract: concatenating the DEFLATE frame
+/// payloads yields exactly the stitched sync-flush fragments of the same
+/// chunks (what the chunk-parallel paths emit on any worker count) —
+/// one valid RFC 1951 stream.
 #[test]
 fn deflate_payload_concat_matches_par_deflate() {
     let data = sample(200_000);
-    let chunk = pedal_par::MIN_CHUNK; // 64 KiB, the smallest par chunk
+    let chunk = 64 * 1024;
     let cfg = StreamConfig::new(StreamCodec::Deflate(Level::DEFAULT)).with_chunk_size(chunk);
     let wire = encode_all(&data, &cfg);
     let concat: Vec<u8> = frame_payloads(&wire).concat();
-    for workers in [1usize, 3] {
-        let par = pedal_par::par_deflate(
-            &data,
-            Level::DEFAULT,
-            &ParConfig::new(workers).with_chunk_size(chunk),
-        );
-        assert_eq!(concat, par, "workers={workers}");
-    }
+    let n = data.len().div_ceil(chunk);
+    let frags: Vec<Vec<u8>> = data
+        .chunks(chunk)
+        .enumerate()
+        .map(|(i, c)| pedal_deflate::compress_fragment(c, Level::DEFAULT, i + 1 == n))
+        .collect();
+    assert_eq!(concat, pedal_deflate::stitch_fragments(&frags).unwrap());
     // And the concatenation really is one whole DEFLATE stream.
     assert_eq!(pedal_deflate::decompress_with_limit(&concat, data.len()).unwrap(), data);
 }
 
 /// A sub-chunk message maps to a single final fragment — byte-identical
-/// to the sequential parallel path with one chunk.
+/// to the one-shot encoder.
 #[test]
 fn single_chunk_deflate_matches_par_single_fragment() {
     let data = sample(10_000);
     let cfg = StreamConfig::new(StreamCodec::Deflate(Level::DEFAULT)).with_chunk_size(1 << 20);
     let payloads = frame_payloads(&encode_all(&data, &cfg));
     assert_eq!(payloads.len(), 1);
-    let par = pedal_par::par_deflate(&data, Level::DEFAULT, &ParConfig::new(2));
-    assert_eq!(payloads[0], par);
+    assert_eq!(payloads[0], pedal_deflate::compress(&data, Level::DEFAULT));
 }

@@ -9,7 +9,7 @@
 //!
 //! * [`ParallelStrategy::SocParallel`] — the input is split into chunks
 //!   compressed concurrently on up to `soc_cores` ARM cores (real host
-//!   threads via [`pedal_par::fan_out`]; virtual time is the slowest
+//!   threads via a strided worker pool; virtual time is the slowest
 //!   core's track),
 //! * [`ParallelStrategy::Hybrid`] — chunks are divided between the
 //!   C-Engine (a single FIFO server) and the SoC cores, split by their
@@ -24,7 +24,7 @@
 use crate::context::PedalError;
 use pedal_doca::{CompressJob, DocaContext, JobKind};
 use pedal_dpu::{Algorithm, CostModel, Direction, Placement, SimDuration, SimInstant};
-pub use pedal_par::DEFAULT_CHUNK;
+pub use pedal_stream::DEFAULT_CHUNK;
 use pedal_stream::{Payload, StreamCodec, StreamConfig, StreamError, CODEC_DEFLATE};
 
 /// How to parallelize a chunked compression.
@@ -80,7 +80,7 @@ pub fn compress_chunked(
         engine_time = done.elapsed_since(SimInstant::EPOCH);
     }
     let soc = &chunks[engine_take..];
-    payloads.extend(pedal_par::fan_out(soc.len(), cores.min(soc.len()), |j| {
+    payloads.extend(fan_out(soc.len(), cores.min(soc.len()), |j| {
         cfg.codec.encode_chunk(soc[j], engine_take + j + 1 == n)
     }));
     let soc_time = soc_track(doca.costs, Direction::Compress, cores, soc.iter().map(|c| c.len()));
@@ -134,11 +134,11 @@ pub fn decompress_chunked(
         f.check_len(&r.output).map_err(codec_err)?;
         parts.push(r.output);
     }
-    let decoded = pedal_par::fan_out(soc_frames.len(), cores.min(soc_frames.len()), |j| {
-        Some(soc_frames[j].decode(stream.codec))
+    let decoded = fan_out(soc_frames.len(), cores.min(soc_frames.len()), |j| {
+        soc_frames[j].decode(stream.codec)
     });
     for part in decoded {
-        parts.push(part.expect("fan_out fills every slot").map_err(codec_err)?);
+        parts.push(part.map_err(codec_err)?);
     }
     let soc_time =
         soc_track(doca.costs, Direction::Decompress, cores, soc_frames.iter().map(|f| f.raw_len));
@@ -152,6 +152,29 @@ pub fn decompress_chunked(
         soc_time,
         chunks: n,
     })
+}
+
+/// Run `make(i)` for every `i in 0..jobs` across `threads` workers
+/// (strided assignment) and return the outputs in index order.
+/// Deterministic by construction: each output depends only on its index,
+/// and placement is by index.
+fn fan_out<T: Send>(jobs: usize, threads: usize, make: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    if threads <= 1 {
+        return (0..jobs).map(make).collect();
+    }
+    let make = &make;
+    let mut done: Vec<(usize, T)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                s.spawn(move || {
+                    (t..jobs).step_by(threads).map(|i| (i, make(i))).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers.into_iter().flat_map(|w| w.join().expect("chunk worker panicked")).collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, out)| out).collect()
 }
 
 fn codec_err(e: StreamError) -> PedalError {

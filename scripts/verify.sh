@@ -44,12 +44,6 @@ echo "==> observability smoke (traced run + export validation)"
 # JSONL (schema header first). Exits non-zero on any violation.
 cargo run --release -q -p bench --bin obs_smoke
 
-echo "==> chunk-parallel determinism (1/2/8 workers, fixed-seed corpus)"
-# Every chunked codec (DEFLATE/zlib/LZ4/SZ3 backends) and the service
-# fan-out must produce byte-identical output at 1, 2, and 8 workers /
-# channels, and round-trip through our own decoders.
-cargo run --release -q -p bench --bin par_determinism
-
 echo "==> parallel/hybrid ablation regenerates byte-identically (A4)"
 # SoC-parallel and hybrid chunked DEFLATE on both platforms (~10 s):
 # every makespan, engine share and decompress time in the table is
