@@ -25,6 +25,11 @@ impl BitWriter {
         Self { out: Vec::with_capacity(cap), acc: 0, nbits: 0 }
     }
 
+    /// Continue writing after the bytes already in `out`.
+    pub fn append_to(out: Vec<u8>) -> Self {
+        Self { out, acc: 0, nbits: 0 }
+    }
+
     /// Write the low `n` bits of `bits` (n <= 32, so the at most 31
     /// waiting bits plus `n` fit the accumulator).
     #[inline]
@@ -92,9 +97,20 @@ impl<'a> BitReader<'a> {
         Self { data, pos: 0, acc: 0, nbits: 0 }
     }
 
-    /// Refill the accumulator to at least 56 bits when input remains.
+    /// Refill the accumulator to at least 56 bits when input remains:
+    /// one 8-byte load while 8 bytes remain, then a byte at a time.
     #[inline]
     fn refill(&mut self) {
+        if let Some(word) = self.data.get(self.pos..self.pos + 8) {
+            let word = u64::from_le_bytes(word.try_into().expect("an 8-byte slice"));
+            // Take the whole bytes that fit above the buffered bits, so
+            // that no bit is set above `nbits`.
+            let take = (63 - self.nbits) / 8;
+            self.acc |= (word & ((1u64 << (take * 8)) - 1)) << self.nbits;
+            self.pos += take as usize;
+            self.nbits += take * 8;
+            return;
+        }
         while self.nbits <= 56 && self.pos < self.data.len() {
             self.acc |= (self.data[self.pos] as u64) << self.nbits;
             self.pos += 1;

@@ -81,7 +81,7 @@ pub fn deflate_fragment(data: &[u8], level: Level, last: bool) -> Vec<u8> {
 }
 
 /// Emit one block choosing the cheapest of stored/fixed/dynamic encoding.
-fn encode_block(w: &mut BitWriter, tokens: &[Token], raw: &[u8], is_final: bool) {
+pub(crate) fn encode_block(w: &mut BitWriter, tokens: &[Token], raw: &[u8], is_final: bool) {
     // Gather symbol frequencies.
     let mut lit_freq = [0u32; NUM_LITLEN];
     let mut dist_freq = [0u32; NUM_DIST];

@@ -101,11 +101,27 @@ pub fn build_code_lengths(freqs: &[u32], max_len: usize) -> Vec<u8> {
 /// SZ3's quantization alphabet needs up to 27.
 pub const MAX_BITS: usize = 27;
 
-/// Widest primary decode table. Codes longer than this are rare by
-/// construction (a code of length `l` is used about once in `2^l`
-/// symbols), and 2^11 entries (16 KiB) stay in L1 and are cheap to rebuild
-/// for every DEFLATE block.
-const MAX_PRIMARY_BITS: u32 = 11;
+/// Widest primary decode table: 2^12 four-byte entries (16 KiB) stay in
+/// L1 and are cheap to rebuild for every DEFLATE block.
+const MAX_PRIMARY_BITS: u32 = 12;
+
+/// Widest second-level subtable. Codes of up to `MAX_PRIMARY_BITS +
+/// MAX_SUB_BITS` bits resolve in two lookups; longer ones take the
+/// canonical search.
+const MAX_SUB_BITS: u32 = 8;
+
+// A table entry packs into one u32. Its low `LEN_BITS` bits are a code
+// length: a leaf, with the symbol in the bits above. A zero length marks
+// a link to a subtable, with its width in the next `WIDTH_BITS` bits and
+// its offset in `Decoder::table` above them, or, as the whole entry 0, a
+// pattern that no table code matches.
+const LEN_BITS: u32 = 5;
+const LEN_MASK: u32 = (1 << LEN_BITS) - 1;
+const WIDTH_BITS: u32 = 4;
+
+/// Symbols a leaf entry can hold. A larger alphabet, which only a hostile
+/// length table has, decodes every code through the canonical search.
+const TABLE_SYMBOLS: usize = 1 << (32 - LEN_BITS);
 
 /// Canonical code values (RFC 1951 §3.2.2), MSB-first, with the first
 /// code of each length; lengths must be at most [`MAX_BITS`].
@@ -165,35 +181,36 @@ impl Encoder {
 
 /// Table-driven canonical Huffman decoder with two levels.
 ///
-/// The primary table maps the next `primary_bits` input bits to (symbol,
-/// length) for every code that short. Its width is the longest code
-/// length, capped at 11 bits. Longer codes fall through to a canonical
-/// second level: the next `max_len` bits, read MSB-first, are compared
-/// with the first code of each longer length, and the match indexes a
-/// list of those symbols in canonical order. Beyond the fixed primary
-/// table, memory is linear in the alphabet: a table-per-prefix second
-/// level would grow exponentially with code length, which hostile code
-/// lengths could exploit.
+/// The primary table maps the next `primary_bits` input bits to a (symbol,
+/// length) leaf for every code that short. Its width is the longest code
+/// length, capped at 12 bits. Each primary prefix that starts longer codes
+/// links to a subtable of its own, indexed by the bits after the primary
+/// width; the subtable is as wide as the prefix's longest code needs,
+/// capped at 8 bits. Codes longer than both levels reach fall through to a
+/// canonical search: the next `max_len` bits, read MSB-first, are compared
+/// with the first code of each such length, and the match indexes a list
+/// of those symbols in canonical order.
+///
+/// Memory stays linear in the alphabet: only a prefix that starts a code
+/// longer than `primary_bits` owns a subtable, and none exceeds 2^8
+/// entries, so the tables hold at most `2^primary_bits + 2^8 * (symbols
+/// longer than primary_bits)` entries, however hostile the lengths.
 #[derive(Debug, Clone)]
 pub struct Decoder {
-    /// Indexed by the next `primary_bits` bits; `len == 0` means no code
-    /// of at most `primary_bits` bits matches.
-    primary: Vec<Entry>,
+    /// The primary table (`2^primary_bits` entries), then the subtables.
+    table: Vec<u32>,
     primary_bits: u32,
     max_len: u32,
-    /// Per length above `primary_bits`: the MSB-first first code, the
+    /// Shortest length the canonical search covers; codes at least this
+    /// long are not in `table`.
+    search_from: u32,
+    /// Per length from `search_from` up: the MSB-first first code, the
     /// number of codes, and where they start in `long_syms`.
     first_code: [u32; MAX_BITS + 1],
     count: [u32; MAX_BITS + 1],
     first_index: [u32; MAX_BITS + 1],
-    /// Symbols with codes longer than `primary_bits`, by (length, symbol).
+    /// Symbols with codes at least `search_from` long, by (length, symbol).
     long_syms: Vec<u32>,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct Entry {
-    sym: u32,
-    len: u8,
 }
 
 /// Error for invalid Huffman table construction or decode.
@@ -243,69 +260,120 @@ impl Decoder {
         }
         let max_len = max_len.max(1);
         let primary_bits = max_len.min(MAX_PRIMARY_BITS);
+        let search_from =
+            if lengths.len() > TABLE_SYMBOLS { 1 } else { primary_bits + MAX_SUB_BITS + 1 };
         let (codes, first_code) = canonical_codes(lengths);
-        let mut primary = vec![Entry::default(); 1 << primary_bits];
-        let mut count = [0u32; MAX_BITS + 1];
-        for (sym, (&code, &len)) in codes.iter().zip(lengths).enumerate() {
-            let len32 = len as u32;
-            if len == 0 {
-                continue;
+        let in_table = |len: u8| len != 0 && (len as u32) < search_from;
+        // A longer code's primary index is its first `primary_bits` bits,
+        // bit-reversed, since the reader delivers codes LSB-first.
+        let primary_index =
+            |code: u32, len: u32| reverse_bits(code >> (len - primary_bits), primary_bits);
+
+        // Give each prefix that starts a longer table code a subtable as
+        // wide as its longest such code needs.
+        let mut table = vec![0u32; 1 << primary_bits];
+        if max_len > primary_bits {
+            let mut width = vec![0u8; 1 << primary_bits];
+            for (&code, &len) in codes.iter().zip(lengths) {
+                if in_table(len) && len as u32 > primary_bits {
+                    let w = &mut width[primary_index(code, len as u32) as usize];
+                    *w = (*w).max(len - primary_bits as u8);
+                }
             }
-            if len32 > primary_bits {
-                count[len as usize] += 1;
-                continue;
-            }
-            // Fill every slot whose low `len` bits are the reversed code.
-            let entry = Entry { sym: sym as u32, len };
-            for slot in
-                primary.iter_mut().skip(reverse_bits(code, len32) as usize).step_by(1 << len)
-            {
-                *slot = entry;
+            for (prefix, &w) in width.iter().enumerate() {
+                if w > 0 {
+                    table[prefix] = ((table.len() as u32) << WIDTH_BITS | w as u32) << LEN_BITS;
+                    table.resize(table.len() + (1 << w), 0);
+                }
             }
         }
+
+        // Fill every slot whose low bits are the reversed code.
+        let mut count = [0u32; MAX_BITS + 1];
+        for (sym, (&code, &len)) in codes.iter().zip(lengths).enumerate() {
+            if !in_table(len) {
+                if len != 0 {
+                    count[len as usize] += 1;
+                }
+                continue;
+            }
+            let len = len as u32;
+            let leaf = (sym as u32) << LEN_BITS | len;
+            let rev = reverse_bits(code, len);
+            let (slots, low, low_len) = if len <= primary_bits {
+                (&mut table[..1 << primary_bits], rev, len)
+            } else {
+                let link = table[(rev & ((1 << primary_bits) - 1)) as usize] >> LEN_BITS;
+                let offset = (link >> WIDTH_BITS) as usize;
+                let width = link & ((1 << WIDTH_BITS) - 1);
+                (&mut table[offset..offset + (1 << width)], rev >> primary_bits, len - primary_bits)
+            };
+            for slot in slots.iter_mut().skip(low as usize).step_by(1 << low_len) {
+                *slot = leaf;
+            }
+        }
+
         let mut first_index = [0u32; MAX_BITS + 1];
         let mut next = 0u32;
-        for l in primary_bits as usize + 1..=max_len as usize {
+        for l in search_from as usize..=max_len as usize {
             first_index[l] = next;
             next += count[l];
         }
         let mut long_syms = vec![0u32; next as usize];
         let mut fill = first_index;
         for (sym, &len) in lengths.iter().enumerate() {
-            if len as u32 > primary_bits {
+            if len != 0 && !in_table(len) {
                 long_syms[fill[len as usize] as usize] = sym as u32;
                 fill[len as usize] += 1;
             }
         }
-        Ok(Self { primary, primary_bits, max_len, first_code, count, first_index, long_syms })
+        Ok(Self {
+            table,
+            primary_bits,
+            max_len,
+            search_from,
+            first_code,
+            count,
+            first_index,
+            long_syms,
+        })
     }
 
-    /// Decode one symbol from the reader.
-    #[inline]
+    /// Decode one symbol from the reader. Always inlined, so that the
+    /// caller's decode loop keeps the reader's state in registers.
+    #[inline(always)]
     pub fn decode(&self, r: &mut BitReader<'_>) -> Result<u32, HuffError> {
         // Bits past the end of input read as zero, so a pattern can match
         // a code longer than what remains; `consume` then reports it.
         let bits = r.peek_bits(self.max_len);
-        let e = self.primary[(bits & ((1 << self.primary_bits) - 1)) as usize];
-        let (sym, len) = if e.len != 0 {
-            (e.sym, e.len as u32)
-        } else {
-            match self.decode_long(bits) {
-                Some(found) => found,
-                None if r.bits_remaining() == 0 => return Err(HuffError::OutOfBits),
-                None => return Err(HuffError::InvalidCode),
+        let mut e = self.table[(bits & ((1 << self.primary_bits) - 1)) as usize];
+        if e & LEN_MASK == 0 {
+            if e != 0 {
+                let link = e >> LEN_BITS;
+                let width = link & ((1 << WIDTH_BITS) - 1);
+                let sub = (bits >> self.primary_bits) & ((1 << width) - 1);
+                e = self.table[(link >> WIDTH_BITS) as usize + sub as usize];
             }
-        };
-        r.consume(len)?;
-        Ok(sym)
+            if e == 0 {
+                let (sym, len) = match self.decode_long(bits) {
+                    Some(found) => found,
+                    None if r.bits_remaining() == 0 => return Err(HuffError::OutOfBits),
+                    None => return Err(HuffError::InvalidCode),
+                };
+                r.consume(len)?;
+                return Ok(sym);
+            }
+        }
+        r.consume(e & LEN_MASK)?;
+        Ok(e >> LEN_BITS)
     }
 
-    /// Second level: match the next `max_len` bits against the codes
-    /// longer than the primary width.
+    /// Codes the tables do not hold: match the next `max_len` bits against
+    /// the codes at least `search_from` long.
     #[cold]
     fn decode_long(&self, bits: u32) -> Option<(u32, u32)> {
         let msb_first = reverse_bits(bits, self.max_len);
-        for len in self.primary_bits + 1..=self.max_len {
+        for len in self.search_from..=self.max_len {
             let l = len as usize;
             let offset = (msb_first >> (self.max_len - len)).wrapping_sub(self.first_code[l]);
             if offset < self.count[l] {
@@ -313,6 +381,12 @@ impl Decoder {
             }
         }
         None
+    }
+
+    /// Entries in the primary table and all subtables.
+    #[cfg(test)]
+    fn table_len(&self) -> usize {
+        self.table.len()
     }
 }
 
@@ -457,5 +531,239 @@ mod tests {
         let freqs = vec![7u32; 256];
         let stream: Vec<usize> = (0..256).collect();
         roundtrip_symbols(&freqs, 15, &stream);
+    }
+
+    /// Decode `data` one bit at a time against the canonical code ranges,
+    /// under the decoder's contract: bits past the end read as zero; a
+    /// code longer than what remains is `OutOfBits`; a pattern that no
+    /// code matches is `InvalidCode`, or `OutOfBits` when no bit remains.
+    /// Stops after the first error.
+    fn reference_decode(lengths: &[u8], data: &[u8]) -> Vec<Result<u32, HuffError>> {
+        let (_, first) = canonical_codes(lengths);
+        let max_len = lengths.iter().copied().max().unwrap_or(0) as usize;
+        // Coded symbols in canonical order: by length, then symbol.
+        let mut order: Vec<u32> =
+            (0..lengths.len() as u32).filter(|&s| lengths[s as usize] > 0).collect();
+        order.sort_by_key(|&s| (lengths[s as usize], s));
+        let total = data.len() * 8;
+        let bit = |i: usize| i < total && data[i / 8] >> (i % 8) & 1 == 1;
+        let (mut pos, mut out) = (0usize, Vec::new());
+        loop {
+            let mut code = 0u32;
+            let mut found = None;
+            for (len, &first_code) in first.iter().enumerate().take(max_len + 1).skip(1) {
+                code = code << 1 | bit(pos + len - 1) as u32;
+                let start = order.partition_point(|&s| (lengths[s as usize] as usize) < len);
+                let end = order.partition_point(|&s| (lengths[s as usize] as usize) <= len);
+                let rank = code.wrapping_sub(first_code) as usize;
+                if rank < end - start {
+                    found = Some((order[start + rank], len));
+                    break;
+                }
+            }
+            let result = match found {
+                Some((_, len)) if pos + len > total => Err(HuffError::OutOfBits),
+                Some((sym, len)) => {
+                    pos += len;
+                    Ok(sym)
+                }
+                None if pos == total => Err(HuffError::OutOfBits),
+                None => Err(HuffError::InvalidCode),
+            };
+            let done = result.is_err();
+            out.push(result);
+            if done {
+                return out;
+            }
+        }
+    }
+
+    /// Decode with the table decoder until the first error.
+    fn table_decode(dec: &Decoder, data: &[u8]) -> Vec<Result<u32, HuffError>> {
+        let mut r = BitReader::new(data);
+        let mut out = Vec::new();
+        loop {
+            let result = dec.decode(&mut r);
+            let done = result.is_err();
+            out.push(result);
+            if done {
+                return out;
+            }
+        }
+    }
+
+    /// Pseudo-random bytes (xorshift), so inputs hit every table path.
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    /// Lengths 1..=27, one code each, and a second 27-bit code when
+    /// `complete`: a comb whose deep end is past the two-level reach.
+    fn comb(complete: bool) -> Vec<u8> {
+        let mut lengths: Vec<u8> = (1..=MAX_BITS as u8).collect();
+        if complete {
+            lengths.push(MAX_BITS as u8);
+        }
+        lengths
+    }
+
+    /// All-ones runs reach the deep end of a comb; noise covers the rest.
+    fn probe_inputs() -> Vec<Vec<u8>> {
+        let mut inputs: Vec<Vec<u8>> = (0..=24).map(|n| vec![0xFF; n]).collect();
+        inputs.extend((0..=40).map(|n| noise(n as u64 + 1, n)));
+        inputs.extend((0..8).map(|n| [vec![0xFF; 3], vec![0x7F], noise(99, n)].concat()));
+        inputs
+    }
+
+    #[test]
+    fn every_code_length_matches_the_reference() {
+        // A complete comb, the same comb missing its last code, and a
+        // Fibonacci code built by the encoder's length limiter.
+        let mut fib = vec![0u32; 40];
+        let (mut a, mut b) = (1u32, 1u32);
+        for f in fib.iter_mut() {
+            *f = a;
+            (a, b) = (b, a.saturating_add(b));
+        }
+        let tables = [comb(true), comb(false), build_code_lengths(&fib, MAX_BITS)];
+        for lengths in &tables {
+            let dec = Decoder::from_lengths(lengths).unwrap();
+            for data in probe_inputs() {
+                assert_eq!(
+                    table_decode(&dec, &data),
+                    reference_decode(lengths, &data),
+                    "{lengths:?} on {data:02x?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn many_prefixes_own_subtables() {
+        // 4096 13-bit codes fill half of the 12-bit prefixes two to a
+        // prefix; 8192 14-bit codes fill the other half four to a prefix.
+        let lengths: Vec<u8> = [vec![13u8; 4096], vec![14u8; 8192]].concat();
+        let dec = Decoder::from_lengths(&lengths).unwrap();
+        assert_eq!(dec.table_len(), 4096 + 2048 * 2 + 2048 * 4);
+        let enc = Encoder::from_lengths(&lengths);
+        let stream: Vec<usize> = (0..lengths.len()).rev().step_by(3).collect();
+        let mut w = BitWriter::new();
+        for &s in &stream {
+            let (code, len) = enc.code(s);
+            w.write_bits(code as u64, len as u32);
+        }
+        let bytes = w.finish();
+        let mut r = BitReader::new(&bytes);
+        for &s in &stream {
+            assert_eq!(dec.decode(&mut r), Ok(s as u32));
+        }
+        for data in [noise(7, 64), noise(8, 5)] {
+            assert_eq!(table_decode(&dec, &data), reference_decode(&lengths, &data));
+        }
+    }
+
+    #[test]
+    fn last_code_may_end_on_the_final_bit() {
+        // Eight 4-bit codes of a 16-symbol code end exactly on byte 4, after
+        // the stream's only 8-byte window is gone.
+        let lengths = vec![4u8; 16];
+        let enc = Encoder::from_lengths(&lengths);
+        let dec = Decoder::from_lengths(&lengths).unwrap();
+        for n_bytes in 1..=20usize {
+            let stream: Vec<usize> = (0..n_bytes * 2).map(|i| (i * 7) % 16).collect();
+            let mut w = BitWriter::new();
+            for &s in &stream {
+                let (code, len) = enc.code(s);
+                w.write_bits(code as u64, len as u32);
+            }
+            let bytes = w.finish();
+            assert_eq!(bytes.len(), n_bytes);
+            let mut r = BitReader::new(&bytes);
+            for &s in &stream {
+                assert_eq!(dec.decode(&mut r), Ok(s as u32), "{n_bytes} bytes");
+            }
+            assert_eq!(dec.decode(&mut r), Err(HuffError::OutOfBits), "{n_bytes} bytes");
+        }
+    }
+
+    #[test]
+    fn every_tail_after_the_last_word_refill_roundtrips() {
+        // Streams of 8 to 23 bytes leave 0 to 7 bytes after the last
+        // 8-byte refill, read a byte at a time.
+        let freqs: Vec<u32> = (1..=300).map(|i| 3000 / i).collect();
+        let lengths = build_code_lengths(&freqs, MAX_BITS);
+        let dec = Decoder::from_lengths(&lengths).unwrap();
+        for len in 8..24 {
+            for seed in 0..4 {
+                let data = noise(seed * 31 + len as u64, len);
+                assert_eq!(table_decode(&dec, &data), reference_decode(&lengths, &data));
+            }
+        }
+    }
+
+    #[test]
+    fn long_code_errors_past_the_subtables() {
+        // The comb's codes of 21 bits and more are past the two-level
+        // reach. Without its last code, 27 one bits match nothing.
+        let incomplete = Decoder::from_lengths(&comb(false)).unwrap();
+        let ones = [0xFFu8; 4];
+        assert_eq!(incomplete.decode(&mut BitReader::new(&ones)), Err(HuffError::InvalidCode));
+        // With it, the same bits are the 27-bit code; cut after 24 bits,
+        // it runs out.
+        let complete = Decoder::from_lengths(&comb(true)).unwrap();
+        assert_eq!(complete.decode(&mut BitReader::new(&ones)), Ok(MAX_BITS as u32));
+        assert_eq!(complete.decode(&mut BitReader::new(&ones[..3])), Err(HuffError::OutOfBits));
+        // A 17-bit code, inside a subtable, cut after 16 bits.
+        assert_eq!(complete.decode(&mut BitReader::new(&[0xFF; 2])), Err(HuffError::OutOfBits));
+        assert_eq!(complete.decode(&mut BitReader::new(&[0xFF, 0xFF, 0x00])), Ok(16));
+    }
+
+    #[test]
+    fn deep_combs_stay_linear() {
+        // Canonical assignment puts longer codes after shorter ones, so
+        // a 12-bit prefix holding a 27-bit code holds a comb down to it.
+        // One comb alone would give its prefix an uncapped subtable of
+        // 2^15 entries; 4096 prefixes, each a 16-symbol comb down to 27
+        // bits, give 65536 long codes over every prefix.
+        let deep = |comb: &[u8], copies: usize| -> Vec<u8> {
+            comb.iter().copied().cycle().take(copies * comb.len()).collect()
+        };
+        let tables = [
+            comb(true),
+            deep(&(13..=MAX_BITS as u8).chain([MAX_BITS as u8]).collect::<Vec<_>>(), 4096),
+        ];
+        for lengths in &tables {
+            let dec = Decoder::from_lengths(lengths).unwrap();
+            let long = lengths.iter().filter(|&&l| l > 12).count();
+            assert!(dec.table_len() <= (1 << 12) + (1 << 8) * long, "{} entries", dec.table_len());
+            // The deepest codes still decode, through the canonical search.
+            let enc = Encoder::from_lengths(lengths);
+            let stream = [lengths.len() - 1, 0, lengths.len() / 2, 14, 15, lengths.len() - 2];
+            let mut w = BitWriter::new();
+            for &s in &stream {
+                let (code, len) = enc.code(s);
+                w.write_bits(code as u64, len as u32);
+            }
+            let bytes = w.finish();
+            let mut r = BitReader::new(&bytes);
+            for &s in &stream {
+                assert_eq!(dec.decode(&mut r), Ok(s as u32));
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_alphabet_matches_nothing() {
+        let dec = Decoder::from_lengths(&[0, 0, 0]).unwrap();
+        assert_eq!(dec.decode(&mut BitReader::new(&[])), Err(HuffError::OutOfBits));
+        assert_eq!(dec.decode(&mut BitReader::new(&[0x00])), Err(HuffError::InvalidCode));
     }
 }

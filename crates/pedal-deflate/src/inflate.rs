@@ -266,7 +266,9 @@ fn copy_match(out: &mut Vec<u8>, dist: usize, len: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitio::BitWriter;
     use crate::encoder::{deflate, Level};
+    use crate::lz77::Token;
 
     #[test]
     fn roundtrip_text() {
@@ -321,7 +323,7 @@ mod tests {
         // reference before any output: fixed block, first symbol is a match.
         // length code 257 (len 3) is 7-bit code 0000001; dist code 0 is 00000.
         // Build bits: BFINAL=1 BTYPE=01 then code 257, then dist 0.
-        use crate::bitio::{reverse_bits, BitWriter};
+        use crate::bitio::reverse_bits;
         let mut w = BitWriter::new();
         w.write_bits(1, 1);
         w.write_bits(0b01, 2);
@@ -342,6 +344,28 @@ mod tests {
         let enc = deflate(&data, Level::DEFAULT);
         assert_eq!(inflate_with_limit(&enc, 100), Err(InflateError::OutputLimitExceeded(100)));
         assert_eq!(inflate_with_limit(&enc, 10_000).unwrap(), data);
+    }
+
+    #[test]
+    fn dynamic_block_with_15_bit_literal_codes() {
+        // Literal counts halving from 2^14 down to 1, then a tail of single
+        // bytes, give codes as long as DEFLATE allows, so the decoder needs
+        // its subtables.
+        let mut raw = Vec::new();
+        for byte in 0..=40u8 {
+            raw.extend(std::iter::repeat_n(byte, 1 << 14_u32.saturating_sub(byte as u32)));
+        }
+        let tokens: Vec<Token> = raw.iter().map(|&b| Token::Literal(b)).collect();
+        let mut freqs = vec![0u32; 257];
+        raw.iter().for_each(|&b| freqs[b as usize] += 1);
+        freqs[256] = 1;
+        let lengths = crate::huffman::build_code_lengths(&freqs, 15);
+        assert_eq!(lengths.iter().copied().max(), Some(15));
+        let mut w = BitWriter::new();
+        crate::encoder::encode_block(&mut w, &tokens, &raw, true);
+        let bytes = w.finish();
+        assert_eq!(bytes[0] & 0b111, 0b101, "one final dynamic block");
+        assert_eq!(inflate(&bytes).unwrap(), raw);
     }
 
     #[test]

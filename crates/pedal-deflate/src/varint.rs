@@ -21,6 +21,11 @@ pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
     out.push(v as u8);
 }
 
+/// Bytes [`put_uvarint`] writes for `v`.
+pub fn uvarint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 /// Read an unsigned varint at `*i`. On success `*i` moves past it; on
 /// error `*i` is left where it was, so a streaming reader can retry the
 /// same position once more input has arrived.
@@ -54,7 +59,9 @@ mod tests {
         }
         let mut i = 0;
         for &v in &values {
+            let at = i;
             assert_eq!(get_uvarint(&buf, &mut i), Ok(v));
+            assert_eq!(i - at, uvarint_len(v), "length of {v}");
         }
         assert_eq!(i, buf.len());
     }

@@ -16,8 +16,8 @@
 use crate::backend::{backend_compress, backend_decompress, BackendError, BackendKind};
 use crate::field::{Dims, Field, Float};
 use crate::huff;
-use crate::interp_nd::interp_walk;
-use crate::predictor::{interp_cubic, interp_linear, lorenzo_predict, PredictorKind};
+use crate::interp_nd::{interp_lines, predict_line, PointStep};
+use crate::predictor::{lorenzo_predict, PredictorKind};
 use crate::quantizer::{Quantized, Quantizer};
 use pedal_deflate::varint::{get_uvarint, put_uvarint};
 
@@ -182,34 +182,15 @@ pub fn encode_core<T: Float>(field: &Field<T>, cfg: &Sz3Config) -> (Vec<u8>, Cor
 
     let predictor = effective_predictor(cfg.predictor, dims);
 
-    let mut codes: Vec<u32> = Vec::with_capacity(n);
-    let mut outliers: Vec<u8> = Vec::new();
-    let mut n_outliers = 0usize;
-    let mut recon = vec![0.0f64; n];
-
-    let mut visit = |i: usize,
-                     pred: f64,
-                     value: f64,
-                     codes: &mut Vec<u32>,
-                     outliers: &mut Vec<u8>,
-                     recon: &mut Vec<f64>| {
-        // The decompressor stores reconstructions in T, so the bound must
-        // hold on the T-rounded value, not the f64 intermediate.
-        if let Quantized::Code { index, reconstructed } = q.quantize(value, pred) {
-            let stored = T::from_f64(reconstructed).to_f64();
-            if (stored - value).abs() <= q.eb {
-                codes.push(index);
-                recon[i] = stored;
-                return;
-            }
-        }
-        codes.push(Quantizer::OUTLIER);
-        outliers.extend_from_slice(&T::from_f64(value).to_le_bytes_vec()[..T::BYTES]);
-        n_outliers += 1;
-        // Reconstruct exactly what the decompressor will read back.
-        recon[i] = T::from_f64(value).to_f64();
+    let mut st = Quantize {
+        data: &field.data,
+        q,
+        codes: Vec::with_capacity(n),
+        outliers: Vec::new(),
+        n_outliers: 0,
     };
-
+    // Reconstructions in T, exactly what the decompressor will hold.
+    let mut recon = vec![T::zero(); n];
     match predictor {
         PredictorKind::Lorenzo => {
             for z in 0..dims.nz {
@@ -217,36 +198,24 @@ pub fn encode_core<T: Float>(field: &Field<T>, cfg: &Sz3Config) -> (Vec<u8>, Cor
                     for x in 0..dims.nx {
                         let i = dims.idx(x, y, z);
                         let pred = lorenzo_predict(&recon, dims.nx, dims.ny, x, y, z);
-                        visit(
-                            i,
-                            pred,
-                            field.data[i].to_f64(),
-                            &mut codes,
-                            &mut outliers,
-                            &mut recon,
-                        );
+                        st.step(&mut recon, i, pred);
                     }
                 }
             }
         }
         PredictorKind::Interp | PredictorKind::InterpCubic => {
-            // Seed point 0 predicted as 0, then the multi-level N-D walk.
+            // Seed point 0 predicted as 0, then the multi-level walk.
             if n > 0 {
-                visit(0, 0.0, field.data[0].to_f64(), &mut codes, &mut outliers, &mut recon);
+                st.step(&mut recon, 0, 0.0);
             }
             let cubic = predictor == PredictorKind::InterpCubic;
-            interp_walk(dims, |p| {
-                let pred = if cubic { interp_cubic(&recon, p) } else { interp_linear(&recon, p) };
-                let value = field.data[p.pos].to_f64();
-                visit(p.pos, pred, value, &mut codes, &mut outliers, &mut recon);
-            });
+            interp_lines(dims, |line| predict_line(&mut recon, line, cubic, &mut st));
         }
     }
+    let Quantize { codes, outliers, n_outliers, .. } = st;
 
-    // Entropy-encode the code stream.
-    let encoded = huff::encode(&codes);
-
-    // Assemble the core stream.
+    // Entropy-encode the code stream, straight into the core stream.
+    let encoded = huff::Blob::plan(&codes);
     let mut out = Vec::with_capacity(encoded.len() + outliers.len() + 64);
     out.extend_from_slice(CORE_MAGIC);
     out.push(1); // version
@@ -259,7 +228,7 @@ pub fn encode_core<T: Float>(field: &Field<T>, cfg: &Sz3Config) -> (Vec<u8>, Cor
     put_uvarint(&mut out, cfg.radius as u64);
     put_uvarint(&mut out, n_outliers as u64);
     put_uvarint(&mut out, encoded.len() as u64);
-    out.extend_from_slice(&encoded);
+    encoded.append_to(&mut out);
     out.extend_from_slice(&outliers);
 
     let stats = CoreStats {
@@ -374,54 +343,94 @@ pub fn decode_core_with_limit<T: Float>(
     }
 
     let q = Quantizer::with_radius(eb, radius as i64);
-    let mut recon = vec![0.0f64; n];
     let mut out_data = vec![T::zero(); n];
-    let mut outlier_pos = 0usize;
-
     // Codes were emitted in *visit order*, which for interpolation differs
-    // from position order; consume them with a running cursor.
-    let mut code_cursor = 0usize;
-    let mut place = |i: usize, pred: f64, recon: &mut Vec<f64>, out_data: &mut Vec<T>| {
-        let code = codes[code_cursor];
-        code_cursor += 1;
-        if code == Quantizer::OUTLIER {
-            let v = T::from_le_slice(&outlier_bytes[outlier_pos..outlier_pos + T::BYTES]);
-            outlier_pos += T::BYTES;
-            recon[i] = v.to_f64();
-            out_data[i] = v;
-        } else {
-            let stored = T::from_f64(q.reconstruct(code, pred));
-            // Mirror the encoder: reconstructions live in T precision.
-            recon[i] = stored.to_f64();
-            out_data[i] = stored;
-        }
-    };
-
+    // from position order; consume them with a running cursor. Predictions
+    // read `out_data`, whose values are already in T precision, as the
+    // encoder's were.
+    let mut st =
+        Reconstruct { q, codes: &codes, cursor: 0, outliers: outlier_bytes, outlier_pos: 0 };
     match predictor {
         PredictorKind::Lorenzo => {
             for z in 0..nz {
                 for y in 0..ny {
                     for x in 0..nx {
                         let idx = dims.idx(x, y, z);
-                        let pred = lorenzo_predict(&recon, nx, ny, x, y, z);
-                        place(idx, pred, &mut recon, &mut out_data);
+                        let pred = lorenzo_predict(&out_data, nx, ny, x, y, z);
+                        st.step(&mut out_data, idx, pred);
                     }
                 }
             }
         }
         PredictorKind::Interp | PredictorKind::InterpCubic => {
             if n > 0 {
-                place(0, 0.0, &mut recon, &mut out_data);
+                st.step(&mut out_data, 0, 0.0);
             }
             let cubic = predictor == PredictorKind::InterpCubic;
-            interp_walk(dims, |p| {
-                let pred = if cubic { interp_cubic(&recon, p) } else { interp_linear(&recon, p) };
-                place(p.pos, pred, &mut recon, &mut out_data);
-            });
+            interp_lines(dims, |line| predict_line(&mut out_data, line, cubic, &mut st));
         }
     }
 
     Ok(Field::new(dims, out_data))
+}
+
+/// The compressor's step at each point: quantize the value against its
+/// prediction, and store what the decompressor will reconstruct.
+struct Quantize<'a, T> {
+    data: &'a [T],
+    q: Quantizer,
+    /// One code per point, in visit order.
+    codes: Vec<u32>,
+    /// Raw little-endian values of the outliers, in visit order.
+    outliers: Vec<u8>,
+    n_outliers: usize,
+}
+
+impl<T: Float> PointStep<T> for Quantize<'_, T> {
+    #[inline(always)]
+    fn step(&mut self, recon: &mut [T], i: usize, pred: f64) {
+        let value = self.data[i].to_f64();
+        // The decompressor stores reconstructions in T, so the bound must
+        // hold on the T-rounded value, not the f64 intermediate.
+        if let Quantized::Code { index, reconstructed } = self.q.quantize(value, pred) {
+            let stored = T::from_f64(reconstructed);
+            if (stored.to_f64() - value).abs() <= self.q.eb {
+                self.codes.push(index);
+                recon[i] = stored;
+                return;
+            }
+        }
+        self.codes.push(Quantizer::OUTLIER);
+        let raw = T::from_f64(value);
+        self.outliers.extend_from_slice(&raw.to_le_bytes_vec()[..T::BYTES]);
+        self.n_outliers += 1;
+        recon[i] = raw;
+    }
+}
+
+/// The decompressor's step at each point: take the next code and
+/// reconstruct the value from the prediction, or read the next outlier.
+struct Reconstruct<'a> {
+    q: Quantizer,
+    codes: &'a [u32],
+    cursor: usize,
+    outliers: &'a [u8],
+    outlier_pos: usize,
+}
+
+impl<T: Float> PointStep<T> for Reconstruct<'_> {
+    #[inline(always)]
+    fn step(&mut self, out: &mut [T], i: usize, pred: f64) {
+        let code = self.codes[self.cursor];
+        self.cursor += 1;
+        out[i] = if code == Quantizer::OUTLIER {
+            let v = T::from_le_slice(&self.outliers[self.outlier_pos..self.outlier_pos + T::BYTES]);
+            self.outlier_pos += T::BYTES;
+            v
+        } else {
+            T::from_f64(self.q.reconstruct(code, pred))
+        };
+    }
 }
 
 /// Apply the lossless backend, producing the final sealed stream.

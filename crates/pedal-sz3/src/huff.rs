@@ -8,14 +8,18 @@
 //!   indexed by symbol value when the values span no more than the stream
 //!   is long (or 64 Ki values), and by sorting otherwise;
 //! * builds length-limited canonical codes with `pedal-deflate`'s
-//!   Huffman coder and writes each code MSB-first in one write;
-//! * decodes with that coder's two-level table decoder, whose memory is
-//!   linear in the observed alphabet.
+//!   Huffman coder and writes each code MSB-first in one write, sizing
+//!   the blob before it writes it, so the payload is written once;
+//! * decodes with that coder's two-level table decoder. When `l` symbols
+//!   have codes longer than 12 bits, it holds at most `2^12 + 2^8 * l`
+//!   four-byte table entries, plus four bytes per symbol whose code is
+//!   longer than 20 bits (those take a canonical search): linear in the
+//!   alphabet, whatever lengths a hostile header declares.
 
 use pedal_deflate::bitio::{BitReader, BitWriter};
 use pedal_deflate::huffman::{build_code_lengths, Decoder, Encoder, MAX_BITS};
 
-use pedal_deflate::varint::{get_uvarint, put_uvarint};
+use pedal_deflate::varint::{get_uvarint, put_uvarint, uvarint_len};
 
 /// Symbol values may span this many values, or as many as the stream has
 /// symbols, before the alphabet is found by sorting instead of a table.
@@ -49,74 +53,137 @@ impl std::error::Error for HuffStreamError {}
 /// Encode a slice of u32 symbols into a self-describing blob:
 /// header (symbol table + code lengths) followed by the bit-packed payload.
 pub fn encode(symbols: &[u32]) -> Vec<u8> {
-    let lo = symbols.iter().copied().min().unwrap_or(0);
-    let hi = symbols.iter().copied().max().unwrap_or(0);
-    let span = (hi - lo) as usize + 1;
-    if span <= symbols.len().max(DENSE_MIN_SPAN) {
-        // Dense index: count per value, then turn each used slot into its
-        // rank among the used values.
-        let mut slot = vec![0u32; span];
-        for &s in symbols {
-            slot[(s - lo) as usize] += 1;
-        }
-        let (mut distinct, mut freqs) = (Vec::new(), Vec::new());
-        for (v, c) in slot.iter_mut().enumerate() {
-            if *c > 0 {
-                freqs.push(*c);
-                *c = distinct.len() as u32;
-                distinct.push(lo + v as u32);
-            }
-        }
-        encode_indexed(symbols, &distinct, &freqs, |s| slot[(s - lo) as usize] as usize)
-    } else {
-        let mut distinct = symbols.to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let index_of = |s: u32| distinct.binary_search(&s).expect("symbol is in the alphabet");
-        let mut freqs = vec![0u32; distinct.len()];
-        for &s in symbols {
-            freqs[index_of(s)] += 1;
-        }
-        encode_indexed(symbols, &distinct, &freqs, index_of)
-    }
+    let blob = Blob::plan(symbols);
+    let mut out = Vec::with_capacity(blob.len());
+    blob.append_to(&mut out);
+    out
 }
 
-/// Write the blob for `symbols`, whose alphabet `distinct` is ascending,
-/// `freqs` its counts, and `index_of` a symbol's position in it.
-fn encode_indexed(
-    symbols: &[u32],
-    distinct: &[u32],
-    freqs: &[u32],
-    index_of: impl Fn(u32) -> usize,
-) -> Vec<u8> {
-    let lengths = build_code_lengths(freqs, MAX_BITS);
+/// Bits of a packed code's length; the bit-reversed code sits above them.
+const PACKED_LEN_BITS: u32 = 5;
 
-    // Header: n_symbols, count of distinct, then delta-varint symbol table,
-    // then code lengths (one byte each).
-    let mut out = Vec::with_capacity(symbols.len() / 2 + 64);
-    put_uvarint(&mut out, symbols.len() as u64);
-    put_uvarint(&mut out, distinct.len() as u64);
-    let mut prev = 0u64;
-    for &s in distinct {
-        put_uvarint(&mut out, s as u64 - prev);
-        prev = s as u64;
-    }
-    out.extend(lengths.iter().copied());
+/// How [`Blob`] finds a symbol's code, packed as `reversed_code <<
+/// PACKED_LEN_BITS | length`.
+enum Codes {
+    /// Indexed by `symbol - lo`, when the values span no more than the
+    /// stream is long (or 64 Ki values).
+    Dense { lo: u32, slot: Vec<u32> },
+    /// Per entry of the ascending alphabet, found by binary search.
+    Sparse { distinct: Vec<u32>, codes: Vec<u32> },
+}
 
-    // A single-symbol stream's payload carries nothing. Otherwise each code
-    // goes out MSB-first: bit-reversed, through the LSB-first writer.
-    let mut w = BitWriter::with_capacity(symbols.len() / 2);
-    if distinct.len() > 1 {
-        let enc = Encoder::from_lengths(&lengths);
-        for &s in symbols {
-            let (code, len) = enc.code(index_of(s));
-            w.write_bits(code as u64, len as u32);
+/// The blob [`encode`] writes for a symbol stream, planned so that its
+/// exact length is known before it is written out.
+pub(crate) struct Blob<'a> {
+    symbols: &'a [u32],
+    /// Symbol count, alphabet and code lengths.
+    header: Vec<u8>,
+    codes: Codes,
+    /// Payload bytes; 0 for a single-symbol stream, whose payload carries
+    /// nothing.
+    payload_len: usize,
+}
+
+impl<'a> Blob<'a> {
+    /// Find the alphabet of `symbols`, its code lengths and the header.
+    pub fn plan(symbols: &'a [u32]) -> Self {
+        let (lo, hi) = symbols.iter().fold((u32::MAX, 0), |(lo, hi), &s| (lo.min(s), hi.max(s)));
+        let lo = lo.min(hi);
+        let span = (hi - lo) as usize + 1;
+        let dense = span <= symbols.len().max(DENSE_MIN_SPAN);
+        let (mut slot, mut distinct, mut freqs) = (Vec::new(), Vec::new(), Vec::new());
+        if dense {
+            // Count per value, then turn each used slot into its rank among
+            // the used values.
+            slot = vec![0u32; span];
+            for &s in symbols {
+                slot[(s - lo) as usize] += 1;
+            }
+            for (v, c) in slot.iter_mut().enumerate() {
+                if *c > 0 {
+                    freqs.push(*c);
+                    *c = distinct.len() as u32;
+                    distinct.push(lo + v as u32);
+                }
+            }
+        } else {
+            distinct = symbols.to_vec();
+            distinct.sort_unstable();
+            distinct.dedup();
+            freqs = vec![0u32; distinct.len()];
+            for &s in symbols {
+                freqs[distinct.binary_search(&s).expect("symbol is in the alphabet")] += 1;
+            }
         }
+        let lengths = build_code_lengths(&freqs, MAX_BITS);
+
+        // Header: n_symbols, count of distinct, then delta-varint symbol
+        // table, then code lengths (one byte each).
+        let mut header = Vec::with_capacity(distinct.len() * 2 + 16);
+        put_uvarint(&mut header, symbols.len() as u64);
+        put_uvarint(&mut header, distinct.len() as u64);
+        let mut prev = 0u64;
+        for &s in &distinct {
+            put_uvarint(&mut header, s as u64 - prev);
+            prev = s as u64;
+        }
+        header.extend(lengths.iter().copied());
+
+        let payload_bits: u64 = if distinct.len() > 1 {
+            freqs.iter().zip(&lengths).map(|(&f, &l)| f as u64 * l as u64).sum()
+        } else {
+            0
+        };
+        let enc = Encoder::from_lengths(&lengths);
+        let codes: Vec<u32> = enc
+            .codes
+            .iter()
+            .zip(&lengths)
+            .map(|(&c, &l)| c << PACKED_LEN_BITS | l as u32)
+            .collect();
+        let codes = if dense {
+            // Each used slot's rank becomes its code; unused slots are
+            // never read.
+            for c in &mut slot {
+                *c = codes.get(*c as usize).copied().unwrap_or(0);
+            }
+            Codes::Dense { lo, slot }
+        } else {
+            Codes::Sparse { distinct, codes }
+        };
+        Self { symbols, header, codes, payload_len: payload_bits.div_ceil(8) as usize }
     }
-    let payload = w.finish();
-    put_uvarint(&mut out, payload.len() as u64);
-    out.extend_from_slice(&payload);
-    out
+
+    /// Length of the blob in bytes.
+    pub fn len(&self) -> usize {
+        self.header.len() + uvarint_len(self.payload_len as u64) + self.payload_len
+    }
+
+    /// Append the blob to `out`. Each code goes out MSB-first: bit-reversed,
+    /// through the LSB-first writer.
+    pub fn append_to(&self, out: &mut Vec<u8>) {
+        out.reserve(self.len());
+        out.extend_from_slice(&self.header);
+        put_uvarint(out, self.payload_len as u64);
+        if self.payload_len == 0 {
+            return;
+        }
+        let start = out.len();
+        let mut w = BitWriter::append_to(std::mem::take(out));
+        let mut put = |code: u32| {
+            w.write_bits((code >> PACKED_LEN_BITS) as u64, code & ((1 << PACKED_LEN_BITS) - 1))
+        };
+        match &self.codes {
+            Codes::Dense { lo, slot } => {
+                self.symbols.iter().for_each(|&s| put(slot[(s - lo) as usize]))
+            }
+            Codes::Sparse { distinct, codes } => self.symbols.iter().for_each(|s| {
+                put(codes[distinct.binary_search(s).expect("symbol is in the alphabet")])
+            }),
+        }
+        *out = w.finish();
+        debug_assert_eq!(out.len() - start, self.payload_len);
+    }
 }
 
 /// Decode a blob produced by [`encode`].
@@ -309,6 +376,24 @@ mod tests {
         put_uvarint(&mut blob, 100); // n
         put_uvarint(&mut blob, 1u64 << 50); // k
         assert_eq!(decode(&blob), Err(HuffStreamError::BadHeader));
+    }
+
+    #[test]
+    fn deep_comb_header_with_short_payload_is_a_bad_stream() {
+        // 4096 12-bit prefixes, each a 16-symbol comb down to 27 bits, and
+        // a payload of one bits that runs out inside the deepest codes.
+        let comb: Vec<u8> = (13..=MAX_BITS as u8).chain([MAX_BITS as u8]).collect();
+        let k = 4096 * comb.len();
+        let mut blob = Vec::new();
+        put_uvarint(&mut blob, k as u64); // n
+        put_uvarint(&mut blob, k as u64);
+        for d in std::iter::once(0).chain(std::iter::repeat_n(1, k - 1)) {
+            put_uvarint(&mut blob, d);
+        }
+        blob.extend(comb.iter().copied().cycle().take(k));
+        put_uvarint(&mut blob, k as u64 / 8);
+        blob.extend(std::iter::repeat_n(0xFF, k / 8));
+        assert_eq!(decode_with_limit(&blob, k), Err(HuffStreamError::BadStream));
     }
 
     #[test]

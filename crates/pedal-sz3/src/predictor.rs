@@ -7,10 +7,12 @@
 //!   neighbours by inclusion–exclusion.
 //! * [`PredictorKind::Interp`] — multi-level interpolation (SZ3's flagship
 //!   predictor) with linear and cubic kernels, over grids of any rank in
-//!   the visit order of [`crate::interp_nd::interp_walk`].
+//!   the line-by-line visit order of [`crate::interp_nd::interp_lines`].
 //!
 //! Prediction always consumes *reconstructed* values, never originals, so
 //! the decompressor — which only has reconstructed data — stays in lockstep.
+
+use crate::field::Float;
 
 /// Predictor selector stored in the compressed header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,59 +47,36 @@ impl PredictorKind {
 /// Lorenzo prediction at (x, y, z) over a reconstructed buffer laid out
 /// row-major with dims (nx, ny, nz). Out-of-range neighbours contribute 0.
 #[inline]
-pub fn lorenzo_predict(recon: &[f64], nx: usize, ny: usize, x: usize, y: usize, z: usize) -> f64 {
+pub fn lorenzo_predict<T: Float>(
+    recon: &[T],
+    nx: usize,
+    ny: usize,
+    x: usize,
+    y: usize,
+    z: usize,
+) -> f64 {
     let at = |dx: usize, dy: usize, dz: usize| -> f64 {
         // dx/dy/dz are 0 or 1 meaning "one step back".
         if (dx == 1 && x == 0) || (dy == 1 && y == 0) || (dz == 1 && z == 0) {
             0.0
         } else {
-            recon[((z - dz) * ny + (y - dy)) * nx + (x - dx)]
+            recon[((z - dz) * ny + (y - dy)) * nx + (x - dx)].to_f64()
         }
     };
     // Inclusion-exclusion over the 7 causal neighbours.
     at(1, 0, 0) + at(0, 1, 0) + at(0, 0, 1) - at(1, 1, 0) - at(1, 0, 1) - at(0, 1, 1) + at(1, 1, 1)
 }
 
-/// One interpolated point and its anchor positions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InterpPoint {
-    pub pos: usize,
-    pub left: usize,
-    pub right: Option<usize>,
-    pub far_left: Option<usize>,
-    pub far_right: Option<usize>,
-}
-
-/// Linear interpolation kernel over reconstructed anchors.
-#[inline]
-pub fn interp_linear(recon: &[f64], p: InterpPoint) -> f64 {
-    match p.right {
-        Some(r) => 0.5 * (recon[p.left] + recon[r]),
-        None => recon[p.left],
-    }
-}
-
-/// Cubic (4-point) interpolation kernel; falls back to linear near edges.
-#[inline]
-pub fn interp_cubic(recon: &[f64], p: InterpPoint) -> f64 {
-    match (p.far_left, p.right, p.far_right) {
-        (Some(fl), Some(r), Some(fr)) => {
-            // Catmull-Rom-style midpoint weights: (-1, 9, 9, -1)/16.
-            (-recon[fl] + 9.0 * recon[p.left] + 9.0 * recon[r] - recon[fr]) / 16.0
-        }
-        _ => interp_linear(recon, p),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::field::Dims;
-    use crate::interp_nd::interp_walk;
+    use crate::interp_nd::{interp_lines, Line};
 
-    fn interp_plan(n: usize) -> Vec<InterpPoint> {
+    /// The 1-D walk's lines, and each point's index on its line.
+    fn interp_plan(n: usize) -> Vec<(Line, usize)> {
         let mut points = Vec::new();
-        interp_walk(Dims::d1(n), |p| points.push(p));
+        interp_lines(Dims::d1(n), |line| points.extend((0..line.count).map(|j| (line, j))));
         points
     }
 
@@ -155,14 +134,15 @@ mod tests {
             let plan = interp_plan(n);
             let mut seen = vec![false; n];
             seen[0] = true; // seed
-            for p in &plan {
-                assert!(!seen[p.pos], "n={n} pos {} visited twice", p.pos);
+            for &(line, j) in &plan {
+                let pos = line.pos(j);
+                assert!(!seen[pos], "n={n} pos {pos} visited twice");
                 // Anchors must already be reconstructed.
-                assert!(seen[p.left], "n={n} left anchor {} not ready", p.left);
-                if let Some(r) = p.right {
-                    assert!(seen[r], "n={n} right anchor {r} not ready");
+                assert!(seen[pos - line.d], "n={n} left anchor of {pos} not ready");
+                if j + 1 < line.count || line.closed {
+                    assert!(seen[pos + line.d], "n={n} right anchor of {pos} not ready");
                 }
-                seen[p.pos] = true;
+                seen[pos] = true;
             }
             assert!(seen.iter().all(|&s| s), "n={n}: some points unvisited");
         }
@@ -172,10 +152,10 @@ mod tests {
     fn interp_linear_exact_on_linear_data() {
         let n = 33;
         let recon: Vec<f64> = (0..n).map(|i| 2.0 * i as f64 + 1.0).collect();
-        for p in interp_plan(n) {
-            if p.right.is_some() {
-                let pred = interp_linear(&recon, p);
-                assert!((pred - recon[p.pos]).abs() < 1e-12);
+        for (line, j) in interp_plan(n) {
+            if j + 1 < line.count || line.closed {
+                let pred = line.predict(&recon, j, false);
+                assert!((pred - recon[line.pos(j)]).abs() < 1e-12);
             }
         }
     }
@@ -190,16 +170,11 @@ mod tests {
             0.01 * t * t * t - 0.3 * t * t + 2.0 * t - 5.0
         };
         let recon: Vec<f64> = (0..n).map(f).collect();
-        for p in interp_plan(n) {
-            if p.far_left.is_some() && p.far_right.is_some() && p.right.is_some() {
-                let pred = interp_cubic(&recon, p);
-                assert!(
-                    (pred - recon[p.pos]).abs() < 1e-9,
-                    "pos {}: {} vs {}",
-                    p.pos,
-                    pred,
-                    recon[p.pos]
-                );
+        for (line, j) in interp_plan(n) {
+            let far_right = j + 2 < line.count || (j + 2 == line.count && line.closed);
+            if j >= 1 && far_right {
+                let (pos, pred) = (line.pos(j), line.predict(&recon, j, true));
+                assert!((pred - recon[pos]).abs() < 1e-9, "pos {pos}: {pred} vs {}", recon[pos]);
             }
         }
     }

@@ -42,12 +42,12 @@ impl Quantizer {
     /// Quantize `value` against `prediction`.
     #[inline]
     pub fn quantize(&self, value: f64, prediction: f64) -> Quantized {
-        if !value.is_finite() || !prediction.is_finite() {
-            return Quantized::Unpredictable;
-        }
         let diff = value - prediction;
         let code = (diff / (2.0 * self.eb)).round();
-        if code.abs() >= self.radius as f64 {
+        // A non-finite value or prediction makes the code NaN or infinite,
+        // as does a difference too large for f64, so this test also sends
+        // those to the outliers.
+        if code.is_nan() || code.abs() >= self.radius as f64 {
             return Quantized::Unpredictable;
         }
         let code = code as i64;

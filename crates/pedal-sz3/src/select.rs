@@ -11,8 +11,8 @@
 //! of coarse-level interpolation outliers mask fine-level wins.
 
 use crate::field::{Field, Float};
-use crate::interp_nd::interp_walk;
-use crate::predictor::{interp_cubic, interp_linear, lorenzo_predict, PredictorKind};
+use crate::interp_nd::interp_lines;
+use crate::predictor::{lorenzo_predict, PredictorKind};
 
 /// Maximum number of sampled points per candidate.
 const SAMPLE_BUDGET: usize = 4096;
@@ -24,7 +24,7 @@ pub fn estimate<T: Float>(field: &Field<T>, predictor: PredictorKind, eb: f64) -
     if n < 4 {
         return f64::INFINITY;
     }
-    let vals: Vec<f64> = field.data.iter().map(|v| v.to_f64()).collect();
+    let vals = &field.data;
     let mut err = 0.0f64;
     let mut count = 0usize;
     // Quantization-noise floor: predictions read *reconstructed* values in
@@ -46,8 +46,8 @@ pub fn estimate<T: Float>(field: &Field<T>, predictor: PredictorKind, eb: f64) -
                 let x = i % dims.nx;
                 let y = (i / dims.nx) % dims.ny;
                 let z = i / (dims.nx * dims.ny);
-                let pred = lorenzo_predict(&vals, dims.nx, dims.ny, x, y, z);
-                let v = vals[i];
+                let pred = lorenzo_predict(vals, dims.nx, dims.ny, x, y, z);
+                let v = vals[i].to_f64();
                 if v.is_finite() && pred.is_finite() {
                     err += (((v - pred).abs() + noise) / eb + 1.0).log2();
                     count += 1;
@@ -60,18 +60,20 @@ pub fn estimate<T: Float>(field: &Field<T>, predictor: PredictorKind, eb: f64) -
             let step = ((n - 1) / SAMPLE_BUDGET).max(1);
             let cubic = predictor == PredictorKind::InterpCubic;
             let mut visited = 0usize;
-            interp_walk(dims, |p| {
-                let sampled = visited.is_multiple_of(step);
-                visited += 1;
-                if !sampled {
-                    return;
+            interp_lines(dims, |line| {
+                // The line's first point whose visit number is a multiple
+                // of `step`.
+                let mut j = (step - visited % step) % step;
+                while j < line.count {
+                    let pred = line.predict(vals, j, cubic);
+                    let v = vals[line.pos(j)].to_f64();
+                    if v.is_finite() && pred.is_finite() {
+                        err += (((v - pred).abs() + noise) / eb + 1.0).log2();
+                        count += 1;
+                    }
+                    j += step;
                 }
-                let pred = if cubic { interp_cubic(&vals, p) } else { interp_linear(&vals, p) };
-                let v = vals[p.pos];
-                if v.is_finite() && pred.is_finite() {
-                    err += (((v - pred).abs() + noise) / eb + 1.0).log2();
-                    count += 1;
-                }
+                visited += line.count;
             });
         }
     }

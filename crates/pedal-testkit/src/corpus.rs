@@ -101,6 +101,38 @@ fn float_base(id: DatasetId, elems: usize) -> Field<f32> {
     Field::new(Dims::d1(elems), vals)
 }
 
+/// A valid Huffman blob whose code lengths form a comb down to the
+/// 27-bit limit (lengths 1..=27, and 27 again), past the decoder's
+/// two-level tables: mutating its length table reshapes the subtables
+/// and the canonical search behind them. `huff::encode` only builds such
+/// lengths from exponentially skewed counts, so the blob is written here.
+/// Returns the symbols and the blob.
+fn deep_comb_blob(data: &[u8]) -> (Vec<u32>, Vec<u8>) {
+    use pedal_deflate::bitio::BitWriter;
+    use pedal_deflate::huffman::{Encoder, MAX_BITS};
+    use pedal_deflate::varint::put_uvarint;
+    let lengths: Vec<u8> = (1..=MAX_BITS as u8).chain([MAX_BITS as u8]).collect();
+    let k = lengths.len();
+    let index: Vec<usize> = data.iter().map(|&b| b as usize % k).collect();
+    let mut blob = Vec::new();
+    put_uvarint(&mut blob, index.len() as u64);
+    put_uvarint(&mut blob, k as u64);
+    // The alphabet is 32768.. in steps of one: a first delta, then ones.
+    put_uvarint(&mut blob, 32768);
+    (1..k).for_each(|_| put_uvarint(&mut blob, 1));
+    blob.extend_from_slice(&lengths);
+    let enc = Encoder::from_lengths(&lengths);
+    let mut w = BitWriter::new();
+    for &i in &index {
+        let (code, len) = enc.code(i);
+        w.write_bits(code as u64, len as u32);
+    }
+    let payload = w.finish();
+    put_uvarint(&mut blob, payload.len() as u64);
+    blob.extend_from_slice(&payload);
+    (index.iter().map(|&i| 32768 + i as u32).collect(), blob)
+}
+
 /// Build the valid-stream corpus for `codec`. `target` sizes the raw data
 /// per base (a couple of KiB keeps a 10k-case sweep inside seconds while
 /// still exercising multi-block paths).
@@ -160,12 +192,17 @@ pub fn build_corpus(codec: CodecId, target: usize) -> Vec<CaseBase> {
                 });
             }
             CodecId::Huff => {
-                // Symbols shaped like quantizer output: clustered around
-                // the radius with occasional excursions.
                 let data = id.generate_bytes(target);
-                let symbols: Vec<u32> =
-                    data.iter().map(|&b| 32768 + (b as u32 % 64) - 32).collect();
-                let enc = huff::encode(&symbols);
+                let (symbols, enc) = if di + 1 == DatasetId::ALL.len() {
+                    deep_comb_blob(&data)
+                } else {
+                    // Symbols shaped like quantizer output: clustered
+                    // around the radius with occasional excursions.
+                    let symbols: Vec<u32> =
+                        data.iter().map(|&b| 32768 + (b as u32 % 64) - 32).collect();
+                    let enc = huff::encode(&symbols);
+                    (symbols, enc)
+                };
                 let original: Vec<u8> = symbols.iter().flat_map(|s| s.to_le_bytes()).collect();
                 bases.push(CaseBase { dataset: id.name(), original, encoded: enc, design: None });
             }

@@ -5,7 +5,9 @@
 //! non-finite data, awkward sizes and 2-D / 3-D grids, so a faster core
 //! cannot change a byte. `huff::encode` is pinned on its own for wide
 //! alphabets (dense and sparse symbol values), long codes and a
-//! single-symbol stream.
+//! single-symbol stream. Decoding each pinned core is pinned too, by
+//! element count and FNV-1a over the decoded elements' bits, so a faster
+//! reconstruction cannot change a value either.
 //!
 //! The reference decoder below reads one bit per step and matches codes
 //! against per-length canonical ranges. The table-driven decoder must
@@ -17,7 +19,7 @@ use pedal_deflate::bitio::BitReader;
 use pedal_deflate::varint::{get_uvarint, put_uvarint};
 use pedal_fleet::fnv1a64;
 use pedal_sz3::huff::{self, HuffStreamError};
-use pedal_sz3::{encode_core, Dims, Field, Float, PredictorKind, Sz3Config};
+use pedal_sz3::{decode_core, encode_core, Dims, Field, Float, PredictorKind, Sz3Config};
 
 const PREDICTORS: [(PredictorKind, &str); 3] = [
     (PredictorKind::Lorenzo, "lorenzo"),
@@ -235,6 +237,86 @@ const CORE_PINS: &[(&str, usize, u64)] = &[
     ("exaalt-2/f64/Lorenzo/abs/20x18x14", 4940, 0xc6caafa5ad5ab0a1),
 ];
 
+/// (case, decoded element count, FNV-1a over the decoded elements'
+/// little-endian bits), recorded from the per-point interpolation walk
+/// that the per-line walk replaced.
+const DECODED_PINS: &[(&str, usize, u64)] = &[
+    ("exaalt-1/f32/lorenzo/abs/4097", 4097, 0x29a758cbfd7ab75d),
+    ("exaalt-1/f32/lorenzo/rel/4097", 4097, 0xc72d1ccb9a85a45e),
+    ("exaalt-1/f32/interp/abs/4097", 4097, 0x6a28e29db55ea348),
+    ("exaalt-1/f32/interp/rel/4097", 4097, 0x1e843d1f01fa6286),
+    ("exaalt-1/f32/cubic/abs/4097", 4097, 0x145207f439519142),
+    ("exaalt-1/f32/cubic/rel/4097", 4097, 0xdc0c50ace3e650a8),
+    ("exaalt-2/f32/lorenzo/abs/4097", 4097, 0x9fd940a865dcf8c3),
+    ("exaalt-2/f32/lorenzo/rel/4097", 4097, 0x270693f4ece8bf6a),
+    ("exaalt-2/f32/interp/abs/4097", 4097, 0xac21797389f21411),
+    ("exaalt-2/f32/interp/rel/4097", 4097, 0xffbb7b1f106217cb),
+    ("exaalt-2/f32/cubic/abs/4097", 4097, 0xd91bb25e187e1e36),
+    ("exaalt-2/f32/cubic/rel/4097", 4097, 0xeeb2b143434ba035),
+    ("exaalt-3/f32/lorenzo/abs/4097", 4097, 0x5d176d5b4522baa5),
+    ("exaalt-3/f32/lorenzo/rel/4097", 4097, 0x96f3a65af432b923),
+    ("exaalt-3/f32/interp/abs/4097", 4097, 0x943a52a90a7ed426),
+    ("exaalt-3/f32/interp/rel/4097", 4097, 0xe3252757b3a26547),
+    ("exaalt-3/f32/cubic/abs/4097", 4097, 0x27a00c5aa672637e),
+    ("exaalt-3/f32/cubic/rel/4097", 4097, 0xa2de8b1a38754b57),
+    ("obs_error/f32/lorenzo/abs/4097", 4097, 0x93c11b45ec1c7c5d),
+    ("obs_error/f32/lorenzo/rel/4097", 4097, 0x3aff5ac893dcb206),
+    ("obs_error/f32/interp/abs/4097", 4097, 0x9ff50d4b087a685d),
+    ("obs_error/f32/interp/rel/4097", 4097, 0xcee0513b5137b48a),
+    ("obs_error/f32/cubic/abs/4097", 4097, 0xd2a40da455c29549),
+    ("obs_error/f32/cubic/rel/4097", 4097, 0xd6f86e11e00c3080),
+    ("exaalt-3/f32/lorenzo/abs/1", 1, 0x0dab16ce718414ad),
+    ("exaalt-3/f64/lorenzo/abs/1", 1, 0xb83d8a846b924b22),
+    ("exaalt-3/f32/interp/abs/1", 1, 0x0dab16ce718414ad),
+    ("exaalt-3/f64/interp/abs/1", 1, 0xb83d8a846b924b22),
+    ("exaalt-3/f32/cubic/abs/1", 1, 0x0dab16ce718414ad),
+    ("exaalt-3/f64/cubic/abs/1", 1, 0xb83d8a846b924b22),
+    ("exaalt-3/f32/lorenzo/abs/2", 2, 0x2c9db2fbdebc4642),
+    ("exaalt-3/f64/lorenzo/abs/2", 2, 0x1e2e3b56b1e71f79),
+    ("exaalt-3/f32/interp/abs/2", 2, 0x2c9db2fbdebc4642),
+    ("exaalt-3/f64/interp/abs/2", 2, 0x1e2e3b56b1e71f79),
+    ("exaalt-3/f32/cubic/abs/2", 2, 0x2c9db2fbdebc4642),
+    ("exaalt-3/f64/cubic/abs/2", 2, 0x1e2e3b56b1e71f79),
+    ("exaalt-3/f32/lorenzo/abs/3", 3, 0x8dab8706c6a8a187),
+    ("exaalt-3/f64/lorenzo/abs/3", 3, 0x5a178bf9f4da1493),
+    ("exaalt-3/f32/interp/abs/3", 3, 0x115f2c33754924b1),
+    ("exaalt-3/f64/interp/abs/3", 3, 0x99474a0741916719),
+    ("exaalt-3/f32/cubic/abs/3", 3, 0x115f2c33754924b1),
+    ("exaalt-3/f64/cubic/abs/3", 3, 0x99474a0741916719),
+    ("exaalt-3/f32/lorenzo/abs/5", 5, 0xcd62a356534caebb),
+    ("exaalt-3/f64/lorenzo/abs/5", 5, 0x64b167192f844107),
+    ("exaalt-3/f32/interp/abs/5", 5, 0xd4cc4ea1022f1028),
+    ("exaalt-3/f64/interp/abs/5", 5, 0x5405ff5a29675baf),
+    ("exaalt-3/f32/cubic/abs/5", 5, 0xd4cc4ea1022f1028),
+    ("exaalt-3/f64/cubic/abs/5", 5, 0x5405ff5a29675baf),
+    ("exaalt-3/f32/lorenzo/abs/4095", 4095, 0x40f9694cf619fce5),
+    ("exaalt-3/f64/lorenzo/abs/4095", 4095, 0xc34db86740499cb4),
+    ("exaalt-3/f32/interp/abs/4095", 4095, 0x6453ed4e022f9cb2),
+    ("exaalt-3/f64/interp/abs/4095", 4095, 0x7b37d709f60045e0),
+    ("exaalt-3/f32/cubic/abs/4095", 4095, 0x93b083b8cc549edb),
+    ("exaalt-3/f64/cubic/abs/4095", 4095, 0x47adee9539942f4c),
+    ("exaalt-3/f32/lorenzo/abs/4096", 4096, 0x3cf4698c98d8560e),
+    ("exaalt-3/f64/lorenzo/abs/4096", 4096, 0xad59030d7e058532),
+    ("exaalt-3/f32/interp/abs/4096", 4096, 0xfcc21ac76fb8638f),
+    ("exaalt-3/f64/interp/abs/4096", 4096, 0xa64e4ad0f10bb156),
+    ("exaalt-3/f32/cubic/abs/4096", 4096, 0xb9fd1ec01b39f966),
+    ("exaalt-3/f64/cubic/abs/4096", 4096, 0xaafee5c4a4ebc99a),
+    ("exaalt-3/f64/lorenzo/abs/4097", 4097, 0x7ec81adafab90327),
+    ("exaalt-3/f64/interp/abs/4097", 4097, 0x4e4dfd97160b2490),
+    ("exaalt-3/f64/cubic/abs/4097", 4097, 0x2b49bfde3510fe18),
+    ("obs_error/f32/lorenzo/abs/salted", 4096, 0x897312890b34baca),
+    ("obs_error/f32/interp/abs/salted", 4096, 0xdfccab9519e592dd),
+    ("obs_error/f32/cubic/abs/salted", 4096, 0x0296229875d9e5d0),
+    ("obs_error/f64/interp/rel/salted", 4096, 0xb1540134c7b1b64f),
+    ("exaalt-2/f32/interp/abs/300KiB", 76800, 0xaca5baafdb25e144),
+    ("obs_error/f32/interp/abs/300KiB", 76800, 0x40297ec256d9fba6),
+    ("exaalt-1/f64/cubic/rel/300KiB", 38400, 0xdc94aa4186ab1668),
+    ("exaalt-3/f32/Interp/abs/96x80", 7680, 0x7148814ed4fbccf8),
+    ("exaalt-3/f32/Lorenzo/abs/96x80", 7680, 0x10177899b28f6a8a),
+    ("exaalt-2/f64/InterpCubic/abs/20x18x14", 5040, 0x21e6f355acc9825c),
+    ("exaalt-2/f64/Lorenzo/abs/20x18x14", 5040, 0xc596d49ff2e8d5f9),
+];
+
 /// (case, blob length, blob FNV-1a), recorded like [`CORE_PINS`].
 const HUFF_PINS: &[(&str, usize, u64)] = &[
     ("zipf/dense", 198916, 0x4eb754b00d448681),
@@ -263,6 +345,35 @@ fn core_bytes_are_pinned() {
     let actual: Vec<(String, usize, u64)> =
         core_cases().into_iter().map(|(name, c)| (name, c.len(), fnv1a64(&c))).collect();
     check_pins(&actual, CORE_PINS);
+}
+
+/// Decode `core` as the element type its header names: (element count,
+/// FNV-1a over the elements' little-endian bits).
+fn decoded_digest(core: &[u8]) -> (usize, u64) {
+    fn digest<T: Float>(core: &[u8]) -> (usize, u64) {
+        let field: Field<T> = decode_core(core).expect("a pinned core decodes");
+        let bits: Vec<u8> =
+            field.data.iter().flat_map(|v| v.to_le_bytes_vec()[..T::BYTES].to_vec()).collect();
+        (field.data.len(), fnv1a64(&bits))
+    }
+    // The type tag follows the magic and the version byte.
+    if core[5] == f32::TYPE_TAG {
+        digest::<f32>(core)
+    } else {
+        digest::<f64>(core)
+    }
+}
+
+#[test]
+fn decoded_fields_are_pinned() {
+    let actual: Vec<(String, usize, u64)> = core_cases()
+        .into_iter()
+        .map(|(name, c)| {
+            let (len, hash) = decoded_digest(&c);
+            (name, len, hash)
+        })
+        .collect();
+    check_pins(&actual, DECODED_PINS);
 }
 
 #[test]
