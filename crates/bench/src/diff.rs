@@ -1,7 +1,7 @@
 //! Bench-regression gate: compare a current `BENCH_*.json` against a
 //! committed baseline and flag threshold-crossing regressions.
 //!
-//! Every harness writes virtual-time numbers, so run-to-run noise is
+//! Every experiment writes virtual-time numbers, so run-to-run noise is
 //! zero on an unchanged tree — any delta is a real behaviour change.
 //! The gate still uses a relative threshold (default 20%) so small
 //! intentional cost-model recalibrations don't demand a lockstep

@@ -1,22 +1,25 @@
-//! Shared infrastructure for the figure/table harnesses.
+//! Shared infrastructure for the paper's experiments.
 //!
-//! Every binary in this crate regenerates one table or figure of the paper
-//! (see DESIGN.md §3 for the index). Results are *virtual-time* numbers
+//! Every module under [`experiments`] regenerates one table, figure or
+//! ablation (see DESIGN.md §3 for the index), and the `repro` binary runs
+//! them all through [`repro::run`]. Results are *virtual-time* numbers
 //! from the calibrated cost model, so they are identical on every host.
 //!
 //! Set `PEDAL_DATA_SCALE` (e.g. `0.1`) to shrink the datasets for a quick
-//! pass; the shipped EXPERIMENTS.md numbers use the full Table IV sizes.
+//! pass; the committed `results/` use the full Table IV sizes.
 
 use pedal::{Datatype, Design, OverheadMode, PedalConfig, PedalContext, TimingBreakdown};
 use pedal_datasets::DatasetId;
 use pedal_dpu::Platform;
+use std::sync::OnceLock;
 
 pub mod diff;
+pub mod experiments;
 pub mod report;
+pub mod repro;
 pub use diff::{classify, compare, Better, Delta, DiffResult};
-pub use report::{
-    fmt_us_opt, json_ns_opt, repo_root, results_dir, write_results_file, BenchReport,
-};
+pub use report::{fmt_us_opt, json_ns_opt, repo_root, BenchReport};
+pub use repro::Artifacts;
 
 /// Dataset scale factor from the environment (default 1.0 = Table IV sizes).
 pub fn data_scale() -> f64 {
@@ -27,12 +30,16 @@ pub fn data_scale() -> f64 {
         .unwrap_or(1.0)
 }
 
-/// Generate a dataset at the configured scale.
-pub fn dataset(id: DatasetId) -> Vec<u8> {
-    let target = ((id.size_bytes() as f64) * data_scale()).round() as usize;
-    // Keep float datasets 4-byte aligned.
-    let target = if id.is_lossy_dataset() { target & !3 } else { target };
-    id.generate_bytes(target.max(64))
+/// A dataset at the configured scale, generated once per process.
+pub fn dataset(id: DatasetId) -> &'static [u8] {
+    const IDS: usize = DatasetId::ALL.len() + DatasetId::MIXED.len();
+    static CACHE: [OnceLock<Vec<u8>>; IDS] = [const { OnceLock::new() }; IDS];
+    CACHE[id as usize].get_or_init(|| {
+        let target = ((id.size_bytes() as f64) * data_scale()).round() as usize;
+        // Keep float datasets 4-byte aligned.
+        let target = if id.is_lossy_dataset() { target & !3 } else { target };
+        id.generate_bytes(target.max(64))
+    })
 }
 
 /// The datatype a dataset should be fed to PEDAL as.
@@ -130,35 +137,28 @@ impl Table {
         self.rows.push(cells);
     }
 
-    pub fn print(&self) {
+    /// Append the table to `out`.
+    pub fn print(&self, out: &mut Artifacts) {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (w, c) in widths.iter_mut().zip(row) {
                 *w = (*w).max(c.len());
             }
         }
-        let line = |ws: &[usize]| {
-            let mut s = String::from("+");
-            for w in ws {
-                s.push_str(&"-".repeat(w + 2));
-                s.push('+');
-            }
-            s
+        let rule: String = widths.iter().map(|w| format!("{}+", "-".repeat(w + 2))).collect();
+        let rule = format!("+{rule}");
+        let row = |cells: &[String]| {
+            let cells: String =
+                cells.iter().zip(&widths).map(|(c, w)| format!(" {c:<w$} |")).collect();
+            format!("|{cells}")
         };
-        println!("{}", line(&widths));
-        let fmt_row = |cells: &[String], ws: &[usize]| {
-            let mut s = String::from("|");
-            for (c, w) in cells.iter().zip(ws) {
-                s.push_str(&format!(" {:<width$} |", c, width = w));
-            }
-            s
-        };
-        println!("{}", fmt_row(&self.headers, &widths));
-        println!("{}", line(&widths));
-        for row in &self.rows {
-            println!("{}", fmt_row(row, &widths));
+        out.line(&rule);
+        out.line(&row(&self.headers));
+        out.line(&rule);
+        for cells in &self.rows {
+            out.line(&row(cells));
         }
-        println!("{}", line(&widths));
+        out.line(&rule);
     }
 }
 
@@ -174,14 +174,14 @@ pub fn fmt_ms(d: pedal_dpu::SimDuration) -> String {
     }
 }
 
-/// Print the standard harness banner.
-pub fn banner(artifact: &str, what: &str) {
-    println!("=== {artifact} — {what} ===");
+/// Append the standard experiment banner to `out`.
+pub fn banner(out: &mut Artifacts, artifact: &str, what: &str) {
+    outln!(out, "=== {artifact} — {what} ===");
     let scale = data_scale();
     if (scale - 1.0).abs() > 1e-9 {
-        println!("(PEDAL_DATA_SCALE = {scale}: dataset sizes scaled down; shapes hold)");
+        outln!(out, "(PEDAL_DATA_SCALE = {scale}: dataset sizes scaled down; shapes hold)");
     }
-    println!();
+    outln!(out);
 }
 
 #[cfg(test)]
@@ -193,13 +193,14 @@ mod tests {
         let mut t = Table::new(vec!["a", "b"]);
         t.row(vec!["1", "22"]);
         t.row(vec!["333", "4"]);
-        t.print();
+        let mut out = Artifacts::default();
+        t.print(&mut out);
+        assert_eq!(out.text.lines().nth(4), Some("| 333 | 4  |"));
     }
 
     #[test]
     fn run_design_produces_sane_output() {
-        std::env::set_var("PEDAL_DATA_SCALE", "0.01");
-        let data = dataset(DatasetId::SilesiaXml);
+        let data = DatasetId::SilesiaXml.generate_bytes(51_000);
         let run = run_design(
             Platform::BlueField2,
             Design::CE_DEFLATE,
@@ -210,6 +211,5 @@ mod tests {
         assert!(run.ratio() > 2.0);
         assert!(run.compress.total().as_nanos() > 0);
         assert!(run.decompress.total().as_nanos() > 0);
-        std::env::remove_var("PEDAL_DATA_SCALE");
     }
 }

@@ -1,38 +1,20 @@
-//! Machine-readable result emission for the harness binaries.
+//! Machine-readable result emission for the experiments.
 //!
-//! Every harness prints its human-facing tables to stdout as before, and
-//! additionally writes a `BENCH_<name>.json` document at the repository
-//! root so scripts (and the verify gate) can consume the same numbers
-//! without scraping table text. Traced runs drop their Chrome trace /
-//! metrics JSONL under `results/`. All serialization goes through
-//! `pedal_obs::Json` — the repo carries no external serde dependency.
+//! Besides its table text, an experiment may record a `BENCH_<name>.json`
+//! document (written at the repository root) so scripts and `benchdiff`
+//! can consume the same numbers without scraping table text. All
+//! serialization goes through `pedal_obs::Json` — the repo carries no
+//! external serde dependency.
 
 use std::path::PathBuf;
 
 use pedal_dpu::SimDuration;
 use pedal_obs::Json;
 
-/// The shared `results/` directory at the repository root, independent
-/// of the invoking working directory. Created on first use.
-pub fn results_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(|p| p.parent())
-        .expect("bench crate lives two levels under the repo root")
-        .join("results");
-    std::fs::create_dir_all(&dir).expect("create results/");
-    dir
-}
+use crate::Artifacts;
 
-/// Write `contents` to `results/<filename>`, returning the full path.
-pub fn write_results_file(filename: &str, contents: &str) -> PathBuf {
-    let path = results_dir().join(filename);
-    std::fs::write(&path, contents).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    path
-}
-
-/// Accumulates one harness run's machine-readable output and writes it
-/// as `BENCH_<name>.json` at the repository root.
+/// Accumulates one experiment's machine-readable output, recorded as
+/// `BENCH_<name>.json`.
 pub struct BenchReport {
     name: String,
     fields: Vec<(String, Json)>,
@@ -54,14 +36,9 @@ impl BenchReport {
         self
     }
 
-    /// Write `BENCH_<name>.json` at the repository root and report
-    /// where it went.
-    pub fn write(&self) -> PathBuf {
-        let doc = Json::Obj(self.fields.clone()).to_string();
-        let path = repo_root().join(format!("BENCH_{}.json", self.name));
-        std::fs::write(&path, &doc).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-        println!("\n[report] {}", path.display());
-        path
+    /// Record the document as `BENCH_<name>.json` in `out`.
+    pub fn write(self, out: &mut Artifacts) {
+        out.file(format!("BENCH_{}.json", self.name), Json::Obj(self.fields).to_string());
     }
 }
 
@@ -104,18 +81,17 @@ mod tests {
         assert_eq!(parsed.get("artifact").and_then(Json::as_str), Some("unit_test"));
     }
 
-    /// The report lands at the repository root, the one copy the verify
-    /// gate checks, and nowhere under `results/`.
+    /// The report is recorded at the repository root, the one copy the
+    /// verify gate checks, and adds no table text.
     #[test]
     fn write_mirrors_report_at_repo_root() {
         let mut r = BenchReport::new("report_unit_test");
         r.set("ok", Json::u64(1));
-        let path = r.write();
-        assert_eq!(path, repo_root().join("BENCH_report_unit_test.json"));
-        let doc = std::fs::read_to_string(&path).expect("report written");
-        assert_eq!(doc, Json::Obj(r.fields.clone()).to_string());
-        assert!(!results_dir().join("BENCH_report_unit_test.json").exists());
-        let _ = std::fs::remove_file(path);
+        let doc = Json::Obj(r.fields.clone()).to_string();
+        let mut out = Artifacts::default();
+        r.write(&mut out);
+        assert_eq!(out.text, "");
+        assert_eq!(out.files, [("BENCH_report_unit_test.json".to_string(), doc)]);
     }
 
     #[test]
