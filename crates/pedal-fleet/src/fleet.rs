@@ -338,10 +338,8 @@ where
         let mut attain_min: Option<f64> = None;
         for node in nodes.iter_mut() {
             let snap = node.svc.snapshot();
-            if let Some(rolling) = &snap.rolling {
-                if let Some(p99) = rolling.latency.p99 {
-                    p99_max = Some(p99_max.map_or(p99, |m: u64| m.max(p99)));
-                }
+            if let Some(p99) = snap.rolling.latency.p99 {
+                p99_max = Some(p99_max.map_or(p99, |m: u64| m.max(p99)));
             }
             for t in &snap.tenants {
                 if t.tenant < cfg.paying_tenants && t.recent_total > 0 {

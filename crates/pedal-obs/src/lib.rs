@@ -10,9 +10,11 @@
 //!   collection time ([`chrome_trace_json`], [`TraceLog`]). Rings drop
 //!   *new* events when full and count the loss, so overflow degrades to
 //!   a truthful prefix, never corruption.
-//! * **Metrics registry**: always-on atomic counters and log-bucketed
-//!   (HDR-style) [`LogHistogram`]s behind named series — what makes a
-//!   live mid-run `snapshot()` of a service possible without draining.
+//! * **Metrics series**: log-bucketed (HDR-style) [`LogHistogram`]s,
+//!   rolling windows, a per-tenant [`SloTable`] and a bounded
+//!   [`ObsBus`] — the parts a service's completion ledger records into,
+//!   so a live mid-run `snapshot()` works without draining.
+//!   [`MetricsSnapshot`] is the JSONL form of its named series.
 //!
 //! Span records are self-contained (begin *and* end in one event), so
 //! the exported Chrome `trace_event` JSON is balanced by construction;
@@ -39,8 +41,8 @@ pub use bus::{BusSubscription, FrameKind, MetricsFrame, ObsBus};
 pub use event::{Event, EventKind, SpanKind};
 pub use hist::LogHistogram;
 pub use json::{parse as parse_json, Json, JsonError, ToJson};
-pub use prom::{counters_monotone, metric_name, validate_exposition, PromCheck, PromWriter};
-pub use registry::{HistSummary, MetricsRegistry, MetricsSnapshot, METRICS_SCHEMA};
+pub use prom::{counters_monotone, validate_exposition, PromCheck, PromWriter};
+pub use registry::{HistSummary, MetricsSnapshot, METRICS_SCHEMA};
 pub use ring::{EventRing, LaneRecorder, Track, DEFAULT_RING_CAPACITY};
 pub use slo::{SloTable, TenantId, TenantSloSnapshot};
 pub use stats::percentile;

@@ -26,21 +26,6 @@ fn valid_label_name(s: &str) -> bool {
     chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
-/// Sanitize an internal series name (e.g. `service.queue_wait_ns`) into
-/// a valid metric name (`service_queue_wait_ns`).
-pub fn metric_name(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len());
-    for (i, c) in raw.chars().enumerate() {
-        let ok = c.is_ascii_alphanumeric() || c == '_' || c == ':';
-        let ok = ok && !(i == 0 && c.is_ascii_digit());
-        out.push(if ok { c } else { '_' });
-    }
-    if out.is_empty() {
-        out.push('_');
-    }
-    out
-}
-
 fn escape_label_value(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
@@ -64,8 +49,7 @@ fn fmt_value(v: f64) -> String {
 
 /// Builds a text exposition. Families are announced with
 /// [`family`](Self::family); samples reference any announced or ad-hoc
-/// name. Names are validated eagerly (debug assert) and should come from
-/// [`metric_name`].
+/// name. Names are validated eagerly (debug assert).
 #[derive(Debug, Default)]
 pub struct PromWriter {
     out: String,
@@ -349,14 +333,6 @@ mod tests {
         assert_eq!(check.samples, 5);
         assert_eq!(check.families["pedal_latency_ns"], "summary");
         assert_eq!(check.counters["pedal_jobs_completed_total{tenant=3}"], 42.0);
-    }
-
-    #[test]
-    fn sanitizer_produces_valid_names() {
-        for raw in ["service.queue_wait_ns", "9lives", "a b", "", "ok_name"] {
-            assert!(valid_metric_name(&metric_name(raw)), "{raw:?}");
-        }
-        assert_eq!(metric_name("service.queue_wait_ns"), "service_queue_wait_ns");
     }
 
     #[test]

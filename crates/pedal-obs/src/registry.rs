@@ -1,92 +1,11 @@
-//! Always-on metrics: named counters and log-bucketed histograms.
-//!
-//! Unlike the event journal (opt-in, per-lane, consumed at shutdown),
-//! the registry is shared, atomic, and readable at any moment — it is
-//! what makes a live `snapshot()` of a running service possible. Series
-//! are created up front or on demand; recording against an existing
-//! series is wait-free.
+//! Metrics series summaries: a frozen [`HistSummary`] of one
+//! [`LogHistogram`], and a [`MetricsSnapshot`] of named counters and
+//! histograms with its JSONL export. The recorder that owns the live
+//! series (the service's completion ledger) builds the snapshot.
 
 use crate::hist::LogHistogram;
 use crate::json::{Json, ToJson};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
-
-/// A named collection of counters and histograms. Cheap to share behind
-/// an `Arc`; all recording methods take `&self`.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    counters: RwLock<BTreeMap<String, std::sync::Arc<AtomicU64>>>,
-    histograms: RwLock<BTreeMap<String, std::sync::Arc<LogHistogram>>>,
-}
-
-impl MetricsRegistry {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Get or create a counter series. Hold the returned handle on hot
-    /// paths so recording never touches the name map.
-    pub fn counter(&self, name: &str) -> std::sync::Arc<AtomicU64> {
-        if let Some(c) = self.counters.read().unwrap().get(name) {
-            return c.clone();
-        }
-        self.counters
-            .write()
-            .unwrap()
-            .entry(name.to_string())
-            .or_insert_with(|| std::sync::Arc::new(AtomicU64::new(0)))
-            .clone()
-    }
-
-    /// Get or create a histogram series (values in virtual nanoseconds
-    /// by convention, but any u64 unit works).
-    pub fn histogram(&self, name: &str) -> std::sync::Arc<LogHistogram> {
-        if let Some(h) = self.histograms.read().unwrap().get(name) {
-            return h.clone();
-        }
-        self.histograms
-            .write()
-            .unwrap()
-            .entry(name.to_string())
-            .or_insert_with(|| std::sync::Arc::new(LogHistogram::new()))
-            .clone()
-    }
-
-    /// One-shot bump without holding a handle.
-    pub fn add(&self, name: &str, delta: u64) {
-        self.counter(name).fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// One-shot histogram record without holding a handle.
-    pub fn record(&self, name: &str, value: u64) {
-        self.histogram(name).record(value);
-    }
-
-    /// Current value of a counter (0 if the series does not exist).
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters.read().unwrap().get(name).map(|c| c.load(Ordering::Relaxed)).unwrap_or(0)
-    }
-
-    /// Point-in-time copy of every series, for reporting/export.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let counters = self
-            .counters
-            .read()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-            .collect();
-        let histograms = self
-            .histograms
-            .read()
-            .unwrap()
-            .iter()
-            .map(|(k, h)| (k.clone(), HistSummary::of(h)))
-            .collect();
-        MetricsSnapshot { counters, histograms }
-    }
-}
 
 /// A frozen summary of one histogram series.
 #[derive(Debug, Clone, PartialEq)]
@@ -186,34 +105,6 @@ impl MetricsSnapshot {
         ]);
         format!("{header}\n{}", self.to_jsonl())
     }
-
-    /// Prometheus-style text exposition: counters as `counter` families
-    /// (suffixed `_total`), histograms as `summary` families with
-    /// `quantile` samples plus `_sum`/`_count`. Series names are
-    /// sanitized via [`crate::prom::metric_name`].
-    pub fn to_prometheus(&self) -> String {
-        let mut w = crate::prom::PromWriter::new();
-        for (name, value) in &self.counters {
-            let mut n = crate::prom::metric_name(name);
-            if !n.ends_with("_total") {
-                n.push_str("_total");
-            }
-            w.family(&n, &format!("Counter series {name}."), "counter");
-            w.sample(&n, &[], *value as f64);
-        }
-        for (name, h) in &self.histograms {
-            let n = crate::prom::metric_name(name);
-            w.family(&n, &format!("Histogram series {name}."), "summary");
-            for (q, v) in [("0.5", h.p50), ("0.9", h.p90), ("0.99", h.p99)] {
-                if let Some(v) = v {
-                    w.sample(&n, &[("quantile", q.to_string())], v as f64);
-                }
-            }
-            w.sample(&format!("{n}_sum"), &[], h.sum as f64);
-            w.sample(&format!("{n}_count"), &[], h.count as f64);
-        }
-        w.finish()
-    }
 }
 
 #[cfg(test)]
@@ -221,49 +112,33 @@ mod tests {
     use super::*;
     use crate::json::parse;
 
-    #[test]
-    fn counters_accumulate_and_snapshot() {
-        let reg = MetricsRegistry::new();
-        reg.add("jobs.completed", 3);
-        reg.add("jobs.completed", 2);
-        reg.add("jobs.rejected", 1);
-        assert_eq!(reg.counter_value("jobs.completed"), 5);
-        assert_eq!(reg.counter_value("missing"), 0);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counters["jobs.completed"], 5);
-        assert_eq!(snap.counters["jobs.rejected"], 1);
+    /// One counter `c1` = 9 and one histogram `h1` holding a single 42.
+    fn one_of_each() -> MetricsSnapshot {
+        let h = LogHistogram::new();
+        h.record(42);
+        MetricsSnapshot {
+            counters: [("c1".to_string(), 9)].into(),
+            histograms: [("h1".to_string(), HistSummary::of(&h))].into(),
+        }
     }
 
     #[test]
     fn histogram_series_summarize() {
-        let reg = MetricsRegistry::new();
+        let h = LogHistogram::new();
         for v in [100u64, 200, 300] {
-            reg.record("latency", v);
+            h.record(v);
         }
-        let snap = reg.snapshot();
-        let h = &snap.histograms["latency"];
-        assert_eq!(h.count, 3);
-        assert_eq!(h.min, Some(100));
-        assert_eq!(h.max, Some(300));
-        assert_eq!(h.mean, Some(200.0));
-        assert!(h.p50.is_some() && h.p99.is_some());
-    }
-
-    #[test]
-    fn handles_are_shared_across_lookups() {
-        let reg = MetricsRegistry::new();
-        let a = reg.counter("x");
-        let b = reg.counter("x");
-        a.fetch_add(7, Ordering::Relaxed);
-        assert_eq!(b.load(Ordering::Relaxed), 7);
+        let s = HistSummary::of(&h);
+        assert_eq!(s.count, 3);
+        assert_eq!(s.min, Some(100));
+        assert_eq!(s.max, Some(300));
+        assert_eq!(s.mean, Some(200.0));
+        assert!(s.p50.is_some() && s.p99.is_some());
     }
 
     #[test]
     fn jsonl_lines_parse_and_carry_series_names() {
-        let reg = MetricsRegistry::new();
-        reg.add("c1", 9);
-        reg.record("h1", 42);
-        let jsonl = reg.snapshot().to_jsonl();
+        let jsonl = one_of_each().to_jsonl();
         let lines: Vec<_> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
         for line in &lines {
@@ -276,10 +151,8 @@ mod tests {
 
     #[test]
     fn versioned_jsonl_leads_with_schema_header() {
-        let reg = MetricsRegistry::new();
-        reg.add("c1", 9);
-        reg.record("h1", 42);
-        let jsonl = reg.snapshot().to_jsonl_versioned();
+        let snap = one_of_each();
+        let jsonl = snap.to_jsonl_versioned();
         let lines: Vec<_> = jsonl.lines().collect();
         assert_eq!(lines.len(), 3);
         let header = parse(lines[0]).unwrap();
@@ -287,30 +160,12 @@ mod tests {
         assert_eq!(header.get("counters").unwrap().as_f64(), Some(1.0));
         assert_eq!(header.get("histograms").unwrap().as_f64(), Some(1.0));
         // Body lines are unchanged from to_jsonl().
-        assert_eq!(jsonl.split_once('\n').unwrap().1, reg.snapshot().to_jsonl());
-    }
-
-    #[test]
-    fn prometheus_exposition_validates_and_carries_series() {
-        let reg = MetricsRegistry::new();
-        reg.add("service.jobs_completed", 5);
-        for v in [100u64, 200, 300] {
-            reg.record("service.latency_ns", v);
-        }
-        let text = reg.snapshot().to_prometheus();
-        let check = crate::prom::validate_exposition(&text).expect("validates");
-        assert_eq!(check.counters["service_jobs_completed_total{}"], 5.0);
-        assert_eq!(check.families["service_latency_ns"], "summary");
-        assert!(text.contains("service_latency_ns{quantile=\"0.99\"}"));
-        assert!(text.contains("service_latency_ns_count 3"));
+        assert_eq!(jsonl.split_once('\n').unwrap().1, snap.to_jsonl());
     }
 
     #[test]
     fn empty_histogram_summary_is_explicit_none() {
-        let reg = MetricsRegistry::new();
-        let _ = reg.histogram("empty");
-        let snap = reg.snapshot();
-        let h = &snap.histograms["empty"];
+        let h = HistSummary::of(&LogHistogram::new());
         assert_eq!(h.count, 0);
         assert_eq!(h.p50, None);
         assert_eq!(h.min, None);

@@ -374,6 +374,40 @@ mod tests {
         assert_eq!(doc.get("otherData").unwrap().get("droppedEvents").unwrap().as_f64(), Some(0.0));
     }
 
+    /// A tiny ring must drop newest events and count them — never
+    /// corrupt the journal or unbalance the exported trace.
+    #[test]
+    fn full_ring_drops_and_counts_never_corrupts() {
+        let collector = Collector::new();
+        for name in ["soc-0", "ce-0"] {
+            let mut lane = LaneRecorder::new(name, 16);
+            for i in 0..20u64 {
+                let t = i * 1_000;
+                lane.span(SpanKind::QueueWait, SimInstant(t), SimInstant(t + 100), i);
+                lane.span(SpanKind::Job, SimInstant(t + 100), SimInstant(t + 900), i);
+                lane.span(SpanKind::EngineExecute, SimInstant(t + 200), SimInstant(t + 800), i);
+            }
+            collector.push(lane.into_track());
+        }
+        let log = collector.take();
+        assert_eq!(log.dropped, 2 * (60 - 16), "every event past the ring is counted");
+        for track in &log.tracks {
+            assert_eq!(track.events.len(), 16, "track {} overflowed its ring", track.name);
+            // The retained events are the recorded prefix, untouched.
+            assert_eq!(track.events[15].arg, 5);
+        }
+        // The surviving prefix still exports to a structurally valid
+        // trace, and the drop count is declared in the export.
+        let json = chrome_trace_json(&log);
+        let check = validate_chrome_trace(&json).expect("overflowed trace must stay well-formed");
+        assert_eq!(check.spans, 32);
+        let doc = parse(&json).unwrap();
+        assert_eq!(
+            doc.get("otherData").unwrap().get("droppedEvents").unwrap().as_f64(),
+            Some(88.0)
+        );
+    }
+
     #[test]
     fn export_nests_contained_spans() {
         let text = chrome_trace_json(&sample_log());

@@ -178,3 +178,49 @@ pub struct CompletedJob {
     /// `None` when the job never reached an executor (shed).
     pub metrics: Option<JobMetrics>,
 }
+
+impl CompletedJob {
+    /// A job an executor served from `started` to `completed`: the one
+    /// place its [`JobMetrics`] are derived.
+    pub(crate) fn served(
+        job: &Job,
+        lane: LaneId,
+        started: SimInstant,
+        completed: SimInstant,
+        result: Result<JobOutput, ServiceError>,
+        batched: bool,
+    ) -> Self {
+        let desc = &job.desc;
+        let metrics = JobMetrics {
+            arrival: desc.arrival,
+            started,
+            completed,
+            queue_wait: started.elapsed_since(desc.arrival),
+            service: completed.elapsed_since(started),
+            bytes_in: desc.op.input_len(),
+            bytes_out: result.as_ref().map_or(0, |o| o.bytes.len()),
+            lane,
+            batched,
+        };
+        Self {
+            id: job.id,
+            tenant: desc.tenant,
+            design: desc.design,
+            direction: desc.op.direction(),
+            result,
+            metrics: Some(metrics),
+        }
+    }
+
+    /// A queued job the shed policy evicted before any executor saw it.
+    pub(crate) fn shed(job: Job) -> Self {
+        Self {
+            id: job.id,
+            tenant: job.desc.tenant,
+            design: job.desc.design,
+            direction: job.desc.op.direction(),
+            result: Err(ServiceError::Shed),
+            metrics: None,
+        }
+    }
+}

@@ -57,6 +57,7 @@
 //! ```
 
 mod job;
+mod ledger;
 mod queue;
 mod service;
 mod stats;
@@ -65,7 +66,5 @@ pub use job::{CompletedJob, JobDesc, JobId, JobMetrics, JobOp, JobOutput, LaneId
 pub use pedal_obs::{BusSubscription, FrameKind, MetricsFrame, TenantId, TenantSloSnapshot};
 pub use pedal_policy::{PolicyConfig, PolicyLog, PolicyRecord, PolicySnapshot};
 pub use queue::BackpressurePolicy;
-pub use service::{
-    series, LiveConfig, PedalService, ServiceConfig, TraceConfig, DEFAULT_PAR_CHUNK, MIN_PAR_CHUNK,
-};
+pub use service::{LiveConfig, PedalService, ServiceConfig, DEFAULT_PAR_CHUNK, MIN_PAR_CHUNK};
 pub use stats::{LaneStats, RollingStats, ServiceSnapshot, ServiceStats};

@@ -4,7 +4,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use pedal::exec::{Executed, Executor};
@@ -16,16 +16,13 @@ use pedal_dpu::{
 use pedal_policy::{AdaptivePolicy, PolicyConfig, PolicyLog, PolicyRecord, PolicySnapshot};
 
 use pedal_obs::{
-    BusSubscription, Collector, FrameKind, HighWatermark, HistSummary, LaneRecorder, LogHistogram,
-    MetricsFrame, MetricsRegistry, ObsBus, SloTable, SpanKind, TenantId, TraceLog, WindowConfig,
-    WindowedCounter, WindowedHistogram,
+    BusSubscription, Collector, LaneRecorder, SpanKind, TenantId, TraceLog, DEFAULT_RING_CAPACITY,
 };
 
-use crate::job::{
-    CompletedJob, Job, JobDesc, JobId, JobMetrics, JobOp, JobOutput, LaneId, ServiceError,
-};
+use crate::job::{CompletedJob, Job, JobDesc, JobId, JobOp, JobOutput, LaneId, ServiceError};
+use crate::ledger::Ledger;
 use crate::queue::{AdmissionQueue, BackpressurePolicy, Popped};
-use crate::stats::{LaneStats, RollingStats, ServiceSnapshot, ServiceStats};
+use crate::stats::{LaneStats, ServiceSnapshot, ServiceStats};
 
 // ---------------------------------------------------------------------
 // Configuration
@@ -40,10 +37,9 @@ pub struct ServiceConfig {
     pub policy: BackpressurePolicy,
     /// SoC worker threads serving SoC-placed designs.
     pub soc_workers: usize,
-    /// Independent C-Engine channels (DOCA work queues).
+    /// Independent C-Engine channels (DOCA work queues), each
+    /// [`Workq::DEFAULT_DEPTH`] descriptors deep.
     pub ce_channels: usize,
-    /// Engine descriptors per channel.
-    pub channel_depth: usize,
     /// Compress jobs smaller than this many bytes coalesce into one
     /// engine submission; 0 disables batching.
     pub batch_threshold: usize,
@@ -60,11 +56,14 @@ pub struct ServiceConfig {
     pub par_threshold: usize,
     /// Fragment size for fanned-out jobs (bytes).
     pub par_chunk: usize,
-    /// Event-journal tracing (the always-on metrics registry is
-    /// independent of this and has no off switch).
-    pub trace: TraceConfig,
-    /// Rolling-window live metrics, per-tenant SLO accounting, and the
-    /// metrics bus. On by default; like tracing, purely observational.
+    /// Per-lane event journal, one [`DEFAULT_RING_CAPACITY`]-event
+    /// ring per lane; a full ring drops new events and counts them
+    /// ([`TraceLog::dropped`]). Tracing is pure observation: with it on
+    /// or off, every output byte and every virtual timestamp is
+    /// identical. The completion ledger behind
+    /// [`PedalService::snapshot`] is independent of this and always on.
+    pub trace: bool,
+    /// Rolling-window and SLO settings of the live metrics plane.
     pub live: LiveConfig,
     /// Per-message adaptive policy (probe + live feedback). `None`
     /// keeps the caller's design verbatim; see
@@ -72,32 +71,12 @@ pub struct ServiceConfig {
     pub adaptive: Option<PolicyConfig>,
 }
 
-/// Controls the per-lane event journal. Tracing is pure observation:
-/// with it on or off, every output byte and every virtual timestamp is
-/// identical — the only difference is whether lanes record span events
-/// into their rings.
-#[derive(Debug, Clone, Copy)]
-pub struct TraceConfig {
-    pub enabled: bool,
-    /// Per-lane ring capacity in events; when a ring fills, new events
-    /// are dropped and counted ([`TraceLog::dropped`]).
-    pub ring_capacity: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        Self { enabled: false, ring_capacity: pedal_obs::DEFAULT_RING_CAPACITY }
-    }
-}
-
-/// Controls the live metrics plane: rolling windows over recent
-/// completions, per-tenant SLO accounting, and the bounded
-/// [`MetricsFrame`] bus. Like tracing it is pure observation — enabled
-/// or disabled, every output byte and every virtual timestamp is
-/// identical.
+/// Shapes the always-on live metrics plane: rolling windows over
+/// recent completions and per-tenant SLO accounting. Like tracing it is
+/// pure observation; no setting changes an output byte or a virtual
+/// timestamp.
 #[derive(Debug, Clone, Copy)]
 pub struct LiveConfig {
-    pub enabled: bool,
     /// Width of one rolling-window slot (virtual time).
     pub slot: SimDuration,
     /// Number of slots; the window spans `slot * slots`.
@@ -110,7 +89,6 @@ pub struct LiveConfig {
 impl Default for LiveConfig {
     fn default() -> Self {
         Self {
-            enabled: true,
             slot: SimDuration::from_millis(10),
             slots: 8,
             slo_target: SimDuration::from_millis(5),
@@ -126,14 +104,13 @@ impl ServiceConfig {
             policy: BackpressurePolicy::Block,
             soc_workers: 2,
             ce_channels: 1,
-            channel_depth: Workq::DEFAULT_DEPTH,
             batch_threshold: 0,
             batch_max_jobs: 8,
             batch_window: SimDuration::from_micros(200),
             error_bound: 1e-4,
             par_threshold: 0,
             par_chunk: DEFAULT_PAR_CHUNK,
-            trace: TraceConfig::default(),
+            trace: false,
             live: LiveConfig::default(),
             adaptive: None,
         }
@@ -181,22 +158,15 @@ impl ServiceConfig {
         self
     }
 
-    /// Enable the per-lane event journal with the default ring size.
+    /// Enable the per-lane event journal.
     pub fn with_tracing(mut self) -> Self {
-        self.trace.enabled = true;
-        self
-    }
-
-    /// Enable tracing with an explicit per-lane ring capacity (events).
-    pub fn with_tracing_capacity(mut self, ring_capacity: usize) -> Self {
-        self.trace = TraceConfig { enabled: true, ring_capacity };
+        self.trace = true;
         self
     }
 
     /// Size the rolling metrics window: `slots` slots of `slot` virtual
     /// time each (the window spans their product).
     pub fn with_live_window(mut self, slot: SimDuration, slots: usize) -> Self {
-        self.live.enabled = true;
         self.live.slot = slot;
         self.live.slots = slots;
         self
@@ -221,20 +191,12 @@ impl ServiceConfig {
         self
     }
 
-    /// Disable the live metrics plane entirely (rolling windows, SLO
-    /// table, and metrics bus). Lifetime counters stay on.
-    pub fn without_live_metrics(mut self) -> Self {
-        self.live.enabled = false;
-        self
-    }
-
     fn normalized(mut self) -> Self {
         self.queue_capacity = self.queue_capacity.max(1);
         self.soc_workers = self.soc_workers.max(1);
         self.ce_channels = self.ce_channels.max(1);
-        self.channel_depth = self.channel_depth.max(1);
         // A batch must fit a channel's descriptor ring.
-        self.batch_max_jobs = self.batch_max_jobs.clamp(1, self.channel_depth);
+        self.batch_max_jobs = self.batch_max_jobs.clamp(1, Workq::DEFAULT_DEPTH);
         if self.par_threshold > 0 {
             // Tiny fragments hurt ratio (history resets per chunk) and
             // flood descriptors.
@@ -277,213 +239,37 @@ struct PolicyShared {
 // ---------------------------------------------------------------------
 
 struct Shared {
-    completed: Mutex<Vec<CompletedJob>>,
-    /// Jobs admitted but not yet recorded (queued, batched, or in-lane).
-    outstanding: Mutex<u64>,
+    /// The completion lock: every outcome is counted here, once.
+    ledger: Mutex<Ledger>,
+    /// Signalled when the ledger's outstanding count reaches zero.
     all_done: Condvar,
-    rejected: AtomicU64,
-    shed_at_submit: AtomicU64,
     /// Lamport clock merged with every completion instant.
     clock: SimClock,
-    /// Always-on named series backing [`PedalService::snapshot`].
-    metrics: MetricsRegistry,
-    /// Rolling windows, SLO table, and metrics bus; `None` when the
-    /// live plane is disabled.
-    live: Option<LivePlane>,
 }
 
-/// The live metrics plane: everything [`PedalService::snapshot`] can
-/// report about *recent* behaviour, as opposed to the lifetime series
-/// in the registry. Updates happen under the completion lock, so window
-/// contents are a pure function of each job's virtual completion
-/// instant — wall-clock interleaving cannot change what a window holds.
-struct LivePlane {
-    window: WindowConfig,
-    queue: Arc<AdmissionQueue>,
-    queue_wait: WindowedHistogram,
-    service: WindowedHistogram,
-    latency: WindowedHistogram,
-    completed_recent: WindowedCounter,
-    bytes_in_recent: WindowedCounter,
-    queue_high: HighWatermark,
-    in_flight_high: HighWatermark,
-    slos: SloTable,
-    bus: ObsBus,
-}
-
-impl LivePlane {
-    fn new(cfg: &LiveConfig, queue: Arc<AdmissionQueue>) -> Self {
-        let w = WindowConfig::new(cfg.slot, cfg.slots);
-        Self {
-            window: w,
-            queue,
-            queue_wait: WindowedHistogram::new(w),
-            service: WindowedHistogram::new(w),
-            latency: WindowedHistogram::new(w),
-            completed_recent: WindowedCounter::new(w),
-            bytes_in_recent: WindowedCounter::new(w),
-            queue_high: HighWatermark::new(),
-            in_flight_high: HighWatermark::new(),
-            slos: SloTable::new(cfg.slo_target, w),
-            bus: ObsBus::new(),
-        }
-    }
-
-    /// Fold one finished job into the rolling windows and SLO table and
-    /// publish a frame on the bus. `now` stamps outcomes that carry no
-    /// metrics of their own (sheds, admission-time failures).
-    fn on_complete(&self, job: &CompletedJob, now: SimInstant) {
-        match &job.result {
-            Ok(out) => {
-                let Some(m) = &job.metrics else { return };
-                let latency = m.completed.elapsed_since(m.arrival);
-                self.queue_wait.record_at(m.completed, m.queue_wait.as_nanos());
-                self.service.record_at(m.completed, m.service.as_nanos());
-                self.latency.record_at(m.completed, latency.as_nanos());
-                self.completed_recent.add_at(m.completed, 1);
-                self.bytes_in_recent.add_at(m.completed, m.bytes_in as u64);
-                self.slos.record_completed(job.tenant, m.completed, latency);
-                self.bus.publish(MetricsFrame {
-                    seq: 0,
-                    at: m.completed,
-                    tenant: job.tenant,
-                    kind: FrameKind::Completed,
-                    latency_ns: latency.as_nanos(),
-                    service_ns: m.service.as_nanos(),
-                    bytes_in: m.bytes_in as u64,
-                    bytes_out: out.bytes.len() as u64,
-                    queue_depth: self.queue.len() as u64,
-                });
-            }
-            Err(ServiceError::Shed) => {
-                self.slos.record_shed(job.tenant);
-                let at = job.metrics.as_ref().map(|m| m.completed).unwrap_or(now);
-                self.publish_event(FrameKind::Shed, job.tenant, at);
-            }
-            Err(_) => {
-                self.slos.record_failed(job.tenant);
-                let at = job.metrics.as_ref().map(|m| m.completed).unwrap_or(now);
-                self.publish_event(FrameKind::Failed, job.tenant, at);
-            }
-        }
-    }
-
-    fn on_rejected(&self, tenant: TenantId, now: SimInstant) {
-        self.slos.record_rejected(tenant);
-        self.publish_event(FrameKind::Rejected, tenant, now);
-    }
-
-    fn on_shed_submit(&self, tenant: TenantId, now: SimInstant) {
-        self.slos.record_shed(tenant);
-        self.publish_event(FrameKind::Shed, tenant, now);
-    }
-
-    fn publish_event(&self, kind: FrameKind, tenant: TenantId, at: SimInstant) {
-        self.bus.publish(MetricsFrame {
-            seq: 0,
-            at,
-            tenant,
-            kind,
-            latency_ns: 0,
-            service_ns: 0,
-            bytes_in: 0,
-            bytes_out: 0,
-            queue_depth: self.queue.len() as u64,
-        });
-    }
-
-    fn rolling_at(&self, now: SimInstant) -> RollingStats {
-        // Rates are derived from the windowed integer counters rather
-        // than an EWMA: a windowed sum is a pure function of each job's
-        // virtual completion instant, so replays serialize byte-identical
-        // no matter how lane threads interleave in wall time.
-        let span_ns = self.window.span().as_nanos().max(1) as f64;
-        let completed = self.completed_recent.sum_at(now);
-        let bytes_in = self.bytes_in_recent.sum_at(now);
-        RollingStats {
-            window: self.window.span(),
-            queue_wait: self.queue_wait.summary_at(now),
-            service: self.service.summary_at(now),
-            latency: self.latency.summary_at(now),
-            completed_recent: completed,
-            bytes_in_recent: bytes_in,
-            completed_per_sec: completed as f64 * 1e9 / span_ns,
-            mbps_in: bytes_in as f64 * 1e9 / span_ns / 1e6,
-            queue_depth_high: self.queue_high.get(),
-            in_flight_high: self.in_flight_high.get(),
-        }
-    }
-}
-
-/// Pre-resolved registry handles held per lane so the hot path records
-/// without touching the registry's name map.
-#[derive(Clone)]
-struct LaneMetrics {
-    queue_wait: Arc<LogHistogram>,
-    service: Arc<LogHistogram>,
-    latency: Arc<LogHistogram>,
-    completed: Arc<AtomicU64>,
-    failed: Arc<AtomicU64>,
-    bytes_in: Arc<AtomicU64>,
-    bytes_out: Arc<AtomicU64>,
-}
-
-impl LaneMetrics {
-    fn resolve(reg: &MetricsRegistry) -> Self {
-        Self {
-            queue_wait: reg.histogram(series::QUEUE_WAIT),
-            service: reg.histogram(series::SERVICE),
-            latency: reg.histogram(series::LATENCY),
-            completed: reg.counter(series::COMPLETED),
-            failed: reg.counter(series::FAILED),
-            bytes_in: reg.counter(series::BYTES_IN),
-            bytes_out: reg.counter(series::BYTES_OUT),
-        }
-    }
-}
-
-/// Stable series names in the service's metrics registry.
-pub mod series {
-    pub const QUEUE_WAIT: &str = "service.queue_wait_ns";
-    pub const SERVICE: &str = "service.service_ns";
-    pub const LATENCY: &str = "service.latency_ns";
-    pub const COMPLETED: &str = "service.jobs_completed";
-    pub const FAILED: &str = "service.jobs_failed";
-    pub const BYTES_IN: &str = "service.bytes_in";
-    pub const BYTES_OUT: &str = "service.bytes_out";
-}
+const LEDGER_POISONED: &str = "a thread panicked while updating the ledger";
 
 impl Shared {
-    /// Admit one job into the outstanding count; returns the new count
-    /// so callers can feed the in-flight high-watermark.
-    fn start_one(&self) -> u64 {
-        let mut n = self.outstanding.lock().unwrap();
-        *n += 1;
-        *n
+    fn ledger(&self) -> MutexGuard<'_, Ledger> {
+        self.ledger.lock().expect(LEDGER_POISONED)
     }
 
-    fn finish_one(&self) {
-        let mut n = self.outstanding.lock().unwrap();
-        *n -= 1;
-        if *n == 0 {
-            self.all_done.notify_all();
-        }
-    }
-
+    /// Count a finished job: the only place one is.
     fn record(&self, job: CompletedJob) {
         if let Some(m) = &job.metrics {
             self.clock.merge(m.completed);
         }
-        let mut done = self.completed.lock().unwrap();
-        // Fold into the live plane while holding the completion lock:
-        // window updates are serialized, so window contents depend only
-        // on virtual completion instants, never on thread interleaving.
-        if let Some(live) = &self.live {
-            live.on_complete(&job, self.clock.now());
+        self.settle(|ledger, now| ledger.record(job, now));
+    }
+
+    /// Apply one update that retires an admitted job and wake `drain()`
+    /// once nothing is outstanding.
+    fn settle(&self, update: impl FnOnce(&mut Ledger, SimInstant)) {
+        let mut ledger = self.ledger();
+        update(&mut ledger, self.clock.now());
+        if ledger.outstanding == 0 {
+            self.all_done.notify_all();
         }
-        done.push(job);
-        drop(done);
-        self.finish_one();
     }
 }
 
@@ -515,22 +301,15 @@ impl PedalService {
         let cfg = cfg.normalized();
         let costs = CostModel::for_platform(cfg.platform);
         let queue = Arc::new(AdmissionQueue::new(cfg.queue_capacity, cfg.policy));
-        let live = cfg.live.enabled.then(|| LivePlane::new(&cfg.live, queue.clone()));
         let shared = Arc::new(Shared {
-            completed: Mutex::new(Vec::new()),
-            outstanding: Mutex::new(0),
+            ledger: Mutex::new(Ledger::new(&cfg.live, queue.clone())),
             all_done: Condvar::new(),
-            rejected: AtomicU64::new(0),
-            shed_at_submit: AtomicU64::new(0),
             clock: SimClock::new(),
-            metrics: MetricsRegistry::new(),
-            live,
         });
-        let lane_metrics = LaneMetrics::resolve(&shared.metrics);
         let collector = Collector::new();
         let recorder = |track: String| {
-            if cfg.trace.enabled {
-                (LaneRecorder::new(track, cfg.trace.ring_capacity), Some(collector.clone()))
+            if cfg.trace {
+                (LaneRecorder::new(track, DEFAULT_RING_CAPACITY), Some(collector.clone()))
             } else {
                 (LaneRecorder::disabled(), None)
             }
@@ -544,7 +323,6 @@ impl PedalService {
                 workq: None,
             },
             shared: shared.clone(),
-            metrics: lane_metrics.clone(),
         };
 
         let mut lanes = Vec::new();
@@ -566,7 +344,7 @@ impl PedalService {
             let (tx, rx) = mpsc::channel();
             ce_tx.push(tx);
             let env = lane_env();
-            let wq = Workq::new(costs, cfg.channel_depth);
+            let wq = Workq::new(costs, Workq::DEFAULT_DEPTH);
             let (rec, sink) = recorder(format!("ce-{c}"));
             lanes.push(
                 std::thread::Builder::new()
@@ -599,7 +377,6 @@ impl PedalService {
                 soc_free: vec![SimInstant::EPOCH; cfg.soc_workers],
                 ce_free: vec![SimInstant::EPOCH; cfg.ce_channels],
                 ce_busy: vec![VecDeque::new(); cfg.ce_channels],
-                channel_depth: cfg.channel_depth,
                 batch_threshold: cfg.batch_threshold,
                 batch_max_jobs: cfg.batch_max_jobs,
                 batch_window: cfg.batch_window,
@@ -643,50 +420,25 @@ impl PedalService {
     }
 
     /// Live view of the running service: queue depth, in-flight jobs,
-    /// and rolling latency percentiles — readable at any moment, without
-    /// draining or shutting down. Backed by the always-on atomic metrics
-    /// registry, so taking a snapshot never blocks a lane.
+    /// lifetime counters and percentiles, the rolling window and the
+    /// per-tenant SLO table — readable at any moment, without draining
+    /// or shutting down. Taking one holds the completion lock only while
+    /// the ledger is summarized.
     pub fn snapshot(&self) -> ServiceSnapshot {
-        let reg = &self.shared.metrics;
-        let outstanding = *self.shared.outstanding.lock().unwrap();
-        let queue_depth = self.queue.len();
-        let now = self.shared.clock.now();
-        let (rolling, tenants) = match &self.shared.live {
-            Some(live) => (Some(live.rolling_at(now)), live.slos.snapshot_at(now)),
-            None => (None, Vec::new()),
-        };
-        ServiceSnapshot {
-            queue_depth,
-            in_flight: outstanding,
-            completed: reg.counter_value(series::COMPLETED),
-            failed: reg.counter_value(series::FAILED),
-            rejected: self.shared.rejected.load(Ordering::Relaxed),
-            shed: self.shared.shed_at_submit.load(Ordering::Relaxed),
-            bytes_in: reg.counter_value(series::BYTES_IN),
-            bytes_out: reg.counter_value(series::BYTES_OUT),
-            queue_wait: HistSummary::of(&reg.histogram(series::QUEUE_WAIT)),
-            service: HistSummary::of(&reg.histogram(series::SERVICE)),
-            latency: HistSummary::of(&reg.histogram(series::LATENCY)),
-            rolling,
-            tenants,
-        }
+        self.shared.ledger().snapshot(self.shared.clock.now())
     }
 
-    /// Subscribe to per-completion [`MetricsFrame`]s. The channel is
-    /// bounded: a slow reader loses frames (counted on the
-    /// subscription), never blocks a lane. `None` when the live plane
-    /// is disabled.
-    pub fn subscribe_metrics(&self, capacity: usize) -> Option<BusSubscription> {
-        self.shared.live.as_ref().map(|l| l.bus.subscribe(capacity))
+    /// Subscribe to per-outcome [`pedal_obs::MetricsFrame`]s. The
+    /// channel is bounded: a slow reader loses frames (counted on the
+    /// subscription), never blocks a lane.
+    pub fn subscribe_metrics(&self, capacity: usize) -> BusSubscription {
+        self.shared.ledger().bus.subscribe(capacity)
     }
 
     /// Override one tenant's end-to-end latency SLO target (the default
-    /// comes from [`LiveConfig::slo_target`]). No-op when the live
-    /// plane is disabled.
+    /// comes from [`LiveConfig::slo_target`]).
     pub fn set_slo_target(&self, tenant: TenantId, target: SimDuration) {
-        if let Some(l) = &self.shared.live {
-            l.slos.set_target(tenant, target);
-        }
+        self.shared.ledger().slos.set_target(tenant, target);
     }
 
     /// Feed the adaptive policy a fresh live-feedback snapshot (rolling
@@ -712,9 +464,9 @@ impl PedalService {
         self.snapshot().to_prometheus()
     }
 
-    /// Point-in-time copy of every metrics series (for JSONL export).
+    /// Point-in-time copy of the lifetime series (for JSONL export).
     pub fn metrics_snapshot(&self) -> pedal_obs::MetricsSnapshot {
-        self.shared.metrics.snapshot()
+        self.shared.ledger().metrics()
     }
 
     /// Quiesce scheduling: jobs are still admitted (and the backpressure
@@ -734,50 +486,18 @@ impl PedalService {
     pub fn submit(&self, desc: JobDesc) -> Result<JobId, ServiceError> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let tenant = desc.tenant;
-        let in_flight = self.shared.start_one();
-        if let Some(live) = &self.shared.live {
-            live.in_flight_high.observe(in_flight);
-        }
+        self.shared.ledger().admit();
         match self.queue.push(Job { id, desc, store: false }) {
-            Ok(None) => {
-                if let Some(live) = &self.shared.live {
-                    live.queue_high.observe(self.queue.len() as u64);
-                }
-                Ok(id)
-            }
-            Ok(Some(victim)) => {
-                if let Some(live) = &self.shared.live {
-                    live.queue_high.observe(self.queue.len() as u64);
-                }
+            Ok(victim) => {
+                self.shared.ledger().observe_queue();
                 // The shed policy evicted a queued job to admit this one.
-                self.shared.record(CompletedJob {
-                    id: victim.id,
-                    tenant: victim.desc.tenant,
-                    design: victim.desc.design,
-                    direction: victim.desc.op.direction(),
-                    result: Err(ServiceError::Shed),
-                    metrics: None,
-                });
+                if let Some(victim) = victim {
+                    self.shared.record(CompletedJob::shed(victim));
+                }
                 Ok(id)
             }
             Err(e) => {
-                let now = self.shared.clock.now();
-                match e {
-                    ServiceError::Overloaded => {
-                        self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-                        if let Some(live) = &self.shared.live {
-                            live.on_rejected(tenant, now);
-                        }
-                    }
-                    ServiceError::Shed => {
-                        self.shared.shed_at_submit.fetch_add(1, Ordering::Relaxed);
-                        if let Some(live) = &self.shared.live {
-                            live.on_shed_submit(tenant, now);
-                        }
-                    }
-                    _ => {}
-                }
-                self.shared.finish_one();
+                self.shared.settle(|ledger, now| ledger.refuse(tenant, &e, now));
                 Err(e)
             }
         }
@@ -789,12 +509,12 @@ impl PedalService {
     /// statistics.
     pub fn drain(&self) -> Vec<CompletedJob> {
         self.queue.request_flush();
-        let mut n = self.shared.outstanding.lock().unwrap();
-        while *n > 0 {
-            n = self.shared.all_done.wait(n).unwrap();
+        let mut ledger = self.shared.ledger();
+        while ledger.outstanding > 0 {
+            ledger = self.shared.all_done.wait(ledger).expect(LEDGER_POISONED);
         }
-        drop(n);
-        let mut jobs = self.shared.completed.lock().unwrap().clone();
+        let mut jobs = ledger.jobs.clone();
+        drop(ledger);
         jobs.sort_by_key(|j| j.id);
         jobs
     }
@@ -820,11 +540,11 @@ impl PedalService {
                 lane_stats.push(s);
             }
         }
-        let mut jobs = std::mem::take(&mut *self.shared.completed.lock().unwrap());
+        let mut ledger = self.shared.ledger();
+        let mut jobs = std::mem::take(&mut ledger.jobs);
+        let stats = ledger.stats(lane_stats);
+        drop(ledger);
         jobs.sort_by_key(|j| j.id);
-        let mut stats =
-            ServiceStats::build(&jobs, self.shared.rejected.load(Ordering::Relaxed), lane_stats);
-        stats.shed += self.shared.shed_at_submit.load(Ordering::Relaxed);
         let trace = self.collector.take();
         (jobs, stats, trace)
     }
@@ -918,7 +638,6 @@ struct Scheduler {
     ce_free: Vec<SimInstant>,
     /// Predicted completion instant of each descriptor a channel holds.
     ce_busy: Vec<VecDeque<SimInstant>>,
-    channel_depth: usize,
     batch_threshold: usize,
     batch_max_jobs: usize,
     batch_window: SimDuration,
@@ -1130,7 +849,7 @@ impl Scheduler {
                     q.pop_front();
                 }
             }
-            if self.ce_busy.iter().any(|q| q.len() + k <= self.channel_depth) {
+            if self.ce_busy.iter().any(|q| q.len() + k <= Workq::DEFAULT_DEPTH) {
                 break;
             }
             match self.ce_busy.iter().filter_map(|q| q.front().copied()).min() {
@@ -1140,7 +859,7 @@ impl Scheduler {
         }
         let mut best = usize::MAX;
         for c in 0..self.ce_free.len() {
-            if self.ce_busy[c].len() + k > self.channel_depth {
+            if self.ce_busy[c].len() + k > Workq::DEFAULT_DEPTH {
                 continue;
             }
             if best == usize::MAX || self.ce_free[c].max(at) < self.ce_free[best].max(at) {
@@ -1260,7 +979,6 @@ struct LaneEnv {
     /// binds when it starts.
     exec: Executor<'static>,
     shared: Arc<Shared>,
-    metrics: LaneMetrics,
 }
 
 /// A finished job's result and its virtual completion instant.
@@ -1303,7 +1021,8 @@ fn run_lane(
                 };
                 virt_free = completed.max(begin);
                 rec.span_for(SpanKind::Job, start, virt_free, job.id, job.desc.tenant);
-                record_one(&env, &mut stats, lane, job, start, virt_free, result, false);
+                let done = CompletedJob::served(&job, lane, start, virt_free, result, false);
+                record_one(&env, &mut stats, done);
             }
             LaneMsg::Batch { jobs, admitted_at } => {
                 let wq = wq.expect("batches only target C-Engine lanes");
@@ -1338,7 +1057,8 @@ fn run_lane(
                         }
                         Err(e) => Err(ServiceError::Pedal(e.to_string())),
                     };
-                    record_one(&env, &mut stats, lane, job, start, virt_free, result, true);
+                    let done = CompletedJob::served(&job, lane, start, virt_free, result, true);
+                    record_one(&env, &mut stats, done);
                 }
             }
             LaneMsg::Chunk { parent, index, admitted_at, finisher } => {
@@ -1452,95 +1172,23 @@ fn finish_parent(
         }
     };
     rec.span_for(SpanKind::Job, started, completed, parent.job.id, desc.tenant);
-    let bytes_in = desc.op.input_len();
-    let bytes_out = result.as_ref().map(|o| o.bytes.len()).unwrap_or(0);
-    let metrics = JobMetrics {
-        arrival: desc.arrival,
-        started,
-        completed,
-        queue_wait: started.elapsed_since(desc.arrival),
-        service: completed.elapsed_since(started),
-        bytes_in,
-        bytes_out,
-        lane,
-        batched: false,
-    };
     // Byte and busy totals were charged per fragment on their serving
     // lanes; the parent contributes only its job count here.
     stats.jobs += 1;
     stats.last_completion = stats.last_completion.max(completed);
-    let m = &env.metrics;
-    if result.is_ok() {
-        m.queue_wait.record(metrics.queue_wait.as_nanos());
-        m.service.record(metrics.service.as_nanos());
-        m.latency.record(completed.elapsed_since(desc.arrival).as_nanos());
-        m.completed.fetch_add(1, Ordering::Relaxed);
-        m.bytes_in.fetch_add(bytes_in as u64, Ordering::Relaxed);
-        m.bytes_out.fetch_add(bytes_out as u64, Ordering::Relaxed);
-    } else {
-        m.failed.fetch_add(1, Ordering::Relaxed);
-    }
-    env.shared.record(CompletedJob {
-        id: parent.job.id,
-        tenant: desc.tenant,
-        design: desc.design,
-        direction: Direction::Compress,
-        result,
-        metrics: Some(metrics),
-    });
+    env.shared.record(CompletedJob::served(&parent.job, lane, started, completed, result, false));
     completed
 }
 
-#[allow(clippy::too_many_arguments)]
-fn record_one(
-    env: &LaneEnv,
-    stats: &mut LaneStats,
-    lane: LaneId,
-    job: Job,
-    started: SimInstant,
-    completed: SimInstant,
-    result: Result<JobOutput, ServiceError>,
-    batched: bool,
-) {
-    let desc = &job.desc;
-    let bytes_in = desc.op.input_len();
-    let bytes_out = result.as_ref().map(|o| o.bytes.len()).unwrap_or(0);
-    let metrics = JobMetrics {
-        arrival: desc.arrival,
-        started,
-        completed,
-        queue_wait: started.elapsed_since(desc.arrival),
-        service: completed.elapsed_since(started),
-        bytes_in,
-        bytes_out,
-        lane,
-        batched,
-    };
+/// Charge a served job to its lane and count it.
+fn record_one(env: &LaneEnv, stats: &mut LaneStats, done: CompletedJob) {
+    let m = done.metrics.expect("served jobs carry metrics");
     stats.jobs += 1;
-    stats.bytes_in += bytes_in as u64;
-    stats.bytes_out += bytes_out as u64;
-    stats.busy += metrics.service;
-    stats.last_completion = stats.last_completion.max(completed);
-    // Feed the always-on registry so a live snapshot() sees this job.
-    let m = &env.metrics;
-    if result.is_ok() {
-        m.queue_wait.record(metrics.queue_wait.as_nanos());
-        m.service.record(metrics.service.as_nanos());
-        m.latency.record(completed.elapsed_since(desc.arrival).as_nanos());
-        m.completed.fetch_add(1, Ordering::Relaxed);
-        m.bytes_in.fetch_add(bytes_in as u64, Ordering::Relaxed);
-        m.bytes_out.fetch_add(bytes_out as u64, Ordering::Relaxed);
-    } else {
-        m.failed.fetch_add(1, Ordering::Relaxed);
-    }
-    env.shared.record(CompletedJob {
-        id: job.id,
-        tenant: desc.tenant,
-        design: desc.design,
-        direction: desc.op.direction(),
-        result,
-        metrics: Some(metrics),
-    });
+    stats.bytes_in += m.bytes_in as u64;
+    stats.bytes_out += m.bytes_out as u64;
+    stats.busy += m.service;
+    stats.last_completion = stats.last_completion.max(m.completed);
+    env.shared.record(done);
 }
 
 /// Store-raw passthrough chosen by the adaptive policy: frame the data

@@ -1,9 +1,9 @@
 //! Aggregate service telemetry in virtual time.
 
 use pedal_dpu::{SimDuration, SimInstant};
-use pedal_obs::{percentile, HistSummary, Json, PromWriter, TenantSloSnapshot, ToJson};
+use pedal_obs::{HistSummary, Json, PromWriter, TenantSloSnapshot, ToJson};
 
-use crate::job::{CompletedJob, LaneId};
+use crate::job::LaneId;
 
 /// Per-executor counters, accumulated lock-free inside each lane thread.
 #[derive(Debug, Clone, Copy)]
@@ -96,73 +96,6 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
-    pub(crate) fn build(jobs: &[CompletedJob], rejected: u64, lanes: Vec<LaneStats>) -> Self {
-        let mut waits = Vec::new();
-        let mut services = Vec::new();
-        let mut latencies = Vec::new();
-        let mut stats = ServiceStats {
-            completed: 0,
-            rejected,
-            shed: 0,
-            failed: 0,
-            bytes_in: 0,
-            bytes_out: 0,
-            batched_jobs: 0,
-            queue_wait_p50: None,
-            queue_wait_p99: None,
-            service_p50: None,
-            service_p99: None,
-            latency_p50: None,
-            latency_p99: None,
-            makespan: SimDuration::ZERO,
-            soc_lanes: Vec::new(),
-            channel_lanes: Vec::new(),
-        };
-        let mut last_completion = SimInstant::EPOCH;
-        for job in jobs {
-            match (&job.result, &job.metrics) {
-                (Ok(out), Some(m)) => {
-                    stats.completed += 1;
-                    stats.bytes_in += m.bytes_in as u64;
-                    stats.bytes_out += out.bytes.len() as u64;
-                    stats.batched_jobs += m.batched as u64;
-                    waits.push(m.queue_wait);
-                    services.push(m.service);
-                    latencies.push(m.completed.elapsed_since(m.arrival));
-                    last_completion = last_completion.max(m.completed);
-                }
-                (Err(crate::ServiceError::Shed), _) => stats.shed += 1,
-                (Err(_), _) => stats.failed += 1,
-                (Ok(_), None) => unreachable!("executed jobs always carry metrics"),
-            }
-        }
-        waits.sort_unstable();
-        services.sort_unstable();
-        latencies.sort_unstable();
-        stats.queue_wait_p50 = percentile(&waits, 0.50);
-        stats.queue_wait_p99 = percentile(&waits, 0.99);
-        stats.service_p50 = percentile(&services, 0.50);
-        stats.service_p99 = percentile(&services, 0.99);
-        stats.latency_p50 = percentile(&latencies, 0.50);
-        stats.latency_p99 = percentile(&latencies, 0.99);
-        stats.makespan = last_completion.elapsed_since(SimInstant::EPOCH);
-        for lane in lanes {
-            match lane.lane {
-                LaneId::Soc(_) => stats.soc_lanes.push(lane),
-                LaneId::Channel(_) => stats.channel_lanes.push(lane),
-            }
-        }
-        stats.soc_lanes.sort_by_key(|l| match l.lane {
-            LaneId::Soc(i) => i,
-            LaneId::Channel(i) => i,
-        });
-        stats.channel_lanes.sort_by_key(|l| match l.lane {
-            LaneId::Soc(i) => i,
-            LaneId::Channel(i) => i,
-        });
-        stats
-    }
-
     /// Input bytes over makespan, in MB/s of virtual time.
     pub fn throughput_mbps(&self) -> f64 {
         let secs = self.makespan.as_secs_f64();
@@ -252,8 +185,8 @@ impl ToJson for ServiceStats {
 
 /// A live, non-draining view of a running service, produced by
 /// [`crate::PedalService::snapshot`]. Percentiles come from the
-/// always-on log-bucketed histograms (≈6% bucket error), so reading
-/// them never touches the completion records or pauses a lane.
+/// ledger's log-bucketed histograms (≈6% bucket error), so reading them
+/// never touches the completion records.
 #[derive(Debug, Clone)]
 pub struct ServiceSnapshot {
     /// Jobs waiting in the admission queue right now.
@@ -272,11 +205,9 @@ pub struct ServiceSnapshot {
     pub service: HistSummary,
     /// Lifetime end-to-end latency distribution (virtual ns).
     pub latency: HistSummary,
-    /// Rolling-window view of recent behaviour; `None` when the live
-    /// plane is disabled.
-    pub rolling: Option<RollingStats>,
-    /// Per-tenant SLO accounting, sorted by tenant id; empty when the
-    /// live plane is disabled.
+    /// Rolling-window view of recent behaviour.
+    pub rolling: RollingStats,
+    /// Per-tenant SLO accounting, sorted by tenant id.
     pub tenants: Vec<TenantSloSnapshot>,
 }
 
@@ -360,9 +291,7 @@ impl std::fmt::Display for ServiceSnapshot {
         writeln!(f, "  queue wait {}", fmt_hist_ns(&self.queue_wait))?;
         writeln!(f, "  service    {}", fmt_hist_ns(&self.service))?;
         write!(f, "  latency    {}", fmt_hist_ns(&self.latency))?;
-        if let Some(r) = &self.rolling {
-            write!(f, "\n{r}")?;
-        }
+        write!(f, "\n{}", self.rolling)?;
         for t in &self.tenants {
             write!(f, "\n{t}")?;
         }
@@ -384,7 +313,7 @@ impl ToJson for ServiceSnapshot {
             ("queue_wait", self.queue_wait.to_json()),
             ("service", self.service.to_json()),
             ("latency", self.latency.to_json()),
-            ("rolling", self.rolling.as_ref().map(ToJson::to_json).unwrap_or(Json::Null)),
+            ("rolling", self.rolling.to_json()),
             ("tenants", Json::Arr(self.tenants.iter().map(ToJson::to_json).collect())),
         ])
     }
@@ -430,24 +359,23 @@ impl ServiceSnapshot {
         prom_summary(&mut w, "pedal_queue_wait_ns", "Lifetime queue wait.", &self.queue_wait);
         prom_summary(&mut w, "pedal_service_ns", "Lifetime service time.", &self.service);
         prom_summary(&mut w, "pedal_latency_ns", "Lifetime end-to-end latency.", &self.latency);
-        if let Some(r) = &self.rolling {
-            prom_summary(
-                &mut w,
-                "pedal_rolling_latency_ns",
-                "End-to-end latency over the rolling window.",
-                &r.latency,
-            );
-            w.family("pedal_rolling_completed", "Completions in the rolling window.", "gauge");
-            w.sample("pedal_rolling_completed", &[], r.completed_recent as f64);
-            w.family("pedal_completed_per_sec", "Windowed completion rate.", "gauge");
-            w.sample("pedal_completed_per_sec", &[], r.completed_per_sec);
-            w.family("pedal_mbps_in", "Windowed input throughput (MB/s).", "gauge");
-            w.sample("pedal_mbps_in", &[], r.mbps_in);
-            w.family("pedal_queue_depth_high", "Queue-depth high watermark.", "gauge");
-            w.sample("pedal_queue_depth_high", &[], r.queue_depth_high as f64);
-            w.family("pedal_in_flight_high", "In-flight high watermark.", "gauge");
-            w.sample("pedal_in_flight_high", &[], r.in_flight_high as f64);
-        }
+        let r = &self.rolling;
+        prom_summary(
+            &mut w,
+            "pedal_rolling_latency_ns",
+            "End-to-end latency over the rolling window.",
+            &r.latency,
+        );
+        w.family("pedal_rolling_completed", "Completions in the rolling window.", "gauge");
+        w.sample("pedal_rolling_completed", &[], r.completed_recent as f64);
+        w.family("pedal_completed_per_sec", "Windowed completion rate.", "gauge");
+        w.sample("pedal_completed_per_sec", &[], r.completed_per_sec);
+        w.family("pedal_mbps_in", "Windowed input throughput (MB/s).", "gauge");
+        w.sample("pedal_mbps_in", &[], r.mbps_in);
+        w.family("pedal_queue_depth_high", "Queue-depth high watermark.", "gauge");
+        w.sample("pedal_queue_depth_high", &[], r.queue_depth_high as f64);
+        w.family("pedal_in_flight_high", "In-flight high watermark.", "gauge");
+        w.sample("pedal_in_flight_high", &[], r.in_flight_high as f64);
         if !self.tenants.is_empty() {
             w.family("pedal_tenant_jobs_total", "Per-tenant jobs by outcome.", "counter");
             for t in &self.tenants {
@@ -482,10 +410,19 @@ impl ServiceSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::Ledger;
+    use crate::queue::{AdmissionQueue, BackpressurePolicy};
+    use crate::{LiveConfig, ServiceError};
+    use std::sync::Arc;
+
+    fn empty_ledger() -> Ledger {
+        let queue = Arc::new(AdmissionQueue::new(1, BackpressurePolicy::Block));
+        Ledger::new(&LiveConfig::default(), queue)
+    }
 
     #[test]
     fn empty_stats_report_none_percentiles() {
-        let stats = ServiceStats::build(&[], 0, Vec::new());
+        let stats = empty_ledger().stats(Vec::new());
         assert_eq!(stats.completed, 0);
         assert_eq!(stats.queue_wait_p50, None);
         assert_eq!(stats.latency_p99, None);
@@ -497,7 +434,12 @@ mod tests {
 
     #[test]
     fn stats_json_roundtrips_through_parser() {
-        let stats = ServiceStats::build(&[], 3, Vec::new());
+        let mut ledger = empty_ledger();
+        for _ in 0..3 {
+            ledger.admit();
+            ledger.refuse(0, &ServiceError::Overloaded, SimInstant::EPOCH);
+        }
+        let stats = ledger.stats(Vec::new());
         let text = stats.to_json().to_string();
         let v = pedal_obs::parse_json(&text).unwrap();
         assert_eq!(v.get("rejected").unwrap().as_f64(), Some(3.0));

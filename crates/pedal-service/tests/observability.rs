@@ -1,12 +1,16 @@
 //! Observability guarantees: tracing is pure observation (byte- and
-//! timing-identical on/off), rings drop-and-count instead of corrupting,
-//! live snapshots work mid-run, and one traced run yields a valid Chrome
-//! trace covering every pipeline stage the paper's breakdown needs.
+//! timing-identical on/off), live snapshots work mid-run, every count
+//! the service reports agrees with every other, and one traced run
+//! yields a valid Chrome trace covering every pipeline stage the
+//! paper's breakdown needs.
 
 use pedal::{Datatype, Design};
 use pedal_dpu::{Pcg32, Platform, SimDuration};
 use pedal_obs::{chrome_trace_json, validate_chrome_trace, SpanKind, ToJson};
-use pedal_service::{CompletedJob, FrameKind, JobDesc, PedalService, ServiceConfig};
+use pedal_service::{
+    BackpressurePolicy, CompletedJob, FrameKind, JobDesc, LaneId, PedalService, ServiceConfig,
+    ServiceError,
+};
 
 fn text_payload(rng: &mut Pcg32, len: usize) -> Vec<u8> {
     let mut data = vec![0u8; len];
@@ -106,28 +110,6 @@ fn tracing_is_byte_and_timing_identical() {
     );
 }
 
-/// A tiny ring must drop newest events and count them — never corrupt
-/// the journal or unbalance the exported trace.
-#[test]
-fn full_ring_drops_and_counts_never_corrupts() {
-    let (_, _, trace) = run(base_config().with_tracing_capacity(16));
-    assert!(trace.dropped > 0, "a 16-event ring must overflow under this load");
-    for track in &trace.tracks {
-        assert!(
-            track.events.len() <= 16,
-            "track {} holds {} events, over its ring capacity",
-            track.name,
-            track.events.len()
-        );
-    }
-    // The surviving prefix still exports to a structurally valid trace,
-    // and the drop count is declared in the export.
-    let json = chrome_trace_json(&trace);
-    let check = validate_chrome_trace(&json).expect("overflowed trace must stay well-formed");
-    assert!(check.spans > 0);
-    assert!(json.contains("\"droppedEvents\""));
-}
-
 /// snapshot() reads live state mid-run without draining: a paused
 /// backlog is visible, and after completion the rolling percentiles
 /// cover every job.
@@ -206,20 +188,15 @@ fn trace_covers_queue_batch_engine_and_all_sz3_stages() {
     }
 }
 
-/// Live metrics + ObsBus on vs off: pure observation, like tracing.
-/// Every output byte, every virtual timestamp, and the whole lifetime
-/// stats tree must be identical — with a deliberately slow subscriber
-/// attached to the "on" run to prove that even bus drops never touch
-/// the data plane.
+/// The metrics bus is pure observation, like tracing: a run with a
+/// deliberately slow subscriber attached matches a run with none in
+/// every output byte, every virtual timestamp, and the whole lifetime
+/// stats tree — even bus drops never touch the data plane.
 #[test]
 fn live_metrics_are_byte_and_timing_identical() {
-    let run_with = |cfg: ServiceConfig, subscribe: bool| {
-        let svc = PedalService::start(cfg);
-        let sub = if subscribe {
-            Some(svc.subscribe_metrics(1).expect("live plane enabled"))
-        } else {
-            None
-        };
+    let run_with = |subscribe: bool| {
+        let svc = PedalService::start(base_config());
+        let sub = subscribe.then(|| svc.subscribe_metrics(1));
         let mut rng = Pcg32::seed_from_u64(0x0B5E_0003);
         let n = submit_mixed_load(&svc, &mut rng);
         let jobs = svc.drain();
@@ -230,18 +207,17 @@ fn live_metrics_are_byte_and_timing_identical() {
         let (_, stats) = svc.shutdown();
         (jobs, stats)
     };
-    let (jobs_off, stats_off) = run_with(base_config().without_live_metrics(), false);
-    let (jobs_on, stats_on) =
-        run_with(base_config().with_live_window(SimDuration::from_millis(10), 8), true);
+    let (jobs_off, stats_off) = run_with(false);
+    let (jobs_on, stats_on) = run_with(true);
     assert_eq!(jobs_off.len(), jobs_on.len());
     for (a, b) in jobs_off.iter().zip(jobs_on.iter()) {
         assert_eq!(a.id, b.id);
         match (&a.result, &b.result) {
             (Ok(x), Ok(y)) => {
-                assert_eq!(x.bytes, y.bytes, "job {} bytes differ with live metrics on", a.id)
+                assert_eq!(x.bytes, y.bytes, "job {} bytes differ with a subscriber", a.id)
             }
             (Err(x), Err(y)) => assert_eq!(x, y),
-            _ => panic!("job {} outcome differs with live metrics on", a.id),
+            _ => panic!("job {} outcome differs with a subscriber", a.id),
         }
         let (ma, mb) = (a.metrics.unwrap(), b.metrics.unwrap());
         assert_eq!(ma.arrival, mb.arrival, "job {} arrival shifted", a.id);
@@ -251,7 +227,7 @@ fn live_metrics_are_byte_and_timing_identical() {
     assert_eq!(
         stats_off.to_json().to_string(),
         stats_on.to_json().to_string(),
-        "aggregate stats differ with live metrics on"
+        "aggregate stats differ with a subscriber"
     );
 }
 
@@ -265,7 +241,7 @@ fn rolling_window_forgets_the_calm_phase() {
     let slots = 8usize;
     let span = SimDuration(slot.0 * slots as u64);
     let svc = PedalService::start(base_config().with_live_window(slot, slots));
-    let pre = svc.snapshot().rolling.expect("live plane enabled");
+    let pre = svc.snapshot().rolling;
     assert_eq!(pre.latency.count, 0);
     assert_eq!(pre.latency.p50, None, "empty window must read None, not zero");
     assert_eq!(pre.completed_recent, 0);
@@ -277,7 +253,7 @@ fn rolling_window_forgets_the_calm_phase() {
     }
     let calm = svc.drain();
     let calm_end = calm.iter().filter_map(|j| j.metrics.map(|m| m.completed)).max().unwrap();
-    let mid = svc.snapshot().rolling.unwrap();
+    let mid = svc.snapshot().rolling;
     assert_eq!(mid.latency.count, 5, "calm phase must be in the window right after it");
     assert_eq!(mid.completed_recent, 5);
 
@@ -290,7 +266,7 @@ fn rolling_window_forgets_the_calm_phase() {
     }
     svc.drain();
     let snap = svc.snapshot();
-    let roll = snap.rolling.unwrap();
+    let roll = &snap.rolling;
     assert_eq!(roll.latency.count, 3, "calm samples must have expired from the window");
     assert_eq!(roll.completed_recent, 3);
     assert!(roll.latency.p50.is_some());
@@ -334,12 +310,12 @@ fn per_tenant_slo_attainment_tracks_targets() {
 
 /// The metrics bus streams one frame per completion in order; a slow
 /// subscriber loses frames to its own bounded queue (counted), while a
-/// roomy one sees everything. With the live plane off, there is no bus.
+/// roomy one sees everything.
 #[test]
 fn metrics_bus_streams_frames_and_counts_slow_subscriber_drops() {
     let svc = PedalService::start(base_config());
-    let roomy = svc.subscribe_metrics(64).expect("live plane on by default");
-    let slow = svc.subscribe_metrics(1).expect("second subscriber");
+    let roomy = svc.subscribe_metrics(64);
+    let slow = svc.subscribe_metrics(1);
     let mut rng = Pcg32::seed_from_u64(0x0B5E_0006);
     let data = text_payload(&mut rng, 4_000);
     for _ in 0..6 {
@@ -362,10 +338,6 @@ fn metrics_bus_streams_frames_and_counts_slow_subscriber_drops() {
     }
     assert_eq!(slow.len(), 1, "capacity-1 queue holds exactly one frame");
     assert_eq!(slow.dropped(), 5, "the other five count as drops on the slow subscriber");
-
-    let off = PedalService::start(base_config().without_live_metrics());
-    assert!(off.subscribe_metrics(4).is_none(), "no bus without the live plane");
-    off.shutdown();
 }
 
 /// A traced fanned-out job surfaces one `chunk` span per fragment, each
@@ -394,4 +366,129 @@ fn fan_out_emits_one_chunk_span_per_fragment() {
     let json = chrome_trace_json(&trace);
     let check = validate_chrome_trace(&json).expect("fan-out trace must validate");
     assert!(check.names.iter().any(|n| n == "chunk"));
+}
+
+/// Every count the service reports comes from one ledger, so they all
+/// agree: the live snapshot (counters and histogram counts), the JSONL
+/// series, the per-tenant SLO totals, the bus frames, the shutdown
+/// stats, and what the returned completions themselves show — over a
+/// run mixing SoC, C-Engine, batched and fanned-out jobs, a failing
+/// decompress, evicted victims and a submission shed at the door.
+#[test]
+fn every_count_agrees_across_snapshot_stats_tenants_and_completions() {
+    let svc = PedalService::start(
+        ServiceConfig::new(Platform::BlueField2)
+            .with_soc_workers(1)
+            .with_ce_channels(2)
+            .with_queue_capacity(10)
+            .with_policy(BackpressurePolicy::Shed)
+            .with_batching(1024, 4, SimDuration::from_micros(500))
+            .with_parallel(128 * 1024, 64 * 1024)
+            .with_live_window(SimDuration::from_millis(1_000), 8)
+            .with_tracing(),
+    );
+    let bus = svc.subscribe_metrics(64);
+    let mut rng = Pcg32::seed_from_u64(0x0B5E_0007);
+    let small = text_payload(&mut rng, 900);
+    let text = text_payload(&mut rng, 24_000);
+    let large = text_payload(&mut rng, 256 * 1024);
+    let floats = f32_payload(&mut rng, 4_000);
+    // Valid SOC_DEFLATE header over a garbage body: the decode fails.
+    let mut garbage = vec![0xFF, 0x01, 0xFF, 32];
+    garbage.extend_from_slice(&[0xAB; 16]);
+    let job = |design, datatype, data: &Vec<u8>| JobDesc::compress(design, datatype, data.clone());
+
+    svc.pause();
+    let kept = [
+        job(Design::CE_DEFLATE, Datatype::Byte, &small),
+        job(Design::CE_DEFLATE, Datatype::Byte, &small),
+        job(Design::CE_DEFLATE, Datatype::Byte, &small),
+        job(Design::SOC_DEFLATE, Datatype::Byte, &text),
+        job(Design::CE_DEFLATE, Datatype::Byte, &large),
+        JobDesc::decompress(Design::SOC_DEFLATE, garbage, 32),
+        job(Design::SOC_SZ3, Datatype::Float32, &floats),
+    ];
+    for desc in kept {
+        svc.submit(desc.with_tenant(1).with_priority(5)).unwrap();
+    }
+    for _ in 0..2 {
+        svc.submit(job(Design::SOC_DEFLATE, Datatype::Byte, &small).with_tenant(3)).unwrap();
+    }
+    svc.submit(job(Design::CE_ZLIB, Datatype::Byte, &text).with_tenant(1).with_priority(5))
+        .unwrap();
+    // The queue is full: two urgent jobs evict the two priority-0 jobs,
+    // and one more priority-0 job is itself shed at submission.
+    for _ in 0..2 {
+        let urgent = job(Design::CE_DEFLATE, Datatype::Byte, &text).with_priority(9);
+        svc.submit(urgent.with_tenant(2)).unwrap();
+    }
+    let refused = svc.submit(job(Design::SOC_DEFLATE, Datatype::Byte, &small).with_tenant(3));
+    assert_eq!(refused, Err(ServiceError::Shed));
+    svc.resume();
+    let done = svc.drain();
+
+    // What the completions show.
+    let ok: Vec<_> = done.iter().filter(|j| j.result.is_ok()).collect();
+    let failed = done.iter().filter(|j| matches!(j.result, Err(ServiceError::Pedal(_)))).count();
+    let victims = done.iter().filter(|j| matches!(j.result, Err(ServiceError::Shed))).count();
+    let metrics = |j: &&CompletedJob| j.metrics.expect("served jobs carry metrics");
+    let bytes_in: u64 = ok.iter().map(|j| metrics(j).bytes_in as u64).sum();
+    let bytes_out: u64 = ok.iter().map(|j| j.result.as_ref().unwrap().bytes.len() as u64).sum();
+    let batched = ok.iter().filter(|j| metrics(j).batched).count() as u64;
+    let (ok, failed, shed) = (ok.len() as u64, failed as u64, victims as u64 + 1);
+    assert_eq!((ok, failed, shed), (9, 1, 3), "the scenario itself");
+    assert!(batched >= 2, "the small engine jobs must coalesce");
+    assert!(done.iter().any(|j| j.metrics.is_some_and(|m| matches!(m.lane, LaneId::Soc(_)))));
+
+    let snap = svc.snapshot();
+    assert_eq!(
+        (snap.completed, snap.failed, snap.shed, snap.rejected),
+        (ok, failed, shed, 0),
+        "snapshot counters"
+    );
+    assert_eq!((snap.bytes_in, snap.bytes_out), (bytes_in, bytes_out));
+    for h in [&snap.queue_wait, &snap.service, &snap.latency] {
+        assert_eq!(h.count, ok, "every lifetime histogram holds one sample per completion");
+    }
+    assert_eq!(snap.rolling.completed_recent, ok);
+    assert_eq!(snap.rolling.latency.count, ok);
+    let series = svc.metrics_snapshot();
+    assert_eq!(series.counters["service.jobs_completed"], ok);
+    assert_eq!(series.counters["service.jobs_failed"], failed);
+    assert_eq!(series.counters["service.bytes_in"], bytes_in);
+    assert_eq!(series.counters["service.bytes_out"], bytes_out);
+    assert_eq!(series.histograms["service.latency_ns"].count, ok);
+
+    let tenants = |f: fn(&pedal_service::TenantSloSnapshot) -> u64| -> u64 {
+        snap.tenants.iter().map(f).sum()
+    };
+    assert_eq!(tenants(|t| t.completed), ok, "tenant completed total");
+    assert_eq!(tenants(|t| t.failed), failed, "tenant failed total");
+    assert_eq!(tenants(|t| t.shed), shed, "tenant shed total");
+    assert_eq!(tenants(|t| t.rejected), 0, "tenant rejected total");
+
+    let frames = bus.poll();
+    let frames_of = |k: FrameKind| frames.iter().filter(|f| f.kind == k).count() as u64;
+    assert_eq!(bus.dropped(), 0);
+    assert_eq!(
+        [FrameKind::Completed, FrameKind::Failed, FrameKind::Shed, FrameKind::Rejected]
+            .map(frames_of),
+        [ok, failed, shed, 0],
+        "one bus frame per outcome"
+    );
+
+    let (jobs, stats, trace) = svc.shutdown_with_trace();
+    assert_eq!(jobs.len(), done.len(), "shutdown returns what drain returned");
+    assert_eq!(
+        (stats.completed, stats.failed, stats.shed, stats.rejected),
+        (ok, failed, shed, 0),
+        "shutdown stats"
+    );
+    assert_eq!(
+        (stats.bytes_in, stats.bytes_out, stats.batched_jobs),
+        (bytes_in, bytes_out, batched)
+    );
+    let lane_jobs: u64 = stats.soc_lanes.iter().chain(&stats.channel_lanes).map(|l| l.jobs).sum();
+    assert_eq!(lane_jobs, ok + failed, "every served job is charged to exactly one lane");
+    assert_eq!(trace.spans(SpanKind::Chunk).len(), 4, "the large job fans out in 4 fragments");
 }

@@ -325,6 +325,10 @@ fn paused_scheduler_makes_overload_deterministic() {
         svc.submit(JobDesc::compress(Design::SOC_DEFLATE, Datatype::Byte, data).with_priority(0)),
         Err(ServiceError::Shed)
     ));
+    // Victims and the refused submission count alike, everywhere.
+    let snap = svc.snapshot();
+    assert_eq!(snap.shed, 5, "the live snapshot counts evicted victims too");
+    assert_eq!(snap.tenants.iter().map(|t| t.shed).sum::<u64>(), 5);
     svc.resume();
     let (jobs, stats) = svc.shutdown();
     assert_eq!(stats.shed, 5, "4 evicted victims + 1 shed at submission");

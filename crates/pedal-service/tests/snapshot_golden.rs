@@ -90,7 +90,7 @@ fn run_once() -> (String, String) {
     svc.resume();
     svc.drain();
     let snap = svc.snapshot();
-    let rolling = render(&snap.rolling.expect("live plane on").to_json());
+    let rolling = render(&snap.rolling.to_json());
     let tenants = render(&pedal_obs::Json::Arr(snap.tenants.iter().map(|t| t.to_json()).collect()));
     let _ = svc.shutdown();
     (rolling, tenants)

@@ -50,12 +50,21 @@ cargo run --release -q -p bench --bin repro >/dev/null
 echo "==> regenerated artifacts equal the committed ones"
 # Every number is virtual time and every export is deterministic, so a
 # changed byte is a changed behaviour: refresh the committed files
-# deliberately when it is intended.
+# deliberately when it is intended. `git diff` sees only tracked files;
+# the status check also catches an artifact that is new, staged or
+# left behind, which a diff would pass over.
 if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
-    git diff --exit-code --stat -- results/ 'BENCH_*.json' crates/pedal-testkit/tests/vectors || {
+    artifacts=(results/ 'BENCH_*.json' crates/pedal-testkit/tests/vectors)
+    git diff --exit-code --stat -- "${artifacts[@]}" || {
         echo "verify: FAIL — regenerated artifacts differ from git (see the files above)" >&2
         exit 1
     }
+    stray=$(git status --porcelain --untracked-files=all -- "${artifacts[@]}")
+    if [ -n "$stray" ]; then
+        echo "$stray" >&2
+        echo "verify: FAIL — artifacts not committed (see the files above)" >&2
+        exit 1
+    fi
 else
     echo "(not a git checkout: skipped)"
 fi
