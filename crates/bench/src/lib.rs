@@ -13,11 +13,9 @@ use pedal_datasets::DatasetId;
 use pedal_dpu::Platform;
 use std::sync::OnceLock;
 
-pub mod diff;
 pub mod experiments;
 pub mod report;
 pub mod repro;
-pub use diff::{classify, compare, Better, Delta, DiffResult};
 pub use report::{fmt_us_opt, json_ns_opt, repo_root, BenchReport};
 pub use repro::Artifacts;
 

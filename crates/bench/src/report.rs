@@ -1,10 +1,10 @@
 //! Machine-readable result emission for the experiments.
 //!
 //! Besides its table text, an experiment may record a `BENCH_<name>.json`
-//! document (written at the repository root) so scripts and `benchdiff`
-//! can consume the same numbers without scraping table text. All
-//! serialization goes through `pedal_obs::Json` — the repo carries no
-//! external serde dependency.
+//! document (written at the repository root), one value per line, so
+//! scripts can read the numbers without scraping table text and the
+//! `git diff` of a refresh reads metric by metric. All serialization goes
+//! through `pedal_obs::Json` — the repo carries no external serde dependency.
 
 use std::path::PathBuf;
 
@@ -38,7 +38,7 @@ impl BenchReport {
 
     /// Record the document as `BENCH_<name>.json` in `out`.
     pub fn write(self, out: &mut Artifacts) {
-        out.file(format!("BENCH_{}.json", self.name), Json::Obj(self.fields).to_string());
+        out.file(format!("BENCH_{}.json", self.name), Json::Obj(self.fields).to_pretty_string());
     }
 }
 
@@ -76,8 +76,9 @@ mod tests {
     fn report_round_trips_through_the_strict_parser() {
         let mut r = BenchReport::new("unit_test");
         r.set("rows", Json::Arr(vec![Json::obj(vec![("x", Json::u64(1))])]));
-        let doc = Json::Obj(r.fields.clone()).to_string();
-        let parsed = pedal_obs::parse_json(&doc).expect("valid json");
+        let doc = Json::Obj(r.fields.clone());
+        let parsed = pedal_obs::parse_json(&doc.to_pretty_string()).expect("valid json");
+        assert_eq!(parsed, doc);
         assert_eq!(parsed.get("artifact").and_then(Json::as_str), Some("unit_test"));
     }
 
@@ -87,11 +88,12 @@ mod tests {
     fn write_mirrors_report_at_repo_root() {
         let mut r = BenchReport::new("report_unit_test");
         r.set("ok", Json::u64(1));
-        let doc = Json::Obj(r.fields.clone()).to_string();
+        let doc = "{\n  \"artifact\": \"report_unit_test\",\n  \"time_base\": \"virtual-ns\",\n  \
+                   \"ok\": 1\n}\n";
         let mut out = Artifacts::default();
         r.write(&mut out);
         assert_eq!(out.text, "");
-        assert_eq!(out.files, [("BENCH_report_unit_test.json".to_string(), doc)]);
+        assert_eq!(out.files, [("BENCH_report_unit_test.json".to_string(), doc.to_string())]);
     }
 
     #[test]

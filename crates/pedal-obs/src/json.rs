@@ -100,6 +100,43 @@ impl Json {
             }
         }
     }
+
+    /// Multi-line serialization for committed files: each scalar, member
+    /// and closing bracket on its own line, indented two spaces per level,
+    /// in insertion order, so a `git diff` of two documents reads value by
+    /// value. Scalars are written exactly as [`Json::write`] writes them.
+    /// Ends with a newline, as a text file does.
+    pub fn to_pretty_string(&self) -> String {
+        let mut out = String::new();
+        self.write_pretty(0, &mut out);
+        out.push('\n');
+        out
+    }
+
+    fn write_pretty(&self, depth: usize, out: &mut String) {
+        let (open, close, entries): (char, char, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            Json::Obj(fields) => {
+                ('{', '}', fields.iter().map(|(k, v)| (Some(k.as_str()), v)).collect())
+            }
+            scalar => return scalar.write(out),
+        };
+        out.push(open);
+        for (i, (key, value)) in entries.iter().enumerate() {
+            out.push_str(if i == 0 { "\n" } else { ",\n" });
+            out.push_str(&"  ".repeat(depth + 1));
+            if let Some(key) = key {
+                write_str(key, out);
+                out.push_str(": ");
+            }
+            value.write_pretty(depth + 1, out);
+        }
+        if !entries.is_empty() {
+            out.push('\n');
+            out.push_str(&"  ".repeat(depth));
+        }
+        out.push(close);
+    }
 }
 
 /// Compact single-line serialization (`Json::to_string` comes from
@@ -378,6 +415,31 @@ mod tests {
         assert_eq!(Json::u64(60_000).to_string(), "60000");
         assert_eq!(Json::u64(9_007_199_254_740_992).to_string(), "9007199254740992");
         assert_eq!(Json::Num(0.5).to_string(), "0.5");
+    }
+
+    #[test]
+    fn pretty_output_parses_back_and_leaves_compact_output_alone() {
+        let doc = Json::obj(vec![
+            ("name", Json::str("tab\t \"q\" \\ \u{1}")),
+            ("whole", Json::u64(60_000)),
+            ("frac", Json::Num(-2.75)),
+            ("empty_arr", Json::Arr(vec![])),
+            ("empty_obj", Json::Obj(vec![])),
+            ("rows", Json::Arr(vec![Json::obj(vec![("x", Json::Null)]), Json::Bool(true)])),
+        ]);
+        let pretty = doc.to_pretty_string();
+        assert_eq!(parse(&pretty).unwrap(), doc);
+        assert_eq!(
+            pretty,
+            "{\n  \"name\": \"tab\\t \\\"q\\\" \\\\ \\u0001\",\n  \"whole\": 60000,\n  \
+             \"frac\": -2.75,\n  \"empty_arr\": [],\n  \"empty_obj\": {},\n  \"rows\": [\n    \
+             {\n      \"x\": null\n    },\n    true\n  ]\n}\n"
+        );
+        assert_eq!(
+            doc.to_string(),
+            "{\"name\":\"tab\\t \\\"q\\\" \\\\ \\u0001\",\"whole\":60000,\"frac\":-2.75,\
+             \"empty_arr\":[],\"empty_obj\":{},\"rows\":[{\"x\":null},true]}"
+        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Byte-golden serialization pins for the live-plane JSON types.
 //!
 //! BENCH reports and JSONL exports are diffed *byte-for-byte* across
-//! PRs (the benchdiff gate, the fleet replay digest). That only works
-//! if serialization is a stable contract: fixed key order, fixed
-//! number formatting, fixed null conventions. These tests pin the
+//! changes (the verify artifact gate, the fleet replay digest). That
+//! only works if serialization is a stable contract: fixed key order,
+//! fixed number formatting, fixed null conventions. These tests pin the
 //! exact output strings — if one fails, either restore the format or
 //! knowingly re-baseline every committed artifact that embeds it.
 

@@ -1,7 +1,7 @@
 //! Determinism regression tests for `ServiceSnapshot.rolling` /
 //! `.tenants` serialization.
 //!
-//! PR 8's benchdiff gate and the fleet tier's replay digests both diff
+//! The verify artifact gate and the fleet tier's replay digests both diff
 //! snapshot-derived JSON byte-for-byte, so the rolling/tenant sections
 //! must keep (a) a pinned key order and formatting, and (b) run-to-run
 //! identical *values* on an unchanged deterministic workload. (a) is

@@ -69,12 +69,15 @@ else
     echo "(not a git checkout: skipped)"
 fi
 
-echo "==> bench-regression gate (benchdiff vs committed baselines)"
-# Proves the gate itself trips on a synthetic 25% regression, then
-# compares every root BENCH_*.json against its HEAD copy metric by
-# metric: the readable report when a PR refreshes reports on purpose.
-cargo run --release -q -p bench --bin benchdiff -- --self-test
-cargo run --release -q -p bench --bin benchdiff
+echo "==> reference zlib, gzip and lz4 decode our golden vectors"
+# The other direction, pedal decoding streams that CPython's zlib and the
+# lz4 CLI wrote, is the tier-1 test foreign_vectors.rs. This one needs the
+# reference tools themselves, so it runs only where they are installed.
+if command -v python3 >/dev/null && command -v lz4 >/dev/null; then
+    python3 scripts/interop.py check-reverse
+else
+    echo "(python3 or lz4 not on PATH: reverse interop check skipped)"
+fi
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
