@@ -158,11 +158,7 @@ impl PedalComm {
             // Eager class: 3-byte header marks "uncompressed" so the
             // receiver's dispatch logic stays uniform.
             self.stats.eager_passthroughs += 1;
-            let mut p = Vec::with_capacity(data.len() + 12);
-            p.extend_from_slice(&pedal::PedalHeader::Uncompressed.to_bytes());
-            put_uvarint(&mut p, data.len() as u64);
-            p.extend_from_slice(data);
-            p
+            pedal::wire::frame(pedal::PedalHeader::Uncompressed, data.len(), data)
         };
         self.stats.wire_bytes_sent += payload.len() as u64;
         Ok(mpi.send(dst, tag, Bytes::from(payload))?)

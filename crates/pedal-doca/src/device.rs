@@ -106,15 +106,6 @@ impl DocaContext {
         Ok((result, handle.completed_at))
     }
 
-    /// Convenience: submit at EPOCH and discard timing.
-    pub fn submit_and_wait(
-        &self,
-        job: CompressJob,
-        now: SimInstant,
-    ) -> Result<JobResult, DocaError> {
-        self.submit(job, now).map(|(r, _)| r)
-    }
-
     /// Which engine directions exist at all on this device.
     pub fn engine_directions(&self) -> Vec<Direction> {
         let caps = self.platform.spec().cengine;
@@ -156,10 +147,7 @@ mod tests {
     fn unsupported_job_rejected_with_capability_error() {
         let ctx = DocaContext::open(Platform::BlueField3).unwrap();
         let err = ctx
-            .submit_and_wait(
-                CompressJob::new(JobKind::DeflateCompress, vec![0u8; 128]),
-                SimInstant::EPOCH,
-            )
+            .submit(CompressJob::new(JobKind::DeflateCompress, vec![0u8; 128]), SimInstant::EPOCH)
             .unwrap_err();
         assert!(matches!(err, DocaError::Capability(_)));
     }
@@ -188,8 +176,8 @@ mod tests {
         let data = b"lz4 on the bf3 engine".repeat(64);
         // Compression must happen on the SoC (engine can't); emulate that.
         let packed = pedal_lz4::compress_block(&data, 1);
-        let r = ctx
-            .submit_and_wait(
+        let (r, _) = ctx
+            .submit(
                 CompressJob::new(JobKind::Lz4Decompress, packed).with_expected_len(data.len()),
                 SimInstant::EPOCH,
             )

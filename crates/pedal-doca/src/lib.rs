@@ -18,7 +18,7 @@
 //! let ctx = DocaContext::open(Platform::BlueField2).unwrap();
 //! let data = b"engine offload engine offload engine offload".to_vec();
 //! let job = CompressJob::new(JobKind::DeflateCompress, data);
-//! let done = ctx.submit_and_wait(job, SimInstant::EPOCH).unwrap();
+//! let (done, _) = ctx.submit(job, SimInstant::EPOCH).unwrap();
 //! assert!(!done.output.is_empty());
 //! ```
 

@@ -421,11 +421,48 @@ where
             TenantClass::Paying => LadderLevel::Engine,
             TenantClass::BestEffort => level,
         };
-        if ladder_level == LadderLevel::Store {
-            let data = arrival.payload();
+        let mut design = match ladder_level {
+            LadderLevel::Soc => Design { algorithm: want.algorithm, placement: Placement::Soc },
+            _ => want,
+        };
+        let data = arrival.payload();
+
+        // Per-job refinement below the ladder: the policy probes the
+        // message and picks codec/placement/datatype within the rung the
+        // ladder granted. The ladder owns overload degradation — at the
+        // Soc rung the policy may swap codecs but never climbs a
+        // best-effort job back onto the engine.
+        let mut datatype = Datatype::Byte;
+        let mut store_raw = ladder_level == LadderLevel::Store;
+        if let (false, Some(policy)) = (store_raw, &policy) {
+            let snap = PolicySnapshot {
+                at: snap_at,
+                queue_depth: summary.submitted,
+                p99_ns: last_p99,
+                engine_available: engine_capable,
+            };
+            let (f, d) = policy.probe_and_decide(&data, &snap);
+            policy_log.push(PolicyRecord::of(arrival.seq, arrival.tenant, &f, &snap, &d));
+            match d.design() {
+                None => store_raw = true,
+                Some(chosen) => {
+                    design = if ladder_level == LadderLevel::Soc {
+                        Design { algorithm: chosen.algorithm, placement: Placement::Soc }
+                    } else {
+                        chosen
+                    };
+                    datatype = d.datatype;
+                }
+            }
+        }
+
+        // The ladder's Store rung and the policy's store-raw decision
+        // frame the payload uncompressed: no compression capacity spent,
+        // and a memcpy-speed store always meets the SLO.
+        if store_raw {
             let payload = wire::frame(PedalHeader::Uncompressed, data.len(), &data);
             stats.stored += 1;
-            stats.met_slo += 1; // a memcpy-speed store always meets the SLO
+            stats.met_slo += 1;
             stats.bytes_out += payload.len() as u64;
             summary.stored += 1;
             stored.push(StoredJob { seq: arrival.seq, tenant: arrival.tenant, payload });
@@ -437,57 +474,6 @@ where
                 action: PlacementAction::Stored { bytes: arrival.bytes },
             });
             continue;
-        }
-        let mut design = match ladder_level {
-            LadderLevel::Soc => Design { algorithm: want.algorithm, placement: Placement::Soc },
-            _ => want,
-        };
-
-        // Per-job refinement below the ladder: the policy probes the
-        // message and picks codec/placement/datatype within the rung the
-        // ladder granted. The ladder owns overload degradation — at the
-        // Soc rung the policy may swap codecs but never climbs a
-        // best-effort job back onto the engine.
-        let mut datatype = Datatype::Byte;
-        if let Some(policy) = &policy {
-            let data = arrival.payload();
-            let snap = PolicySnapshot {
-                at: snap_at,
-                queue_depth: summary.submitted,
-                p99_ns: last_p99,
-                engine_available: engine_capable,
-            };
-            let (f, d) = policy.probe_and_decide(&data, &snap);
-            policy_log.push(PolicyRecord::of(arrival.seq, arrival.tenant, &f, &snap, &d));
-            match d.design() {
-                None => {
-                    // Store-raw: frame the payload uncompressed, exactly
-                    // like the ladder's Store rung — no compression
-                    // capacity spent, byte-identical passthrough frame.
-                    let payload = wire::frame(PedalHeader::Uncompressed, data.len(), &data);
-                    stats.stored += 1;
-                    stats.met_slo += 1;
-                    stats.bytes_out += payload.len() as u64;
-                    summary.stored += 1;
-                    stored.push(StoredJob { seq: arrival.seq, tenant: arrival.tenant, payload });
-                    log.push(PlacementRecord {
-                        seq: arrival.seq,
-                        tenant: arrival.tenant,
-                        class,
-                        requested: want,
-                        action: PlacementAction::Stored { bytes: arrival.bytes },
-                    });
-                    continue;
-                }
-                Some(chosen) => {
-                    design = if ladder_level == LadderLevel::Soc {
-                        Design { algorithm: chosen.algorithm, placement: Placement::Soc }
-                    } else {
-                        chosen
-                    };
-                    datatype = d.datatype;
-                }
-            }
         }
 
         // Capability: find nodes that run `design` natively. A C-Engine
@@ -525,7 +511,7 @@ where
         if node.slo_set.insert(arrival.tenant) {
             node.svc.set_slo_target(arrival.tenant, cfg.slo_for(class));
         }
-        let desc = JobDesc::compress(design, datatype, arrival.payload())
+        let desc = JobDesc::compress(design, datatype, data)
             .with_tenant(arrival.tenant)
             .with_arrival(arrival.at);
         match node.svc.submit(desc) {

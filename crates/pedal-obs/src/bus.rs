@@ -1,19 +1,22 @@
 //! `ObsBus`: an in-process stream of [`MetricsFrame`] updates for live
 //! consumers (schedulers, dashboards, adaptive policies).
 //!
-//! The contract the hot path needs: **publishing never blocks**. Every
-//! subscriber owns a bounded queue; a publish that cannot take a
-//! subscriber's lock immediately, or finds the queue full, increments
-//! that subscriber's drop counter and moves on. Slow consumers lose
-//! frames (and can see exactly how many via [`BusSubscription::dropped`]);
-//! they never slow the service down — the same drop-newest-and-count
-//! discipline as the event ring.
+//! The bus itself is plain data with one writer: the service's
+//! completion ledger owns it behind one lock, so `subscribe` and
+//! `publish` take `&mut self`. Only a subscriber's queue is shared, with
+//! the thread that polls it. The contract the hot path needs:
+//! **publishing never blocks**. Every subscriber owns a bounded queue; a
+//! publish that cannot take a subscriber's lock immediately, or finds
+//! the queue full, increments that subscriber's drop counter and moves
+//! on. Slow consumers lose frames (and can see exactly how many via
+//! [`BusSubscription::dropped`]); they never slow the service down —
+//! the same drop-newest-and-count discipline as the event ring.
 
 use crate::json::{Json, ToJson};
 use pedal_dpu::SimInstant;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 
 /// What kind of job outcome a frame reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,13 +78,12 @@ struct SubState {
     closed: AtomicBool,
 }
 
-/// The publish side. Cheap to share; `publish` is called from the
-/// service completion path and must never block it.
+/// The publish side. `publish` is called from the service completion
+/// path and must never block it.
 #[derive(Default)]
 pub struct ObsBus {
-    subs: RwLock<Vec<Arc<SubState>>>,
-    seq: AtomicU64,
-    lost_publishes: AtomicU64,
+    subs: Vec<Arc<SubState>>,
+    seq: u64,
 }
 
 impl ObsBus {
@@ -91,29 +93,25 @@ impl ObsBus {
 
     /// Attach a consumer with a queue bounded at `capacity` frames
     /// (minimum 1). Dropping the subscription detaches it.
-    pub fn subscribe(&self, capacity: usize) -> BusSubscription {
+    pub fn subscribe(&mut self, capacity: usize) -> BusSubscription {
         let state = Arc::new(SubState {
             cap: capacity.max(1),
             queue: Mutex::new(VecDeque::with_capacity(capacity.max(1))),
             dropped: AtomicU64::new(0),
             closed: AtomicBool::new(false),
         });
-        let mut subs = self.subs.write().unwrap();
-        subs.retain(|s| !s.closed.load(Ordering::Relaxed));
-        subs.push(state.clone());
+        self.subs.retain(|s| !s.closed.load(Ordering::Relaxed));
+        self.subs.push(state.clone());
         BusSubscription { state }
     }
 
     /// Broadcast `frame` to every live subscriber, assigning its `seq`.
-    /// Non-blocking by construction: a contended subscriber list or a
-    /// busy/full subscriber queue counts a drop instead of waiting.
-    pub fn publish(&self, mut frame: MetricsFrame) -> u64 {
-        frame.seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let Ok(subs) = self.subs.try_read() else {
-            self.lost_publishes.fetch_add(1, Ordering::Relaxed);
-            return frame.seq;
-        };
-        for s in subs.iter() {
+    /// Non-blocking by construction: a busy or full subscriber queue
+    /// counts a drop instead of waiting.
+    pub fn publish(&mut self, mut frame: MetricsFrame) -> u64 {
+        frame.seq = self.seq;
+        self.seq += 1;
+        for s in &self.subs {
             if s.closed.load(Ordering::Relaxed) {
                 continue;
             }
@@ -129,18 +127,12 @@ impl ObsBus {
 
     /// Frames published so far (the next frame's `seq`).
     pub fn published(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
-    }
-
-    /// Publishes that reached no subscriber at all because the
-    /// subscriber list itself was locked (subscribe racing publish).
-    pub fn lost_publishes(&self) -> u64 {
-        self.lost_publishes.load(Ordering::Relaxed)
+        self.seq
     }
 
     /// Live (non-closed) subscriber count.
     pub fn subscriber_count(&self) -> usize {
-        self.subs.read().unwrap().iter().filter(|s| !s.closed.load(Ordering::Relaxed)).count()
+        self.subs.iter().filter(|s| !s.closed.load(Ordering::Relaxed)).count()
     }
 }
 
@@ -199,7 +191,7 @@ mod tests {
 
     #[test]
     fn frames_arrive_in_order_with_dense_seq() {
-        let bus = ObsBus::new();
+        let mut bus = ObsBus::new();
         let sub = bus.subscribe(16);
         for t in 0..5 {
             bus.publish(frame(t));
@@ -216,7 +208,7 @@ mod tests {
 
     #[test]
     fn slow_subscriber_drops_and_counts_never_blocks() {
-        let bus = ObsBus::new();
+        let mut bus = ObsBus::new();
         let sub = bus.subscribe(2);
         for t in 0..7 {
             bus.publish(frame(t));
@@ -236,7 +228,7 @@ mod tests {
 
     #[test]
     fn dropped_subscription_detaches() {
-        let bus = ObsBus::new();
+        let mut bus = ObsBus::new();
         let sub = bus.subscribe(4);
         assert_eq!(bus.subscriber_count(), 1);
         drop(sub);
@@ -248,7 +240,7 @@ mod tests {
 
     #[test]
     fn publish_while_subscriber_holds_lock_counts_a_drop() {
-        let bus = Arc::new(ObsBus::new());
+        let mut bus = ObsBus::new();
         let sub = bus.subscribe(1024);
         let guard = sub.state.queue.lock().unwrap();
         bus.publish(frame(1));
@@ -265,26 +257,5 @@ mod tests {
         assert_eq!(j.get("seq").unwrap().as_f64(), Some(11.0));
         assert_eq!(j.get("kind").unwrap().as_str(), Some("completed"));
         assert_eq!(j.get("queue_depth").unwrap().as_f64(), Some(3.0));
-    }
-
-    #[test]
-    fn concurrent_publishers_never_deadlock() {
-        let bus = Arc::new(ObsBus::new());
-        let sub = bus.subscribe(64);
-        let handles: Vec<_> = (0..4)
-            .map(|t| {
-                let bus = bus.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..1_000 {
-                        bus.publish(frame(t));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(bus.published(), 4_000);
-        assert_eq!(sub.poll().len() as u64 + sub.dropped(), 4_000);
     }
 }

@@ -1,12 +1,11 @@
-//! Log-bucketed (HDR-style) histograms with lock-free recording.
+//! Log-bucketed (HDR-style) histograms.
 //!
 //! Values are bucketed by exponent plus three mantissa bits, giving a
 //! worst-case quantile error of ~6% across the full u64 range — plenty
-//! for p50/p99 latency reporting — while `record` is a couple of atomic
-//! adds. Exact min/max are kept so degenerate distributions (one sample)
-//! report exact quantiles.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! for p50/p99 latency reporting — while `record` is a few integer adds.
+//! Exact min/max are kept so degenerate distributions (one sample)
+//! report exact quantiles. A histogram is plain data with one writer:
+//! the service's completion ledger owns its series behind one lock.
 
 /// Mantissa bits per octave (8 sub-buckets).
 const SUB_BITS: u32 = 3;
@@ -36,24 +35,13 @@ fn value_of(bucket: usize) -> u64 {
     lo + width / 2
 }
 
-/// A concurrent log-bucketed histogram. All methods take `&self`;
-/// recording is wait-free (three `fetch_add`s and two `fetch_min/max`).
+/// A log-bucketed histogram. Writers take `&mut self`.
 pub struct LogHistogram {
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-}
-
-impl std::fmt::Debug for LogHistogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LogHistogram")
-            .field("count", &self.count())
-            .field("min", &self.min.load(Ordering::Relaxed))
-            .field("max", &self.max.load(Ordering::Relaxed))
-            .finish()
-    }
+    buckets: Vec<u64>,
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
 }
 
 impl Default for LogHistogram {
@@ -64,30 +52,25 @@ impl Default for LogHistogram {
 
 impl LogHistogram {
     pub fn new() -> Self {
-        Self {
-            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
+        Self { buckets: vec![0; BUCKETS], count: 0, sum: 0, min: u64::MAX, max: 0 }
     }
 
     #[inline]
-    pub fn record(&self, v: u64) {
-        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+    pub fn record(&mut self, v: u64) {
+        self.buckets[bucket_of(v)] += 1;
+        self.count += 1;
+        // Wraps on overflow, as the sum of a long-running series may.
+        self.sum = self.sum.wrapping_add(v);
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
     }
 
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.count
     }
 
     pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+        self.sum
     }
 
     pub fn mean(&self) -> Option<f64> {
@@ -96,11 +79,11 @@ impl LogHistogram {
     }
 
     pub fn min(&self) -> Option<u64> {
-        (self.count() > 0).then(|| self.min.load(Ordering::Relaxed))
+        (self.count > 0).then_some(self.min)
     }
 
     pub fn max(&self) -> Option<u64> {
-        (self.count() > 0).then(|| self.max.load(Ordering::Relaxed))
+        (self.count > 0).then_some(self.max)
     }
 
     /// Approximate quantile (`q` in `[0, 1]`), or `None` when empty.
@@ -115,48 +98,41 @@ impl LogHistogram {
         let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).clamp(1, n);
         let mut seen = 0u64;
         let mut result = value_of(BUCKETS - 1);
-        for (b, c) in self.buckets.iter().enumerate() {
-            seen += c.load(Ordering::Relaxed);
+        for (b, &c) in self.buckets.iter().enumerate() {
+            seen += c;
             if seen >= rank {
                 result = value_of(b);
                 break;
             }
         }
-        let lo = self.min().unwrap_or(0);
-        let hi = self.max().unwrap_or(u64::MAX);
-        Some(result.clamp(lo, hi))
+        Some(result.clamp(self.min, self.max))
     }
 
-    /// Merge another histogram's samples into this one (atomic adds, so
-    /// both histograms stay usable concurrently). Merging an empty
-    /// histogram is a no-op, and merging into an empty one reproduces
-    /// `other`'s counts, bounds, and quantiles exactly — the identity
-    /// the windowed rollup relies on.
-    pub fn merge_from(&self, other: &LogHistogram) {
-        if other.count.load(Ordering::Relaxed) == 0 {
+    /// Merge another histogram's samples into this one. Merging an
+    /// empty histogram is a no-op, and merging into an empty one
+    /// reproduces `other`'s counts, bounds, and quantiles exactly — the
+    /// identity the windowed rollup relies on.
+    pub fn merge_from(&mut self, other: &LogHistogram) {
+        if other.count == 0 {
             return;
         }
-        for (dst, src) in self.buckets.iter().zip(&other.buckets) {
-            let v = src.load(Ordering::Relaxed);
-            if v > 0 {
-                dst.fetch_add(v, Ordering::Relaxed);
-            }
+        for (dst, &src) in self.buckets.iter_mut().zip(&other.buckets) {
+            *dst += src;
         }
-        self.count.fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum.fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.min.fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max.fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.count += other.count;
+        self.sum = self.sum.wrapping_add(other.sum);
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
     }
 
-    /// Reset to empty (between bench repetitions).
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
+    /// Reset to empty (between bench repetitions, or when a window slot
+    /// is recycled).
+    pub fn reset(&mut self) {
+        self.buckets.fill(0);
+        self.count = 0;
+        self.sum = 0;
+        self.min = u64::MAX;
+        self.max = 0;
     }
 }
 
@@ -200,7 +176,7 @@ mod tests {
 
     #[test]
     fn single_sample_is_exact_at_every_quantile() {
-        let h = LogHistogram::new();
+        let mut h = LogHistogram::new();
         h.record(123_457);
         for q in [0.0, 0.5, 0.99, 1.0] {
             assert_eq!(h.quantile(q), Some(123_457));
@@ -210,7 +186,7 @@ mod tests {
 
     #[test]
     fn quantiles_track_a_uniform_distribution() {
-        let h = LogHistogram::new();
+        let mut h = LogHistogram::new();
         for v in 1..=10_000u64 {
             h.record(v * 1_000);
         }
@@ -223,29 +199,8 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_recording_is_consistent() {
-        let h = std::sync::Arc::new(LogHistogram::new());
-        let handles: Vec<_> = (0..4)
-            .map(|t| {
-                let h = h.clone();
-                std::thread::spawn(move || {
-                    for i in 0..10_000u64 {
-                        h.record(t * 10_000 + i);
-                    }
-                })
-            })
-            .collect();
-        for j in handles {
-            j.join().unwrap();
-        }
-        assert_eq!(h.count(), 40_000);
-        assert_eq!(h.min(), Some(0));
-        assert_eq!(h.max(), Some(39_999));
-    }
-
-    #[test]
     fn reset_empties() {
-        let h = LogHistogram::new();
+        let mut h = LogHistogram::new();
         h.record(5);
         h.reset();
         assert_eq!(h.count(), 0);

@@ -13,7 +13,9 @@
 //! * **Metrics series**: log-bucketed (HDR-style) [`LogHistogram`]s,
 //!   rolling windows, a per-tenant [`SloTable`] and a bounded
 //!   [`ObsBus`] — the parts a service's completion ledger records into,
-//!   so a live mid-run `snapshot()` works without draining.
+//!   so a live mid-run `snapshot()` works without draining. They are
+//!   plain single-writer data (`&mut self`); the ledger's one lock
+//!   serializes every update.
 //!   [`MetricsSnapshot`] is the JSONL form of its named series.
 //!
 //! Span records are self-contained (begin *and* end in one event), so
@@ -49,4 +51,4 @@ pub use stats::percentile;
 pub use trace::{
     chrome_trace_json, validate_chrome_trace, Collector, TraceCheck, TraceLog, TraceValidateError,
 };
-pub use window::{HighWatermark, WindowConfig, WindowedCounter, WindowedHistogram};
+pub use window::{WindowConfig, WindowedCounter, WindowedHistogram};

@@ -114,7 +114,7 @@ mod tests {
 
     /// One counter `c1` = 9 and one histogram `h1` holding a single 42.
     fn one_of_each() -> MetricsSnapshot {
-        let h = LogHistogram::new();
+        let mut h = LogHistogram::new();
         h.record(42);
         MetricsSnapshot {
             counters: [("c1".to_string(), 9)].into(),
@@ -124,7 +124,7 @@ mod tests {
 
     #[test]
     fn histogram_series_summarize() {
-        let h = LogHistogram::new();
+        let mut h = LogHistogram::new();
         for v in [100u64, 200, 300] {
             h.record(v);
         }

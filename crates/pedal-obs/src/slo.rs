@@ -6,26 +6,26 @@
 //! Attainment is exact, not estimated: hits and totals are counted in
 //! [`WindowedCounter`]s over the same rolling window as the latency
 //! histogram, and a tenant with no recent completions reports `None` —
-//! never a stale percentage.
+//! never a stale percentage. The table is plain data with one writer
+//! (`&mut self`): the service's completion ledger owns it behind one
+//! lock.
 
 use crate::json::{Json, ToJson};
 use crate::registry::HistSummary;
 use crate::window::{WindowConfig, WindowedCounter, WindowedHistogram};
 use pedal_dpu::{SimDuration, SimInstant};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
 
 /// Tenant label carried through enqueue→complete spans. Tenant 0 is the
 /// anonymous default.
 pub type TenantId = u32;
 
 struct TenantSlo {
-    target_ns: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    shed: AtomicU64,
-    rejected: AtomicU64,
+    target: SimDuration,
+    completed: u64,
+    failed: u64,
+    shed: u64,
+    rejected: u64,
     latency: WindowedHistogram,
     recent_total: WindowedCounter,
     recent_hits: WindowedCounter,
@@ -34,11 +34,11 @@ struct TenantSlo {
 impl TenantSlo {
     fn new(target: SimDuration, window: WindowConfig) -> Self {
         Self {
-            target_ns: AtomicU64::new(target.as_nanos()),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
+            target,
+            completed: 0,
+            failed: 0,
+            shed: 0,
+            rejected: 0,
             latency: WindowedHistogram::new(window),
             recent_total: WindowedCounter::new(window),
             recent_hits: WindowedCounter::new(window),
@@ -52,70 +52,62 @@ impl TenantSlo {
 pub struct SloTable {
     window: WindowConfig,
     default_target: SimDuration,
-    tenants: RwLock<BTreeMap<TenantId, Arc<TenantSlo>>>,
+    tenants: BTreeMap<TenantId, TenantSlo>,
 }
 
 impl SloTable {
     pub fn new(default_target: SimDuration, window: WindowConfig) -> Self {
-        Self { window, default_target, tenants: RwLock::new(BTreeMap::new()) }
+        Self { window, default_target, tenants: BTreeMap::new() }
     }
 
-    fn tenant(&self, id: TenantId) -> Arc<TenantSlo> {
-        if let Some(t) = self.tenants.read().unwrap().get(&id) {
-            return t.clone();
-        }
-        self.tenants
-            .write()
-            .unwrap()
-            .entry(id)
-            .or_insert_with(|| Arc::new(TenantSlo::new(self.default_target, self.window)))
-            .clone()
+    fn tenant(&mut self, id: TenantId) -> &mut TenantSlo {
+        let (target, window) = (self.default_target, self.window);
+        self.tenants.entry(id).or_insert_with(|| TenantSlo::new(target, window))
     }
 
     /// Set (or pre-register) a tenant's latency target.
-    pub fn set_target(&self, id: TenantId, target: SimDuration) {
-        self.tenant(id).target_ns.store(target.as_nanos(), Ordering::Relaxed);
+    pub fn set_target(&mut self, id: TenantId, target: SimDuration) {
+        self.tenant(id).target = target;
     }
 
     /// A job for `id` completed at `at` with end-to-end `latency`.
-    pub fn record_completed(&self, id: TenantId, at: SimInstant, latency: SimDuration) {
+    pub fn record_completed(&mut self, id: TenantId, at: SimInstant, latency: SimDuration) {
         let t = self.tenant(id);
-        t.completed.fetch_add(1, Ordering::Relaxed);
+        t.completed += 1;
         t.latency.record_at(at, latency.as_nanos());
-        t.recent_total.add_at(at, 1);
-        if latency.as_nanos() <= t.target_ns.load(Ordering::Relaxed) {
-            t.recent_hits.add_at(at, 1);
+        t.recent_total.record_at(at, 1);
+        if latency <= t.target {
+            t.recent_hits.record_at(at, 1);
         }
     }
 
-    pub fn record_failed(&self, id: TenantId) {
-        self.tenant(id).failed.fetch_add(1, Ordering::Relaxed);
+    pub fn record_failed(&mut self, id: TenantId) {
+        self.tenant(id).failed += 1;
     }
 
-    pub fn record_shed(&self, id: TenantId) {
-        self.tenant(id).shed.fetch_add(1, Ordering::Relaxed);
+    pub fn record_shed(&mut self, id: TenantId) {
+        self.tenant(id).shed += 1;
     }
 
-    pub fn record_rejected(&self, id: TenantId) {
-        self.tenant(id).rejected.fetch_add(1, Ordering::Relaxed);
+    pub fn record_rejected(&mut self, id: TenantId) {
+        self.tenant(id).rejected += 1;
     }
 
     /// Freeze every tenant's state as of virtual instant `now`.
     pub fn snapshot_at(&self, now: SimInstant) -> Vec<TenantSloSnapshot> {
-        let tenants = self.tenants.read().unwrap();
-        tenants
+        self.tenants
             .iter()
             .map(|(&id, t)| {
-                let total = t.recent_total.sum_at(now);
-                let hits = t.recent_hits.sum_at(now);
+                let total = t.recent_total.total_at(now);
+                let hits = t.recent_hits.total_at(now);
                 TenantSloSnapshot {
                     tenant: id,
-                    target: SimDuration(t.target_ns.load(Ordering::Relaxed)),
+                    target: t.target,
                     window: self.window.span(),
-                    completed: t.completed.load(Ordering::Relaxed),
-                    failed: t.failed.load(Ordering::Relaxed),
-                    shed: t.shed.load(Ordering::Relaxed),
-                    rejected: t.rejected.load(Ordering::Relaxed),
+                    completed: t.completed,
+                    failed: t.failed,
+                    shed: t.shed,
+                    rejected: t.rejected,
                     recent: t.latency.summary_at(now),
                     recent_total: total,
                     attainment: (total > 0).then(|| hits as f64 / total as f64),
@@ -197,7 +189,7 @@ mod tests {
 
     #[test]
     fn attainment_counts_hits_against_target() {
-        let t = table();
+        let mut t = table();
         t.record_completed(1, SimInstant(100), SimDuration(500)); // hit
         t.record_completed(1, SimInstant(200), SimDuration(1_000)); // hit (<=)
         t.record_completed(1, SimInstant(300), SimDuration(2_000)); // miss
@@ -212,7 +204,7 @@ mod tests {
 
     #[test]
     fn attainment_is_none_after_window_expires() {
-        let t = table();
+        let mut t = table();
         t.record_completed(7, SimInstant(100), SimDuration(500));
         assert!(t.snapshot_at(SimInstant(200))[0].attainment.is_some());
         let s = &t.snapshot_at(SimInstant(1_000_000))[0];
@@ -223,7 +215,7 @@ mod tests {
 
     #[test]
     fn per_tenant_targets_are_independent() {
-        let t = table();
+        let mut t = table();
         t.set_target(1, SimDuration(10));
         t.set_target(2, SimDuration(1_000_000));
         for tenant in [1, 2] {
@@ -236,7 +228,7 @@ mod tests {
 
     #[test]
     fn shed_and_reject_counts_accumulate() {
-        let t = table();
+        let mut t = table();
         t.record_shed(3);
         t.record_shed(3);
         t.record_rejected(3);
@@ -248,7 +240,7 @@ mod tests {
 
     #[test]
     fn snapshot_json_has_null_attainment_when_empty() {
-        let t = table();
+        let mut t = table();
         t.record_shed(9);
         let j = t.snapshot_at(SimInstant(0))[0].to_json();
         assert!(matches!(j.get("attainment"), Some(Json::Null)));

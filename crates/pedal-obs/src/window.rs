@@ -1,23 +1,23 @@
-//! Rolling virtual-time windows: histograms, counters, and high-watermark
-//! gauges.
+//! Rolling virtual-time windows: histograms and counters.
 //!
 //! Everything here is keyed on **virtual** time ([`SimInstant`]), so a
 //! "rolling p99 over the last 80 ms" is deterministic across hosts and
 //! reruns — the same property the bench suite relies on everywhere else.
 //!
-//! The windowed structures share one design: a fixed ring of slots, each
-//! covering one `slot` of virtual time. A slot is tagged with the epoch
-//! (`t / slot_ns`) it currently holds; recording into a newer epoch CAS-
-//! advances the tag and the winner resets the slot, making rotation O(1)
-//! (one slot's worth of work, never a scan of history). A summary merges
-//! only the slots whose epoch lies inside the window ending at `now`, so
-//! expired or freshly-rotated slots contribute nothing — an empty window
-//! reports `None` quantiles, never a stale or zero value.
+//! Both windowed types are one ring, [`Windowed`]: a fixed ring of
+//! slots, each covering one `slot` of virtual time. A slot is tagged
+//! with the epoch (`t / slot_ns`) it currently holds; recording into a
+//! newer epoch advances the tag and empties the slot, making rotation
+//! O(1) (one slot's worth of work, never a scan of history). A summary
+//! merges only the slots whose epoch lies inside the window ending at
+//! `now`, so expired or freshly-rotated slots contribute nothing — an
+//! empty window reports `None` quantiles, never a stale or zero value.
+//! A window is plain data with one writer (`&mut self`): the service's
+//! completion ledger owns its windows behind one lock.
 
 use crate::hist::LogHistogram;
 use crate::registry::HistSummary;
 use pedal_dpu::{SimDuration, SimInstant};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Shape of a rolling window: `slots` ring slots of `slot` virtual time
 /// each; the rolling view covers `slot * slots`.
@@ -48,188 +48,135 @@ impl Default for WindowConfig {
     }
 }
 
+/// What one window slot accumulates: samples are added into it, live
+/// slots are merged into one total, and a recycled slot is emptied.
+pub trait SlotValue: Default {
+    fn add(&mut self, sample: u64);
+    fn merge(&mut self, other: &Self);
+    fn clear(&mut self);
+}
+
+impl SlotValue for LogHistogram {
+    fn add(&mut self, sample: u64) {
+        self.record(sample);
+    }
+    fn merge(&mut self, other: &Self) {
+        self.merge_from(other);
+    }
+    fn clear(&mut self) {
+        self.reset();
+    }
+}
+
+impl SlotValue for u64 {
+    fn add(&mut self, sample: u64) {
+        *self = self.wrapping_add(sample);
+    }
+    fn merge(&mut self, other: &Self) {
+        *self = self.wrapping_add(*other);
+    }
+    fn clear(&mut self) {
+        *self = 0;
+    }
+}
+
 /// Slot epoch tags store `epoch + 1` so 0 can mean "never used".
 const EMPTY_TAG: u64 = 0;
 
-struct HistSlot {
-    tag: AtomicU64,
-    hist: LogHistogram,
+struct Slot<S> {
+    tag: u64,
+    value: S,
 }
 
-/// A rolling-window HDR histogram: `record_at` lands each sample in the
-/// slot covering its virtual timestamp, `summary_at` merges the live
-/// slots into one [`HistSummary`]. Rotation is O(1) and samples that
-/// arrive after their slot has already been recycled are dropped and
-/// counted, never smeared into the wrong window.
-pub struct WindowedHistogram {
+/// A rolling window over [`SlotValue`]s: `record_at` lands each sample
+/// in the slot covering its virtual timestamp, `total_at` merges the
+/// live slots. Rotation is O(1) and samples that arrive after their
+/// slot has already been recycled are dropped and counted, never
+/// smeared into the wrong window.
+pub struct Windowed<S> {
     slot_ns: u64,
-    slots: Vec<HistSlot>,
-    late_dropped: AtomicU64,
+    slots: Vec<Slot<S>>,
+    late_dropped: u64,
 }
 
-/// Every windowed structure divides sample timestamps by the slot width,
-/// so a zero-width slot is not a degenerate window — it is a guaranteed
-/// divide-by-zero at the first `record_at`/`summary_at`. `WindowConfig`'s
-/// fields are public (struct-literal construction bypasses the clamp in
-/// [`WindowConfig::new`]), so the constructors themselves must refuse it.
-fn checked_slot_ns(cfg: &WindowConfig) -> u64 {
-    assert!(
-        cfg.slot.as_nanos() > 0,
-        "rolling window slot width must be > 0 ns (got 0); \
-         use WindowConfig::new, which clamps, or pass a non-zero slot"
-    );
-    assert!(
-        cfg.slots >= 2,
-        "rolling window needs at least 2 slots (got {}); \
-         a single slot cannot survive rotation",
-        cfg.slots
-    );
-    cfg.slot.as_nanos()
-}
+/// A rolling-window HDR histogram; `summary_at` summarizes the live slots.
+pub type WindowedHistogram = Windowed<LogHistogram>;
 
-impl WindowedHistogram {
+/// A rolling-window counter; `total_at` is the exact sum of live slots.
+pub type WindowedCounter = Windowed<u64>;
+
+impl<S: SlotValue> Windowed<S> {
+    /// Every window divides sample timestamps by the slot width, so a
+    /// zero-width slot is not a degenerate window — it is a guaranteed
+    /// divide-by-zero at the first `record_at`/`total_at`. `WindowConfig`'s
+    /// fields are public (struct-literal construction bypasses the clamp
+    /// in [`WindowConfig::new`]), so the constructor itself refuses it.
     pub fn new(cfg: WindowConfig) -> Self {
+        assert!(
+            cfg.slot.as_nanos() > 0,
+            "rolling window slot width must be > 0 ns (got 0); \
+             use WindowConfig::new, which clamps, or pass a non-zero slot"
+        );
+        assert!(
+            cfg.slots >= 2,
+            "rolling window needs at least 2 slots (got {}); \
+             a single slot cannot survive rotation",
+            cfg.slots
+        );
         Self {
-            slot_ns: checked_slot_ns(&cfg),
-            slots: (0..cfg.slots)
-                .map(|_| HistSlot { tag: AtomicU64::new(EMPTY_TAG), hist: LogHistogram::new() })
-                .collect(),
-            late_dropped: AtomicU64::new(0),
+            slot_ns: cfg.slot.as_nanos(),
+            slots: (0..cfg.slots).map(|_| Slot { tag: EMPTY_TAG, value: S::default() }).collect(),
+            late_dropped: 0,
         }
     }
 
-    /// Virtual time covered by the full window.
-    pub fn span(&self) -> SimDuration {
-        SimDuration(self.slot_ns.saturating_mul(self.slots.len() as u64))
-    }
-
-    /// Record `v` at virtual instant `at`.
-    pub fn record_at(&self, at: SimInstant, v: u64) {
+    /// Add `sample` at virtual instant `at`.
+    pub fn record_at(&mut self, at: SimInstant, sample: u64) {
         let epoch = at.0 / self.slot_ns;
         let tag = epoch + 1;
-        let slot = &self.slots[(epoch % self.slots.len() as u64) as usize];
-        let cur = slot.tag.load(Ordering::Acquire);
-        if cur > tag {
+        let k = self.slots.len() as u64;
+        let slot = &mut self.slots[(epoch % k) as usize];
+        if slot.tag > tag {
             // The ring already wrapped past this sample's slice.
-            self.late_dropped.fetch_add(1, Ordering::Relaxed);
+            self.late_dropped += 1;
             return;
         }
-        if cur < tag {
-            if slot.tag.compare_exchange(cur, tag, Ordering::AcqRel, Ordering::Acquire).is_ok() {
-                slot.hist.reset();
-            } else if slot.tag.load(Ordering::Acquire) != tag {
-                // Lost the race to an even newer epoch.
-                self.late_dropped.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
+        if slot.tag < tag {
+            slot.tag = tag;
+            slot.value.clear();
         }
-        slot.hist.record(v);
+        slot.value.add(sample);
     }
 
     /// Merge the slots still live at `now` — epochs in
-    /// `(now_epoch - slots, now_epoch]` — into one summary. A window
-    /// with no live samples reports `count == 0` and `None` quantiles.
-    pub fn summary_at(&self, now: SimInstant) -> HistSummary {
-        let merged = LogHistogram::new();
+    /// `(now_epoch - slots, now_epoch]` — into one total.
+    pub fn total_at(&self, now: SimInstant) -> S {
         let now_epoch = now.0 / self.slot_ns;
         let k = self.slots.len() as u64;
+        let mut total = S::default();
         for slot in &self.slots {
-            let tag = slot.tag.load(Ordering::Acquire);
-            if tag == EMPTY_TAG {
+            if slot.tag == EMPTY_TAG {
                 continue;
             }
-            let epoch = tag - 1;
+            let epoch = slot.tag - 1;
             if epoch <= now_epoch && epoch + k > now_epoch {
-                merged.merge_from(&slot.hist);
-            }
-        }
-        HistSummary::of(&merged)
-    }
-
-    /// Samples dropped because their slot had already been recycled.
-    pub fn late_dropped(&self) -> u64 {
-        self.late_dropped.load(Ordering::Relaxed)
-    }
-}
-
-struct CountSlot {
-    tag: AtomicU64,
-    value: AtomicU64,
-}
-
-/// A rolling-window counter with the same slot-epoch rotation as
-/// [`WindowedHistogram`]; `sum_at` is the exact total of live slots.
-pub struct WindowedCounter {
-    slot_ns: u64,
-    slots: Vec<CountSlot>,
-}
-
-impl WindowedCounter {
-    pub fn new(cfg: WindowConfig) -> Self {
-        Self {
-            slot_ns: checked_slot_ns(&cfg),
-            slots: (0..cfg.slots)
-                .map(|_| CountSlot { tag: AtomicU64::new(EMPTY_TAG), value: AtomicU64::new(0) })
-                .collect(),
-        }
-    }
-
-    pub fn add_at(&self, at: SimInstant, delta: u64) {
-        let epoch = at.0 / self.slot_ns;
-        let tag = epoch + 1;
-        let slot = &self.slots[(epoch % self.slots.len() as u64) as usize];
-        let cur = slot.tag.load(Ordering::Acquire);
-        if cur > tag {
-            return;
-        }
-        if cur < tag {
-            if slot.tag.compare_exchange(cur, tag, Ordering::AcqRel, Ordering::Acquire).is_ok() {
-                slot.value.store(0, Ordering::Relaxed);
-            } else if slot.tag.load(Ordering::Acquire) != tag {
-                return;
-            }
-        }
-        slot.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Sum over the slots live at `now`.
-    pub fn sum_at(&self, now: SimInstant) -> u64 {
-        let now_epoch = now.0 / self.slot_ns;
-        let k = self.slots.len() as u64;
-        let mut total = 0u64;
-        for slot in &self.slots {
-            let tag = slot.tag.load(Ordering::Acquire);
-            if tag == EMPTY_TAG {
-                continue;
-            }
-            let epoch = tag - 1;
-            if epoch <= now_epoch && epoch + k > now_epoch {
-                total += slot.value.load(Ordering::Relaxed);
+                total.merge(&slot.value);
             }
         }
         total
     }
+
+    /// Samples dropped because their slot had already been recycled.
+    pub fn late_dropped(&self) -> u64 {
+        self.late_dropped
+    }
 }
 
-/// A monotone high-watermark gauge (e.g. peak queue depth).
-#[derive(Debug, Default)]
-pub struct HighWatermark(AtomicU64);
-
-impl HighWatermark {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn observe(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
+impl WindowedHistogram {
+    /// The live slots as one summary. A window with no live samples
+    /// reports `count == 0` and `None` quantiles.
+    pub fn summary_at(&self, now: SimInstant) -> HistSummary {
+        HistSummary::of(&self.total_at(now))
     }
 }
 
@@ -247,8 +194,8 @@ mod tests {
 
     #[test]
     fn merge_empty_is_identity() {
-        let a = LogHistogram::new();
-        let b = LogHistogram::new();
+        let mut a = LogHistogram::new();
+        let mut b = LogHistogram::new();
         for v in [3u64, 900, 123_456] {
             b.record(v);
         }
@@ -268,7 +215,7 @@ mod tests {
 
     #[test]
     fn single_sample_window_is_exact() {
-        let w = WindowedHistogram::new(cfg(1_000, 4));
+        let mut w = WindowedHistogram::new(cfg(1_000, 4));
         w.record_at(at(2_500), 777);
         let s = w.summary_at(at(2_999));
         assert_eq!(s.count, 1);
@@ -280,7 +227,7 @@ mod tests {
 
     #[test]
     fn freshly_rotated_empty_window_reports_none() {
-        let w = WindowedHistogram::new(cfg(1_000, 4));
+        let mut w = WindowedHistogram::new(cfg(1_000, 4));
         for i in 0..10 {
             w.record_at(at(i * 100), 50 + i);
         }
@@ -300,7 +247,7 @@ mod tests {
     fn rotation_wraps_at_window_boundaries() {
         // 4 slots of 1000 ns. Epoch e and e+4 share a slot index, so
         // recording at t and t + 4*slot must evict, not mix.
-        let w = WindowedHistogram::new(cfg(1_000, 4));
+        let mut w = WindowedHistogram::new(cfg(1_000, 4));
         w.record_at(at(500), 1); // epoch 0
         w.record_at(at(1_500), 2); // epoch 1
         assert_eq!(w.summary_at(at(1_999)).count, 2);
@@ -318,11 +265,24 @@ mod tests {
         w.record_at(at(600), 99); // epoch 0 again, slot now owned by epoch 4
         assert_eq!(w.late_dropped(), 1);
         assert_eq!(w.summary_at(at(4_999)).count, 2, "late sample must not resurface");
+
+        // The counter shares the ring: wrap evicts, a late add is dropped
+        // and counted.
+        let mut c = WindowedCounter::new(cfg(1_000, 4));
+        c.record_at(at(500), 1); // epoch 0
+        c.record_at(at(1_500), 2); // epoch 1
+        assert_eq!(c.total_at(at(1_999)), 3);
+        c.record_at(at(4_500), 4); // epoch 4 — recycles epoch 0's slot
+        assert_eq!(c.total_at(at(4_999)), 6);
+        assert_eq!(c.late_dropped(), 0);
+        c.record_at(at(600), 99);
+        assert_eq!(c.late_dropped(), 1);
+        assert_eq!(c.total_at(at(4_999)), 6, "late add must not resurface");
     }
 
     #[test]
     fn boundary_instants_land_in_their_own_slot() {
-        let w = WindowedHistogram::new(cfg(1_000, 4));
+        let mut w = WindowedHistogram::new(cfg(1_000, 4));
         w.record_at(at(999), 10); // last ns of epoch 0
         w.record_at(at(1_000), 20); // first ns of epoch 1
                                     // At now=3999 epochs 0..=3 are live; at now=4000 epoch 0 expires.
@@ -334,23 +294,12 @@ mod tests {
 
     #[test]
     fn windowed_counter_sums_live_slots_only() {
-        let c = WindowedCounter::new(cfg(1_000, 4));
-        c.add_at(at(100), 5);
-        c.add_at(at(1_100), 7);
-        assert_eq!(c.sum_at(at(1_500)), 12);
-        assert_eq!(c.sum_at(at(4_500)), 7, "epoch 0 expired at 4000");
-        assert_eq!(c.sum_at(at(50_000)), 0);
-    }
-
-    #[test]
-    fn high_watermark_is_monotone() {
-        let hw = HighWatermark::new();
-        hw.observe(3);
-        hw.observe(9);
-        hw.observe(4);
-        assert_eq!(hw.get(), 9);
-        hw.reset();
-        assert_eq!(hw.get(), 0);
+        let mut c = WindowedCounter::new(cfg(1_000, 4));
+        c.record_at(at(100), 5);
+        c.record_at(at(1_100), 7);
+        assert_eq!(c.total_at(at(1_500)), 12);
+        assert_eq!(c.total_at(at(4_500)), 7, "epoch 0 expired at 4000");
+        assert_eq!(c.total_at(at(50_000)), 0);
     }
 
     #[test]
@@ -401,21 +350,21 @@ mod tests {
                 for r in [0, slot_ns / 2, slot_ns - 1] {
                     let now = q * slot_ns + r;
                     // A sample exactly one full window old must be gone.
-                    let w = WindowedHistogram::new(cfg(slot_ns, k));
+                    let mut w = WindowedHistogram::new(cfg(slot_ns, k));
                     w.record_at(at(now - span), 1);
                     assert_eq!(
                         w.summary_at(at(now)).count,
                         0,
                         "sample at now-span leaked (slot={slot_ns} k={k} now={now})"
                     );
-                    let c = WindowedCounter::new(cfg(slot_ns, k));
-                    c.add_at(at(now - span), 5);
-                    assert_eq!(c.sum_at(at(now)), 0, "counter at now-span leaked");
+                    let mut c = WindowedCounter::new(cfg(slot_ns, k));
+                    c.record_at(at(now - span), 5);
+                    assert_eq!(c.total_at(at(now)), 0, "counter at now-span leaked");
 
                     // One nanosecond younger: included iff it is in a
                     // strictly newer epoch than `now_epoch - k`, which
                     // happens exactly when now is the last ns of its slot.
-                    let w2 = WindowedHistogram::new(cfg(slot_ns, k));
+                    let mut w2 = WindowedHistogram::new(cfg(slot_ns, k));
                     w2.record_at(at(now - span + 1), 1);
                     let included = w2.summary_at(at(now)).count == 1;
                     let expect = (now - span + 1) / slot_ns > q - k as u64;

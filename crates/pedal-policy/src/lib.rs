@@ -17,7 +17,7 @@
 //!
 //! Three modules:
 //!
-//! - [`probe`] — the sampled compressibility probe ([`ProbeFeatures`]).
+//! - [`mod@probe`] — the sampled compressibility probe ([`ProbeFeatures`]).
 //! - [`policy`] — the pure decision function ([`AdaptivePolicy`]).
 //! - [`log`] — the pinned decision log ([`PolicyLog`]), a determinism
 //!   witness in the same mold as the fleet's placement log.

@@ -138,8 +138,8 @@ impl Ledger {
                 self.queue_wait.record(m.completed, m.queue_wait);
                 self.service.record(m.completed, m.service);
                 self.latency.record(m.completed, latency);
-                self.completed_recent.add_at(m.completed, 1);
-                self.bytes_in_recent.add_at(m.completed, m.bytes_in as u64);
+                self.completed_recent.record_at(m.completed, 1);
+                self.bytes_in_recent.record_at(m.completed, m.bytes_in as u64);
                 self.slos.record_completed(job.tenant, m.completed, latency);
                 self.bus.publish(MetricsFrame {
                     seq: 0,
@@ -227,8 +227,8 @@ impl Ledger {
         // virtual completion instant, so replays serialize byte-identical
         // no matter how lane threads interleave in wall time.
         let span_ns = self.window.span().as_nanos().max(1) as f64;
-        let completed = self.completed_recent.sum_at(now);
-        let bytes_in = self.bytes_in_recent.sum_at(now);
+        let completed = self.completed_recent.total_at(now);
+        let bytes_in = self.bytes_in_recent.total_at(now);
         RollingStats {
             window: self.window.span(),
             queue_wait: self.queue_wait.recent.summary_at(now),

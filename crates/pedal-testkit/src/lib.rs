@@ -5,7 +5,7 @@
 //!
 //! The kit has three layers:
 //!
-//! * [`mutate`] — a seeded mutation engine over [`pedal_dpu::Pcg32`]. Every
+//! * [`mod@mutate`] — a seeded mutation engine over [`pedal_dpu::Pcg32`]. Every
 //!   mutation is a pure function of a `u64` case seed, so any failure the
 //!   sweep reports reproduces exactly from the printed seed.
 //! * [`corpus`] — valid encoded streams for each codec, built from the

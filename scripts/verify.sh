@@ -82,6 +82,11 @@ fi
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc -D warnings"
+# Intra-doc links are checked like code: a link that a rename or a
+# deletion broke, or one that names two items at once, fails the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
