@@ -248,18 +248,17 @@ fn inflate_block(
 }
 
 /// Copy `len` bytes from `dist` behind the end of `out`, handling overlap.
+///
+/// An overlapping match repeats its first `dist` bytes, so each copy takes
+/// every byte from `start` on, all already written: the copied span
+/// doubles until the match is complete.
 #[inline]
 fn copy_match(out: &mut Vec<u8>, dist: usize, len: usize) {
     let start = out.len() - dist;
-    if dist >= len {
-        // Non-overlapping: single extend.
-        out.extend_from_within(start..start + len);
-    } else {
-        out.reserve(len);
-        for i in 0..len {
-            let b = out[start + i];
-            out.push(b);
-        }
+    let end = out.len() + len;
+    while out.len() < end {
+        let span = (out.len() - start).min(end - out.len());
+        out.extend_from_within(start..start + span);
     }
 }
 
@@ -376,5 +375,21 @@ mod tests {
         let mut out2 = b"xyz".to_vec();
         copy_match(&mut out2, 1, 4);
         assert_eq!(out2, b"xyzzzzz");
+    }
+
+    #[test]
+    fn chunked_copy_matches_byte_at_a_time() {
+        let history: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
+        for dist in 1..=64 {
+            for len in 3..=258 {
+                let mut expected = history.clone();
+                for _ in 0..len {
+                    expected.push(expected[expected.len() - dist]);
+                }
+                let mut out = history.clone();
+                copy_match(&mut out, dist, len);
+                assert_eq!(out, expected, "dist {dist} len {len}");
+            }
+        }
     }
 }

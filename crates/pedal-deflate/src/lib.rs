@@ -9,7 +9,11 @@
 //!   compressed independently (on any worker) and concatenated, in
 //!   order, into one stream,
 //! * the LZ77 tokenizer and canonical Huffman machinery as public modules
-//!   so the SZ3 pipeline and the simulated C-Engine can reuse them.
+//!   so the SZ3 pipeline and the simulated C-Engine can reuse them; the
+//!   tokenizer splits the parse of a large input across cores and still
+//!   emits the tokens of the sequential parse,
+//! * [`pool`] — the scoped worker pool that split parse and the chunk-
+//!   parallel designs share.
 //!
 //! The bitstream is interoperable with other DEFLATE decoders: it emits
 //! stored, fixed-Huffman, and dynamic-Huffman blocks, choosing the cheapest
@@ -28,6 +32,7 @@ pub mod encoder;
 pub mod huffman;
 pub mod inflate;
 pub mod lz77;
+pub mod pool;
 mod stitch;
 pub mod varint;
 

@@ -17,9 +17,19 @@
 //! Both sources list the same candidates in the same order, so they emit
 //! identical tokens. [`tokenize`] picks one per segment from how many
 //! links the previous segment walked: sorting pays only for long chains.
+//!
+//! The candidate list, and so the match found at `pos`, depends only on
+//! the input and `pos`. The lazy parse is therefore a function of its
+//! state, the next position and the match pending from the byte before it:
+//! two parses that reach the same state emit the same tokens from there
+//! on. [`tokenize_split`] parses the segments of a large input on several
+//! cores from a fresh state each, and joins them at the first position
+//! past each seam that both parses reach with no match pending; the tokens
+//! are those of the sequential parse whatever the core count.
 
 use crate::consts::{MAX_MATCH, MIN_MATCH, WINDOW_SIZE};
 use std::cell::Cell;
+use std::sync::OnceLock;
 
 /// One LZ77 token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,7 +211,6 @@ impl HashChains {
 
 /// One segment's positions sorted by (hash, position), as
 /// `hash << OFFSET_BITS | offset` keys relative to `base`.
-#[derive(Default)]
 struct SortedRuns {
     base: usize,
     keys: Vec<u32>,
@@ -211,6 +220,12 @@ struct SortedRuns {
 }
 
 impl SortedRuns {
+    /// Buffers for the longest segment, so none is copied to grow.
+    fn new() -> Self {
+        let cap = || Vec::with_capacity(WINDOW_SIZE + SEGMENT);
+        Self { base: 0, keys: cap(), scratch: cap(), rank: cap() }
+    }
+
     /// Sort the positions `base..end` that start a 3-byte string.
     fn build(&mut self, data: &[u8], base: usize, end: usize) {
         let end = end.min(data.len().saturating_sub(MIN_MATCH - 1));
@@ -338,16 +353,18 @@ impl<'a> Matcher<'a> {
         self.seg_links = 0;
         let lookback = pos.saturating_sub(WINDOW_SIZE);
         if sorted {
-            self.runs.get_or_insert_with(SortedRuns::default).build(
-                self.data,
-                lookback,
-                self.seg_end,
-            );
+            self.runs.get_or_insert_with(SortedRuns::new).build(self.data, lookback, self.seg_end);
         } else {
             let chains = self.chains.get_or_insert_with(|| HashChains::acquire(self.data.len()));
             chains.next = chains.next.max(lookback);
         }
         self.sorted = sorted;
+    }
+
+    /// Look the next position up as if from a fresh matcher: after a jump
+    /// ahead, the current segment's candidates no longer apply.
+    fn restart(&mut self) {
+        self.seg_end = 0;
     }
 
     /// Longest match at `pos`, at least `MIN_MATCH` long, or None.
@@ -501,17 +518,41 @@ fn match_len(data: &[u8], a: usize, b: usize, max: usize) -> usize {
     i
 }
 
+/// Inputs shorter than this parse on the calling thread alone.
+const SPLIT_MIN: usize = 256 * 1024;
+/// Every segment of a split parse is at least this long.
+const SEGMENT_MIN: usize = 128 * 1024;
+/// A seam resynchronises within this many bytes past the start of the
+/// segment after it, or not at all.
+const RESYNC_WINDOW: usize = 64 * 1024;
+
 /// Tokenize `data` into literals and matches using the given parameters,
 /// reading candidates from hash chains or sorted runs segment by segment.
 ///
 /// The callback is invoked once per token in order; this avoids materializing
 /// a token vector when the caller streams straight into an encoder.
+///
+/// An input of at least 256 KiB is split into segments of at least
+/// 128 KiB, at most one per core, parsed concurrently (see
+/// [`tokenize_split`]); the tokens are those of the sequential parse. On a
+/// [`crate::pool`] worker the parse stays on the calling thread.
 pub fn tokenize(data: &[u8], params: MatcherParams, emit: impl FnMut(Token)) {
-    tokenize_from(data, params, Candidates::Adaptive, emit);
+    let segments = if data.len() < SPLIT_MIN || crate::pool::on_worker() {
+        1
+    } else {
+        (data.len() / SEGMENT_MIN).min(cores())
+    };
+    tokenize_split(data, params, segments, emit);
 }
 
-/// [`tokenize`] with the candidate source forced; every source emits the
-/// same tokens.
+/// The host's core count, read once.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// [`tokenize`] with the candidate source forced, on the calling thread;
+/// every source emits the same tokens.
 pub fn tokenize_from(
     data: &[u8],
     params: MatcherParams,
@@ -519,13 +560,100 @@ pub fn tokenize_from(
     mut emit: impl FnMut(Token),
 ) {
     let mut m = Matcher::new(data, params, source);
-    let n = data.len();
-    let mut pos = 0usize;
-    // Pending lazy match carried from the previous position.
-    let mut pending: Option<(usize, usize)> = None; // (len, dist) at pos-1
-    let matched = |len: usize, dist: usize| Token::Match { len: len as u16, dist: dist as u16 };
+    let mut state = Parse::START;
+    parse_from(&mut m, &mut state, |_| false, &mut emit);
+    state.finish(&mut emit);
+}
 
-    while pos < n {
+/// [`tokenize`] split into `segments` near-equal segments, with no minimum
+/// segment size; the tokens are the same for every count. Returns how
+/// many seams resynchronised.
+///
+/// The calling thread parses the first segment and streams its tokens to
+/// `emit` while helpers on [`crate::pool`] threads parse the others from a
+/// fresh state, each recording its matches and which of its first 64 KiB
+/// of positions it reached with no match pending. Past each
+/// seam the calling thread parses on until it reaches such a position: the
+/// two parses agree from there, so it replays the helper's matches and
+/// resumes from the helper's final state. If it reaches none, it parses
+/// the whole segment itself.
+pub fn tokenize_split(
+    data: &[u8],
+    params: MatcherParams,
+    segments: usize,
+    mut emit: impl FnMut(Token),
+) -> usize {
+    let n = data.len();
+    let segments = segments.clamp(1, n.max(1));
+    if segments == 1 {
+        tokenize_from(data, params, Candidates::Adaptive, emit);
+        return 0;
+    }
+    let bound = |i: usize| n * i / segments;
+    let mut m = Matcher::new(data, params, Candidates::Adaptive);
+    let mut state = Parse::START;
+    let first_end = bound(1);
+    let ((), helpers) = crate::pool::fan_out_beside(
+        segments - 1,
+        segments - 1,
+        |j| Segment::parse(data, params, bound(j + 1), bound(j + 2)),
+        || parse_from(&mut m, &mut state, |s| s.pos >= first_end, &mut emit),
+    );
+    let mut resynced = 0;
+    for seg in &helpers {
+        parse_from(&mut m, &mut state, |s| s.pos >= seg.end || seg.reached(s), &mut emit);
+        if seg.reached(state) {
+            seg.replay(data, state.pos, &mut emit);
+            state = seg.last;
+            m.restart();
+            resynced += 1;
+        }
+    }
+    state.finish(&mut emit);
+    resynced
+}
+
+/// The lazy parse between two steps: the next position to look a match up
+/// for, and the match found one byte before it, held back to see whether
+/// `pos` starts a better one. Every token before the pending match (or
+/// before `pos`, when none is pending) has been emitted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Parse {
+    pos: usize,
+    /// (len, dist) of the match at `pos - 1`.
+    pending: Option<(usize, usize)>,
+}
+
+impl Parse {
+    const START: Parse = Parse { pos: 0, pending: None };
+
+    /// End of input: emit the match still pending.
+    fn finish(self, emit: &mut impl FnMut(Token)) {
+        if let Some((len, dist)) = self.pending {
+            emit(matched(len, dist));
+        }
+    }
+}
+
+fn matched(len: usize, dist: usize) -> Token {
+    Token::Match { len: len as u16, dist: dist as u16 }
+}
+
+/// Step the parse from `state` until `stop(state)` holds or the input
+/// ends, emitting every token it settles.
+///
+/// `find_match(pos)` depends only on the input and `pos`, so each step
+/// depends only on `state`: two parses that reach the same state emit the
+/// same tokens from there on. This is the one copy of the lazy-match rules.
+fn parse_from(
+    m: &mut Matcher<'_>,
+    state: &mut Parse,
+    mut stop: impl FnMut(Parse) -> bool,
+    emit: &mut impl FnMut(Token),
+) {
+    let (data, params) = (m.data, m.params);
+    let Parse { mut pos, mut pending } = *state;
+    while pos < data.len() && !stop(Parse { pos, pending }) {
         let cur = m.find_match(pos);
         if !params.lazy {
             match cur {
@@ -571,9 +699,92 @@ pub fn tokenize_from(
             }
         }
     }
-    // Flush any trailing pending match.
-    if let Some((plen, pdist)) = pending {
-        emit(matched(plen, pdist));
+    *state = Parse { pos, pending };
+}
+
+/// One step of a helper's parse in 4 bytes: `gap` literals (the input's
+/// own bytes), then a match of `len + MIN_MATCH` bytes `dist` back, or no
+/// match when `dist` is 0 (a run of more than 255 literals takes several
+/// steps).
+struct Step {
+    gap: u8,
+    len: u8,
+    dist: u16,
+}
+
+/// A helper's parse of `start..end` from a fresh state.
+struct Segment {
+    start: usize,
+    end: usize,
+    steps: Vec<Step>,
+    /// Bit `i` is set when the parse reached `start + i` with no match
+    /// pending, for `i` below [`RESYNC_WINDOW`].
+    reached: Vec<u64>,
+    /// The state the parse stopped in, at or past `end`.
+    last: Parse,
+}
+
+impl Segment {
+    fn parse(data: &[u8], params: MatcherParams, start: usize, end: usize) -> Segment {
+        let window = RESYNC_WINDOW.min(end - start);
+        let mut reached = vec![0u64; window.div_ceil(64)];
+        // Room for every step the segment can take, so the buffer never
+        // grows by copying; only the pages it fills become resident.
+        let mut steps = Vec::with_capacity((end - start) / MIN_MATCH + 1);
+        let mut gap = 0u8;
+        let mut m = Matcher::new(data, params, Candidates::Adaptive);
+        let mut state = Parse { pos: start, pending: None };
+        let stop = |s: Parse| {
+            let i = s.pos - start;
+            if s.pending.is_none() && i < window {
+                reached[i / 64] |= 1 << (i % 64);
+            }
+            s.pos >= end
+        };
+        let mut record = |t: Token| match t {
+            Token::Literal(_) if gap == u8::MAX => {
+                steps.push(Step { gap, len: 0, dist: 0 });
+                gap = 1;
+            }
+            Token::Literal(_) => gap += 1,
+            Token::Match { len, dist } => {
+                steps.push(Step { gap, len: (len as usize - MIN_MATCH) as u8, dist });
+                gap = 0;
+            }
+        };
+        parse_from(&mut m, &mut state, stop, &mut record);
+        Segment { start, end, steps, reached, last: state }
+    }
+
+    /// Whether this segment's parse reached `s` too.
+    fn reached(&self, s: Parse) -> bool {
+        let i = s.pos.wrapping_sub(self.start);
+        s.pending.is_none()
+            && i < self.reached.len() * 64
+            && self.reached[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// Emit this segment's tokens from `from`, a position it reached with
+    /// no match pending, up to its final state.
+    fn replay(&self, data: &[u8], from: usize, emit: &mut impl FnMut(Token)) {
+        // No token spans `from`: each literal run is emitted from there on,
+        // each match only when it starts there or later.
+        let from_on =
+            |run: std::ops::Range<usize>| &data[run.start.max(from).min(run.end)..run.end];
+        let mut at = self.start;
+        for step in &self.steps {
+            from_on(at..at + step.gap as usize).iter().for_each(|&b| emit(Token::Literal(b)));
+            at += step.gap as usize;
+            if step.dist > 0 {
+                let len = step.len as usize + MIN_MATCH;
+                if at >= from {
+                    emit(matched(len, step.dist as usize));
+                }
+                at += len;
+            }
+        }
+        let covered = self.last.pos - self.last.pending.is_some() as usize;
+        from_on(at..covered).iter().for_each(|&b| emit(Token::Literal(b)));
     }
 }
 
@@ -784,6 +995,39 @@ mod tests {
             assert_eq!(detokenize(&chains), data);
             assert!(tokens(Candidates::SortedRuns) == chains, "level {level}: sorted runs");
             assert!(tokens(Candidates::Adaptive) == chains, "level {level}: adaptive");
+        }
+    }
+
+    /// The seams a split parse resynchronised for each segment count,
+    /// its tokens checked against the sequential parse.
+    fn split_against_sequential(data: &[u8], level: u8, segments: &[usize]) -> Vec<usize> {
+        let params = MatcherParams::for_level(level);
+        let mut sequential = Vec::new();
+        tokenize_from(data, params, Candidates::Adaptive, |t| sequential.push(t));
+        let resynced = |&segments: &usize| {
+            let mut tokens = Vec::new();
+            let resynced = tokenize_split(data, params, segments, |t| tokens.push(t));
+            assert!(tokens == sequential, "level {level}, {segments} segments");
+            resynced
+        };
+        segments.iter().map(resynced).collect()
+    }
+
+    #[test]
+    fn split_parse_resyncs_on_text() {
+        let data = dense_sparse_dense();
+        for level in [1, 6] {
+            assert_eq!(split_against_sequential(&data, level, &[2, 3, 4]), [1, 2, 3]);
+        }
+    }
+
+    #[test]
+    fn split_parse_falls_back_inside_long_runs() {
+        // Both parses step 258 bytes at a time through the run, out of
+        // phase, for longer than the resync window.
+        let data = vec![b'a'; 200_000];
+        for level in [1, 6, 9] {
+            assert_eq!(split_against_sequential(&data, level, &[2]), [0]);
         }
     }
 

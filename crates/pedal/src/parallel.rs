@@ -9,8 +9,8 @@
 //!
 //! * [`ParallelStrategy::SocParallel`] — the input is split into chunks
 //!   compressed concurrently on up to `soc_cores` ARM cores (real host
-//!   threads via a strided worker pool; virtual time is the slowest
-//!   core's track),
+//!   threads on `pedal_deflate::pool`, whose workers parse each chunk
+//!   sequentially; virtual time is the slowest core's track),
 //! * [`ParallelStrategy::Hybrid`] — chunks are divided between the
 //!   C-Engine (a single FIFO server) and the SoC cores, split by their
 //!   calibrated throughput ratio so both tracks finish together.
@@ -22,6 +22,7 @@
 //! produced.
 
 use crate::context::PedalError;
+use pedal_deflate::pool::fan_out;
 use pedal_doca::{CompressJob, DocaContext, JobKind};
 use pedal_dpu::{Algorithm, CostModel, Direction, Placement, SimDuration, SimInstant};
 pub use pedal_stream::DEFAULT_CHUNK;
@@ -152,29 +153,6 @@ pub fn decompress_chunked(
         soc_time,
         chunks: n,
     })
-}
-
-/// Run `make(i)` for every `i in 0..jobs` across `threads` workers
-/// (strided assignment) and return the outputs in index order.
-/// Deterministic by construction: each output depends only on its index,
-/// and placement is by index.
-fn fan_out<T: Send>(jobs: usize, threads: usize, make: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    if threads <= 1 {
-        return (0..jobs).map(make).collect();
-    }
-    let make = &make;
-    let mut done: Vec<(usize, T)> = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..threads)
-            .map(|t| {
-                s.spawn(move || {
-                    (t..jobs).step_by(threads).map(|i| (i, make(i))).collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        workers.into_iter().flat_map(|w| w.join().expect("chunk worker panicked")).collect()
-    });
-    done.sort_unstable_by_key(|&(i, _)| i);
-    done.into_iter().map(|(_, out)| out).collect()
 }
 
 fn codec_err(e: StreamError) -> PedalError {

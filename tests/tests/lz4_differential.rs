@@ -1,0 +1,84 @@
+//! Pins the LZ4 encoder's output bytes, so a faster block compressor
+//! cannot change a byte.
+//!
+//! The inputs follow the size ladders of two wall-clock workloads: small
+//! messages of 2-64 KiB cycling through the mixed classes (as the
+//! service sees them), and 1-4 MiB silesia-like messages (as the
+//! point-to-point transport sends them). Each case pins the length and
+//! FNV-1a 64 of `compress_block(.., 1)` and of `compress_frame(..,
+//! DEFAULT_BLOCK_SIZE, 1)`, and checks that both decode back.
+
+use pedal_datasets::DatasetId;
+use pedal_fleet::fnv1a64;
+use pedal_lz4::{
+    compress_block, compress_frame, decompress_block, decompress_frame, DEFAULT_BLOCK_SIZE,
+};
+
+/// `count` sizes evenly spaced over `min..=max`, multiples of 4.
+fn ladder(count: usize, min: usize, max: usize) -> Vec<usize> {
+    (0..count).map(|i| (min + (max - min) * i / (count - 1)) / 4 * 4).collect()
+}
+
+/// (dataset, size) for every pinned case, in [`PINS`] order: the 16-step
+/// 2-64 KiB ladder over log text, random bytes and float columns, then
+/// three rungs (the first, middle and last) of the 15-step 1-4 MiB ladder
+/// over the lossless corpus, rotating as the workload does.
+fn cases() -> Vec<(DatasetId, usize)> {
+    let mixed = [DatasetId::LogText, DatasetId::RandomBlob, DatasetId::FloatColumn];
+    let mut cases: Vec<_> = ladder(16, 2048, 64 * 1024)
+        .into_iter()
+        .enumerate()
+        .map(|(i, n)| (mixed[i % 3], n))
+        .collect();
+    let large = ladder(15, 1 << 20, 4 << 20);
+    cases.extend([0, 7, 14].map(|i| (DatasetId::LOSSLESS[i % 5], large[i])));
+    cases
+}
+
+/// (case, block length, its FNV-1a 64, frame length, its FNV-1a 64).
+#[rustfmt::skip]
+const PINS: [(&str, usize, u64, usize, u64); 19] = [
+    ("mixed/log-text@2048", 967, 0xfe1912a7f22a2fcb, 995, 0xc8742f47e16086f7),
+    ("mixed/random-blob@6280", 6306, 0x7d9303741cd2ac56, 6308, 0xa9d26db2a1c83ad3),
+    ("mixed/float-column@10512", 10549, 0x3d08b8517665e385, 10540, 0x8d3911583f19b189),
+    ("mixed/log-text@14744", 5833, 0x71305134afe1dc76, 5861, 0x778630f97541421d),
+    ("mixed/random-blob@18976", 19052, 0x40b4d15b678ed45b, 19004, 0xa0eccf6c16da1228),
+    ("mixed/float-column@23208", 23294, 0x528f65756a4eba87, 23236, 0x5222654a0da9f67a),
+    ("mixed/log-text@27440", 10597, 0x3f39d55623ead4d4, 10625, 0x43829e5a6ae1ca2c),
+    ("mixed/random-blob@31672", 31798, 0xbcf8206e857ba022, 31700, 0x8514ed537bc062ba),
+    ("mixed/float-column@35908", 36044, 0x3ff7b07167263437, 35936, 0x7f18acb474a9d960),
+    ("mixed/log-text@40140", 15392, 0xb0f61ec836cbae79, 15420, 0xfa2f0efc3127ebc7),
+    ("mixed/random-blob@44372", 44547, 0x165c670f3dfe69ed, 44400, 0x83820baa4d40a803),
+    ("mixed/float-column@48604", 48790, 0xcd01e4f9ea6b3818, 48632, 0xd61abf3d03d7da1c),
+    ("mixed/log-text@52836", 20232, 0x3a222a5008c5ec93, 20260, 0xe9f3d2d25cb6f65c),
+    ("mixed/random-blob@57068", 57293, 0xb0efb38928dd802b, 57096, 0x1bfe5c3168ce85ec),
+    ("mixed/float-column@61300", 61536, 0xa82267a9186fec64, 61328, 0x11600df5c060ed22),
+    ("mixed/log-text@65536", 25003, 0x4fba6d71f4fb4bf4, 25031, 0x3695721f55eb7506),
+    ("silesia/xml@1048576", 336949, 0x9a9d56b83b612c97, 336977, 0xfb6f32d0d54a1b71),
+    ("silesia/samba@2621440", 986136, 0x53ecf81281c5d17c, 986164, 0x8c18c1cfffdb1711),
+    ("silesia/mozilla@4194304", 1786368, 0x7e59876c0ab32156, 1786396, 0x854cd0170d7e8915),
+];
+
+#[test]
+fn encoder_output_is_pinned() {
+    let cases = cases();
+    assert_eq!(cases.len(), PINS.len());
+    for ((id, size), &(pin_name, len, fnv, frame_len, frame_fnv)) in cases.into_iter().zip(&PINS) {
+        let name = format!("{}@{size}", id.name());
+        assert_eq!(name, pin_name);
+        let data = id.generate_bytes(size);
+        let block = compress_block(&data, 1);
+        let frame = compress_frame(&data, DEFAULT_BLOCK_SIZE, 1);
+        assert_eq!((block.len(), fnv1a64(&block)), (len, fnv), "{name}: compress_block");
+        assert_eq!(
+            (frame.len(), fnv1a64(&frame)),
+            (frame_len, frame_fnv),
+            "{name}: compress_frame"
+        );
+        assert!(
+            decompress_block(&block, Some(data.len()), data.len()).unwrap() == data,
+            "{name}: block roundtrip"
+        );
+        assert!(decompress_frame(&frame).unwrap() == data, "{name}: frame roundtrip");
+    }
+}

@@ -6,12 +6,16 @@
 //! exactly, in RFC 1951 fixed-Huffman bits.
 //!
 //! The matcher's candidate sources (hash chains, sorted runs, and the
-//! adaptive mix of both) must emit identical tokens, and the encoder's
-//! output bytes are pinned, so a faster matcher cannot change a byte.
+//! adaptive mix of both) must emit identical tokens, a parse split into
+//! segments must emit the sequential parse's tokens for every segment
+//! count, and the encoder's output bytes are pinned, so a faster matcher
+//! cannot change a byte.
 
 use pedal_datasets::{DatasetId, Pcg32};
 use pedal_deflate::consts::{dist_code, length_code, DIST_EXTRA, LENGTH_EXTRA};
-use pedal_deflate::lz77::{detokenize, tokenize, tokenize_from, Candidates, MatcherParams, Token};
+use pedal_deflate::lz77::{
+    detokenize, tokenize, tokenize_from, tokenize_split, Candidates, MatcherParams, Token,
+};
 use pedal_deflate::Level;
 use pedal_fleet::fnv1a64;
 use pedal_testkit::{build_corpus, CodecId};
@@ -165,6 +169,76 @@ fn candidate_sources_emit_identical_tokens() {
     }
 }
 
+fn collect_split(data: &[u8], params: MatcherParams, segments: usize) -> Vec<Token> {
+    let mut tokens = Vec::new();
+    tokenize_split(data, params, segments, |t| tokens.push(t));
+    tokens
+}
+
+#[test]
+fn split_parse_emits_the_sequential_tokens() {
+    // Half of each corpus input: up to eight 1.5 KiB segments, each with
+    // a lookback reaching the start of the input.
+    for (name, data) in corpus() {
+        let data = &data[..data.len() / 2];
+        for level in 1..=9u8 {
+            let params = MatcherParams::for_level(level);
+            let sequential = collect_from(data, params, Candidates::Adaptive);
+            for segments in 1..=8 {
+                assert!(
+                    collect_split(data, params, segments) == sequential,
+                    "{name} level {level}: {segments} segments"
+                );
+            }
+        }
+    }
+}
+
+/// Seams where the two parses cannot agree for longer than the resync
+/// window, seams in the last bytes of the input, and inputs one byte
+/// either side of the 256 KiB size at which [`tokenize`] splits.
+#[test]
+fn split_parse_survives_adversarial_seams() {
+    // A single-byte run and a period-3 pattern over every seam of a
+    // 2- to 4-way split: both parses step through them in 258-byte
+    // matches, out of phase.
+    let text = DatasetId::LogText.generate_bytes(20_000);
+    for fill in [&b"z"[..], b"xyz"] {
+        let mut data = text.clone();
+        while data.len() < 280_000 {
+            data.extend_from_slice(fill);
+        }
+        data.extend_from_slice(&text);
+        for level in [1, 4, 6, 9] {
+            let params = MatcherParams::for_level(level);
+            let sequential = collect_from(&data, params, Candidates::Adaptive);
+            for segments in 2..=4 {
+                assert!(
+                    collect_split(&data, params, segments) == sequential,
+                    "{fill:?} level {level}: {segments} segments"
+                );
+            }
+        }
+    }
+    // Every seam of up to 8 segments, some inside the last 3 bytes.
+    let text = DatasetId::SilesiaXml.generate_bytes(64);
+    for len in 0..=text.len() {
+        for level in 1..=9 {
+            let params = MatcherParams::for_level(level);
+            let sequential = collect_from(&text[..len], params, Candidates::Adaptive);
+            for segments in 1..=8 {
+                assert_eq!(collect_split(&text[..len], params, segments), sequential, "{len}");
+            }
+        }
+    }
+    let data = DatasetId::SilesiaMozilla.generate_bytes(256 * 1024 + 1);
+    for len in [256 * 1024 - 1, 256 * 1024, 256 * 1024 + 1] {
+        let params = MatcherParams::for_level(6);
+        let sequential = collect_from(&data[..len], params, Candidates::Adaptive);
+        assert!(collect(&data[..len], params) == sequential, "{len} bytes");
+    }
+}
+
 /// Level-6 inputs whose sizes straddle the 32 KiB window, a 64 Ki-token
 /// block and the matcher's segment edges.
 const PIN_SOURCES: [DatasetId; 6] = [
@@ -176,6 +250,13 @@ const PIN_SOURCES: [DatasetId; 6] = [
     DatasetId::RandomBlob,
 ];
 const PIN_SIZES: [usize; 4] = [32_767, 32_768, 65_536, 307_207];
+/// Level-6 inputs above the size at which the tokenizer splits its parse
+/// across cores, so on a multi-core host their bytes cross seams.
+const LARGE_PINS: [(DatasetId, usize); 3] = [
+    (DatasetId::SilesiaXml, 1 << 20),
+    (DatasetId::ObsError, 1 << 20),
+    (DatasetId::RandomBlob, 1 << 20),
+];
 
 /// (label, level, input) for every pinned encoder case.
 fn pin_cases() -> Vec<(String, u8, Vec<u8>)> {
@@ -190,6 +271,9 @@ fn pin_cases() -> Vec<(String, u8, Vec<u8>)> {
             cases.push((format!("{}@{size}", id.name()), 6, id.generate_bytes(size)));
         }
     }
+    for (id, size) in LARGE_PINS {
+        cases.push((format!("{}@{size}", id.name()), 6, id.generate_bytes(size)));
+    }
     cases
 }
 
@@ -197,7 +281,7 @@ fn pin_cases() -> Vec<(String, u8, Vec<u8>)> {
 /// false)` length, its FNV-1a 64), recorded from the hash-chain encoder.
 /// Any change to the matcher or block encoder must keep every byte.
 #[rustfmt::skip]
-const PINS: [(&str, u8, usize, u64, usize, u64); 104] = [
+const PINS: [(&str, u8, usize, u64, usize, u64); 107] = [
     ("silesia/xml", 0, 24581, 0x58d0b14c061d3917, 24581, 0xa242622fea7ea9e0),
     ("silesia/xml", 1, 5251, 0xb570b09e82c9a305, 5255, 0x9f1e9107f729c6c0),
     ("silesia/xml", 2, 4662, 0x1375dd2c43d7edf6, 4667, 0xf636d2a72d0d1157),
@@ -302,6 +386,9 @@ const PINS: [(&str, u8, usize, u64, usize, u64); 104] = [
     ("mixed/random-blob@32768", 6, 32773, 0x7681d37e74121469, 32778, 0xfb3bafa9898b7e70),
     ("mixed/random-blob@65536", 6, 65546, 0x993ad1dcfbcd7c91, 65551, 0xaf787a6465c6438e),
     ("mixed/random-blob@307207", 6, 307252, 0x7cfe2dbb6a979ff2, 307257, 0x6cde1f34399fb769),
+    ("silesia/xml@1048576", 6, 142624, 0xf1d0da98f09a947f, 142628, 0x014bed2595f4ac85),
+    ("obs_error@1048576", 6, 694216, 0xd08497539e4d2305, 694220, 0xc6922ba4ba6e1d8b),
+    ("mixed/random-blob@1048576", 6, 1048731, 0xd8bbd9778caf5234, 1048736, 0xad67d079b5addf37),
 ];
 
 #[test]
