@@ -37,8 +37,8 @@ pub fn run(out: &mut Artifacts) -> Result<(), String> {
         // All streams submit one compression at t=0 (synchronized burst,
         // the worst case for a FIFO engine).
         let mut completions: Vec<SimDuration> = Vec::new();
-        for s in 0..streams {
-            let job = CompressJob::new(JobKind::DeflateCompress, msg.to_vec()).with_tag(s as u64);
+        for _ in 0..streams {
+            let job = CompressJob::new(JobKind::DeflateCompress, msg);
             let (_, done) = ctx.submit(job, SimInstant::EPOCH).expect("submit");
             completions.push(SimDuration(done.0));
         }

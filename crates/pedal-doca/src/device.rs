@@ -1,11 +1,9 @@
-//! Simulated DOCA device/context: open, capability query, and the bundled
-//! memmap + inventory + workq a PEDAL instance needs.
+//! Simulated DOCA device/context: open, capability query, and the work
+//! queue a PEDAL instance needs.
 
 use crate::engine::{CompressJob, EngineError, JobKind, JobResult};
-use crate::memmap::{BufInventory, MemMap};
 use crate::workq::{QueueFull, Workq};
-use pedal_dpu::{CostModel, Direction, Platform, SimDuration, SimInstant};
-use std::sync::Arc;
+use pedal_dpu::{CostModel, Platform, SimDuration, SimInstant};
 
 /// Capability check failure: the engine generation cannot run the job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,14 +58,15 @@ impl From<EngineError> for DocaError {
     }
 }
 
-/// An opened DOCA context: one device's engine, memory map, buffer
-/// inventory, and work queue.
+/// An opened DOCA context: one device's engine and its work queue.
+///
+/// Engine jobs borrow the caller's buffer. Mapping that buffer for the
+/// engine costs [`CostModel::buffer_prep`]; the caller decides when to
+/// charge it, as with [`DocaContext::init_cost`].
 #[derive(Debug)]
 pub struct DocaContext {
     pub platform: Platform,
     pub costs: CostModel,
-    pub memmap: Arc<MemMap>,
-    pub inventory: BufInventory,
     pub workq: Workq,
     /// The virtual cost of opening this context (`DOCA_Init` in the paper's
     /// breakdowns). The caller decides *when* to charge it — at PEDAL_Init
@@ -80,10 +79,8 @@ impl DocaContext {
     /// fallible to mirror the SDK's signature.
     pub fn open(platform: Platform) -> Result<Self, DocaError> {
         let costs = CostModel::for_platform(platform);
-        let memmap = Arc::new(MemMap::new(costs));
-        let inventory = BufInventory::new(memmap.clone());
         let workq = Workq::new(costs, Workq::DEFAULT_DEPTH);
-        Ok(Self { platform, costs, memmap, inventory, workq, init_cost: costs.doca_init() })
+        Ok(Self { platform, costs, workq, init_cost: costs.doca_init() })
     }
 
     /// Query whether a job kind is supported (Table II).
@@ -95,7 +92,7 @@ impl DocaContext {
     /// virtual completion instant (including engine queueing).
     pub fn submit(
         &self,
-        job: CompressJob,
+        job: CompressJob<'_>,
         now: SimInstant,
     ) -> Result<(JobResult, SimInstant), DocaError> {
         if !self.supports(job.kind) {
@@ -104,19 +101,6 @@ impl DocaContext {
         let handle = self.workq.submit(job, now)?;
         let result = handle.result?;
         Ok((result, handle.completed_at))
-    }
-
-    /// Which engine directions exist at all on this device.
-    pub fn engine_directions(&self) -> Vec<Direction> {
-        let caps = self.platform.spec().cengine;
-        let mut dirs = Vec::new();
-        if caps.deflate_compress || caps.lz4_compress {
-            dirs.push(Direction::Compress);
-        }
-        if caps.deflate_decompress || caps.lz4_decompress {
-            dirs.push(Direction::Decompress);
-        }
-        dirs
     }
 }
 
@@ -140,14 +124,13 @@ mod tests {
         assert!(ctx.supports(JobKind::DeflateDecompress));
         assert!(!ctx.supports(JobKind::Lz4Compress));
         assert!(ctx.supports(JobKind::Lz4Decompress));
-        assert_eq!(ctx.engine_directions(), vec![Direction::Decompress]);
     }
 
     #[test]
     fn unsupported_job_rejected_with_capability_error() {
         let ctx = DocaContext::open(Platform::BlueField3).unwrap();
         let err = ctx
-            .submit(CompressJob::new(JobKind::DeflateCompress, vec![0u8; 128]), SimInstant::EPOCH)
+            .submit(CompressJob::new(JobKind::DeflateCompress, &[0u8; 128]), SimInstant::EPOCH)
             .unwrap_err();
         assert!(matches!(err, DocaError::Capability(_)));
     }
@@ -157,11 +140,11 @@ mod tests {
         let ctx = DocaContext::open(Platform::BlueField2).unwrap();
         let data = b"doca context end to end".repeat(100);
         let (c, t1) = ctx
-            .submit(CompressJob::new(JobKind::DeflateCompress, data.clone()), SimInstant::EPOCH)
+            .submit(CompressJob::new(JobKind::DeflateCompress, &data), SimInstant::EPOCH)
             .unwrap();
         let (d, t2) = ctx
             .submit(
-                CompressJob::new(JobKind::DeflateDecompress, c.output)
+                CompressJob::new(JobKind::DeflateDecompress, &c.output)
                     .with_expected_len(data.len()),
                 t1,
             )
@@ -178,7 +161,7 @@ mod tests {
         let packed = pedal_lz4::compress_block(&data, 1);
         let (r, _) = ctx
             .submit(
-                CompressJob::new(JobKind::Lz4Decompress, packed).with_expected_len(data.len()),
+                CompressJob::new(JobKind::Lz4Decompress, &packed).with_expected_len(data.len()),
                 SimInstant::EPOCH,
             )
             .unwrap();

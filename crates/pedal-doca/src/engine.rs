@@ -31,16 +31,16 @@ impl JobKind {
     }
 }
 
-/// A compress/decompress job submitted to the engine.
+/// A compress/decompress job submitted to the engine. The job borrows the
+/// caller's buffer: the engine reads it in place, as the hardware reads a
+/// mapped buffer, and only the output is a fresh allocation.
 #[derive(Debug, Clone)]
-pub struct CompressJob {
+pub struct CompressJob<'a> {
     pub kind: JobKind,
-    pub input: Vec<u8>,
+    pub input: &'a [u8],
     /// Expected decompressed size (required for decompression jobs, like
     /// DOCA's destination-buffer sizing).
     pub expected_output_len: Option<usize>,
-    /// Opaque user tag returned with the completion.
-    pub user_tag: u64,
     /// For DEFLATE compression: emit a terminated stream (`true`, the
     /// default) or a non-final *fragment* ending in a sync flush, for
     /// chunk-parallel stitching across channels (`false`). For DEFLATE
@@ -50,18 +50,13 @@ pub struct CompressJob {
     pub final_block: bool,
 }
 
-impl CompressJob {
-    pub fn new(kind: JobKind, input: Vec<u8>) -> Self {
-        Self { kind, input, expected_output_len: None, user_tag: 0, final_block: true }
+impl<'a> CompressJob<'a> {
+    pub fn new(kind: JobKind, input: &'a [u8]) -> Self {
+        Self { kind, input, expected_output_len: None, final_block: true }
     }
 
     pub fn with_expected_len(mut self, len: usize) -> Self {
         self.expected_output_len = Some(len);
-        self
-    }
-
-    pub fn with_tag(mut self, tag: u64) -> Self {
-        self.user_tag = tag;
         self
     }
 
@@ -79,7 +74,6 @@ pub struct JobResult {
     pub output: Vec<u8>,
     /// Pure engine service time (excludes queueing).
     pub service_time: SimDuration,
-    pub user_tag: u64,
 }
 
 /// Engine-side execution failure.
@@ -107,11 +101,11 @@ impl std::error::Error for EngineError {}
 /// Execute a job on the host (real bytes) and compute its virtual service
 /// time. The service time is charged on the byte count the cost model keys
 /// on: input bytes for compression, output bytes for decompression.
-pub fn execute(job: &CompressJob, costs: &CostModel) -> Result<JobResult, EngineError> {
+pub fn execute(job: &CompressJob<'_>, costs: &CostModel) -> Result<JobResult, EngineError> {
     let (output, costed_bytes) = match job.kind {
         JobKind::DeflateCompress => {
             let out = pedal_deflate::compress_fragment(
-                &job.input,
+                job.input,
                 pedal_deflate::Level::DEFAULT,
                 job.final_block,
             );
@@ -120,9 +114,9 @@ pub fn execute(job: &CompressJob, costs: &CostModel) -> Result<JobResult, Engine
         JobKind::DeflateDecompress => {
             let limit = job.expected_output_len.ok_or(EngineError::MissingOutputLen)?;
             let decoded = if job.final_block {
-                pedal_deflate::decompress_with_limit(&job.input, limit).map(|out| (out, false))
+                pedal_deflate::decompress_with_limit(job.input, limit).map(|out| (out, false))
             } else {
-                pedal_deflate::decompress_fragment_with_limit(&job.input, limit)
+                pedal_deflate::decompress_fragment_with_limit(job.input, limit)
             };
             let (out, final_in_fragment) =
                 decoded.map_err(|e| EngineError::Decode(e.to_string()))?;
@@ -133,12 +127,12 @@ pub fn execute(job: &CompressJob, costs: &CostModel) -> Result<JobResult, Engine
             (out, n)
         }
         JobKind::Lz4Compress => {
-            let out = pedal_lz4::compress_block(&job.input, 1);
+            let out = pedal_lz4::compress_block(job.input, 1);
             (out, job.input.len())
         }
         JobKind::Lz4Decompress => {
             let limit = job.expected_output_len.ok_or(EngineError::MissingOutputLen)?;
-            let out = pedal_lz4::decompress_block(&job.input, Some(limit), limit)
+            let out = pedal_lz4::decompress_block(job.input, Some(limit), limit)
                 .map_err(|e| EngineError::Decode(e.to_string()))?;
             let n = out.len();
             (out, n)
@@ -149,7 +143,7 @@ pub fn execute(job: &CompressJob, costs: &CostModel) -> Result<JobResult, Engine
     let service_time = costs
         .cengine_lossless(job.kind.algorithm(), job.kind.direction(), costed_bytes)
         .expect("capability checked before execute");
-    Ok(JobResult { kind: job.kind, output, service_time, user_tag: job.user_tag })
+    Ok(JobResult { kind: job.kind, output, service_time })
 }
 
 #[cfg(test)]
@@ -165,10 +159,10 @@ mod tests {
     fn deflate_roundtrip_through_engine() {
         let costs = bf2_costs();
         let data = b"hardware engine compression job".repeat(50);
-        let c = execute(&CompressJob::new(JobKind::DeflateCompress, data.clone()), &costs).unwrap();
+        let c = execute(&CompressJob::new(JobKind::DeflateCompress, &data), &costs).unwrap();
         assert!(c.service_time > SimDuration::ZERO);
         let d = execute(
-            &CompressJob::new(JobKind::DeflateDecompress, c.output).with_expected_len(data.len()),
+            &CompressJob::new(JobKind::DeflateDecompress, &c.output).with_expected_len(data.len()),
             &costs,
         )
         .unwrap();
@@ -178,8 +172,8 @@ mod tests {
     #[test]
     fn decompress_requires_sized_destination() {
         let costs = bf2_costs();
-        let err = execute(&CompressJob::new(JobKind::DeflateDecompress, vec![1, 2, 3]), &costs)
-            .unwrap_err();
+        let err =
+            execute(&CompressJob::new(JobKind::DeflateDecompress, &[1, 2, 3]), &costs).unwrap_err();
         assert_eq!(err, EngineError::MissingOutputLen);
     }
 
@@ -187,7 +181,7 @@ mod tests {
     fn corrupt_input_is_decode_error() {
         let costs = bf2_costs();
         let err = execute(
-            &CompressJob::new(JobKind::DeflateDecompress, vec![0xFF; 32]).with_expected_len(64),
+            &CompressJob::new(JobKind::DeflateDecompress, &[0xFF; 32]).with_expected_len(64),
             &costs,
         )
         .unwrap_err();
@@ -198,10 +192,10 @@ mod tests {
     fn service_time_scales_with_size() {
         let costs = bf2_costs();
         let small =
-            execute(&CompressJob::new(JobKind::DeflateCompress, vec![7u8; 100_000]), &costs)
+            execute(&CompressJob::new(JobKind::DeflateCompress, &vec![7u8; 100_000]), &costs)
                 .unwrap();
         let large =
-            execute(&CompressJob::new(JobKind::DeflateCompress, vec![7u8; 10_000_000]), &costs)
+            execute(&CompressJob::new(JobKind::DeflateCompress, &vec![7u8; 10_000_000]), &costs)
                 .unwrap();
         assert!(large.service_time > small.service_time);
     }
@@ -209,23 +203,30 @@ mod tests {
     #[test]
     fn fragment_jobs_stitch_across_submissions() {
         // Two non-final fragments plus a final one concatenate into a
-        // single DEFLATE stream — the chunk-parallel engine contract.
+        // single DEFLATE stream — the chunk-parallel engine contract. The
+        // parts are sub-slices of one buffer, so each borrowed job must
+        // read exactly its slice and none of its neighbours' bytes.
         let costs = bf2_costs();
-        let parts: [&[u8]; 3] = [b"alpha alpha alpha ", b"beta beta beta ", b"gamma gamma gamma"];
+        let buf = b"alpha alpha alpha beta beta beta gamma gamma gamma";
+        let parts = [&buf[..18], &buf[18..33], &buf[33..]];
         let mut stream = Vec::new();
-        let mut total = Vec::new();
         for (i, part) in parts.iter().enumerate() {
-            let job = CompressJob::new(JobKind::DeflateCompress, part.to_vec())
-                .with_final_block(i == parts.len() - 1);
-            stream.extend_from_slice(&execute(&job, &costs).unwrap().output);
-            total.extend_from_slice(part);
+            let last = i == parts.len() - 1;
+            let job = CompressJob::new(JobKind::DeflateCompress, part).with_final_block(last);
+            let out = execute(&job, &costs).unwrap().output;
+            // Each fragment decodes on its own to exactly its slice.
+            let alone = CompressJob::new(JobKind::DeflateDecompress, &out)
+                .with_expected_len(part.len())
+                .with_final_block(last);
+            assert_eq!(execute(&alone, &costs).unwrap().output, *part);
+            stream.extend_from_slice(&out);
         }
         let d = execute(
-            &CompressJob::new(JobKind::DeflateDecompress, stream).with_expected_len(total.len()),
+            &CompressJob::new(JobKind::DeflateDecompress, &stream).with_expected_len(buf.len()),
             &costs,
         )
         .unwrap();
-        assert_eq!(d.output, total);
+        assert_eq!(d.output, buf);
     }
 
     #[test]
@@ -239,21 +240,21 @@ mod tests {
                 pedal_deflate::compress_fragment(p, pedal_deflate::Level::DEFAULT, i == 1)
             })
             .collect();
-        let job = |frag: &Vec<u8>, len: usize, final_block: bool| {
-            CompressJob::new(JobKind::DeflateDecompress, frag.clone())
-                .with_expected_len(len)
+        let job = |i: usize, final_block: bool| {
+            CompressJob::new(JobKind::DeflateDecompress, &frags[i])
+                .with_expected_len(parts[i].len())
                 .with_final_block(final_block)
         };
         // Each fragment decodes on its own with the matching final bit.
-        let first = execute(&job(&frags[0], parts[0].len(), false), &costs).unwrap();
+        let first = execute(&job(0, false), &costs).unwrap();
         assert_eq!(first.output, parts[0]);
-        let last = execute(&job(&frags[1], parts[1].len(), true), &costs).unwrap();
+        let last = execute(&job(1, true), &costs).unwrap();
         assert_eq!(last.output, parts[1]);
         // A terminated fragment where a non-final one belongs is an error,
         // and so is an unterminated one where the stream must end.
-        let err = execute(&job(&frags[1], parts[1].len(), false), &costs).unwrap_err();
+        let err = execute(&job(1, false), &costs).unwrap_err();
         assert!(matches!(err, EngineError::Decode(_)), "{err:?}");
-        let err = execute(&job(&frags[0], parts[0].len(), true), &costs).unwrap_err();
+        let err = execute(&job(0, true), &costs).unwrap_err();
         assert!(matches!(err, EngineError::Decode(_)), "{err:?}");
     }
 
@@ -261,18 +262,7 @@ mod tests {
     fn final_block_default_is_unchanged_output() {
         let costs = bf2_costs();
         let data = b"default must stay terminated".repeat(40);
-        let r = execute(&CompressJob::new(JobKind::DeflateCompress, data.clone()), &costs).unwrap();
+        let r = execute(&CompressJob::new(JobKind::DeflateCompress, &data), &costs).unwrap();
         assert_eq!(r.output, pedal_deflate::compress(&data, pedal_deflate::Level::DEFAULT));
-    }
-
-    #[test]
-    fn user_tag_propagates() {
-        let costs = bf2_costs();
-        let r = execute(
-            &CompressJob::new(JobKind::DeflateCompress, vec![0; 64]).with_tag(0xC0FFEE),
-            &costs,
-        )
-        .unwrap();
-        assert_eq!(r.user_tag, 0xC0FFEE);
     }
 }

@@ -66,20 +66,10 @@ impl Workq {
         }
     }
 
-    /// The queue's descriptor capacity.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// The cost model this queue charges against.
-    pub fn costs(&self) -> &CostModel {
-        &self.costs
-    }
-
     /// Submit a job at virtual time `now` and run it to completion
     /// synchronously on the host; the returned handle carries the virtual
     /// start/completion instants including FIFO queueing delay.
-    pub fn submit(&self, job: CompressJob, now: SimInstant) -> Result<JobHandle, QueueFull> {
+    pub fn submit(&self, job: CompressJob<'_>, now: SimInstant) -> Result<JobHandle, QueueFull> {
         {
             let mut inflight = self.inflight.lock().unwrap();
             if *inflight >= self.depth {
@@ -110,7 +100,7 @@ impl Workq {
     /// individual submissions; only the virtual timing differs.
     pub fn submit_batch(
         &self,
-        jobs: Vec<CompressJob>,
+        jobs: Vec<CompressJob<'_>>,
         now: SimInstant,
     ) -> Result<BatchHandle, QueueFull> {
         assert!(!jobs.is_empty(), "empty batch");
@@ -156,7 +146,7 @@ impl Workq {
     /// to the untraced path.
     pub fn submit_traced(
         &self,
-        job: CompressJob,
+        job: CompressJob<'_>,
         now: SimInstant,
         rec: &mut pedal_obs::LaneRecorder,
     ) -> Result<JobHandle, QueueFull> {
@@ -171,7 +161,7 @@ impl Workq {
     /// arg is the total batch payload in bytes.
     pub fn submit_batch_traced(
         &self,
-        jobs: Vec<CompressJob>,
+        jobs: Vec<CompressJob<'_>>,
         now: SimInstant,
         rec: &mut pedal_obs::LaneRecorder,
     ) -> Result<BatchHandle, QueueFull> {
@@ -208,7 +198,7 @@ mod tests {
         let q = workq();
         let now = SimInstant(5_000_000);
         let h = q
-            .submit(CompressJob::new(JobKind::DeflateCompress, vec![9u8; 1_000_000]), now)
+            .submit(CompressJob::new(JobKind::DeflateCompress, &vec![9u8; 1_000_000]), now)
             .unwrap();
         let r = h.result.unwrap();
         assert_eq!(h.started_at, now);
@@ -220,11 +210,11 @@ mod tests {
         let q = workq();
         let now = SimInstant::EPOCH;
         let h1 = q
-            .submit(CompressJob::new(JobKind::DeflateCompress, vec![1u8; 4_000_000]), now)
+            .submit(CompressJob::new(JobKind::DeflateCompress, &vec![1u8; 4_000_000]), now)
             .unwrap();
         // Second job submitted at the same instant must wait for the first.
         let h2 = q
-            .submit(CompressJob::new(JobKind::DeflateCompress, vec![2u8; 4_000_000]), now)
+            .submit(CompressJob::new(JobKind::DeflateCompress, &vec![2u8; 4_000_000]), now)
             .unwrap();
         assert_eq!(h2.started_at, h1.completed_at);
         assert!(h2.completed_at > h1.completed_at);
@@ -235,14 +225,14 @@ mod tests {
         let q = workq();
         let h1 = q
             .submit(
-                CompressJob::new(JobKind::DeflateCompress, vec![1u8; 100_000]),
+                CompressJob::new(JobKind::DeflateCompress, &vec![1u8; 100_000]),
                 SimInstant::EPOCH,
             )
             .unwrap();
         // Submit long after the first finished: no queueing delay.
         let later = h1.completed_at + SimDuration::from_millis(100);
         let h2 = q
-            .submit(CompressJob::new(JobKind::DeflateCompress, vec![2u8; 100_000]), later)
+            .submit(CompressJob::new(JobKind::DeflateCompress, &vec![2u8; 100_000]), later)
             .unwrap();
         assert_eq!(h2.started_at, later);
     }
@@ -251,7 +241,7 @@ mod tests {
     fn failed_jobs_do_not_hold_the_engine() {
         let q = workq();
         let h = q
-            .submit(CompressJob::new(JobKind::DeflateDecompress, vec![0xAB; 16]), SimInstant::EPOCH)
+            .submit(CompressJob::new(JobKind::DeflateDecompress, &[0xAB; 16]), SimInstant::EPOCH)
             .unwrap();
         assert!(h.result.is_err());
         assert_eq!(q.busy_until(), h.started_at);
@@ -261,7 +251,7 @@ mod tests {
     fn reset_clears_backlog() {
         let q = workq();
         q.submit(
-            CompressJob::new(JobKind::DeflateCompress, vec![1u8; 8_000_000]),
+            CompressJob::new(JobKind::DeflateCompress, &vec![1u8; 8_000_000]),
             SimInstant::EPOCH,
         )
         .unwrap();
@@ -273,9 +263,9 @@ mod tests {
     #[test]
     fn batch_amortizes_per_job_overhead() {
         let q = workq();
-        let jobs: Vec<_> = (0..4)
-            .map(|i| CompressJob::new(JobKind::DeflateCompress, vec![i as u8; 50_000]))
-            .collect();
+        let inputs: Vec<Vec<u8>> = (0..4).map(|i| vec![i as u8; 50_000]).collect();
+        let jobs: Vec<_> =
+            inputs.iter().map(|d| CompressJob::new(JobKind::DeflateCompress, d)).collect();
         // Individual submissions, back to back.
         let mut individual = SimDuration::ZERO;
         for job in jobs.clone() {
@@ -285,22 +275,21 @@ mod tests {
         q.reset();
         let b = q.submit_batch(jobs, SimInstant::EPOCH).unwrap();
         let batched = b.completed_at.elapsed_since(b.started_at);
-        let overhead = q.costs().cengine_job_overhead(pedal_dpu::Direction::Compress);
+        let overhead = CostModel::for_platform(Platform::BlueField2)
+            .cengine_job_overhead(pedal_dpu::Direction::Compress);
         assert_eq!(batched + overhead * 3, individual, "batch saves exactly k-1 overheads");
         // Outputs identical to individual execution.
-        for (i, r) in b.results.iter().enumerate() {
-            let r = r.as_ref().unwrap();
-            let direct =
-                pedal_deflate::compress(&vec![i as u8; 50_000], pedal_deflate::Level::DEFAULT);
-            assert_eq!(r.output, direct);
+        for (r, d) in b.results.iter().zip(&inputs) {
+            let direct = pedal_deflate::compress(d, pedal_deflate::Level::DEFAULT);
+            assert_eq!(r.as_ref().unwrap().output, direct);
         }
     }
 
     #[test]
     fn batch_respects_depth() {
         let q = Workq::new(CostModel::for_platform(Platform::BlueField2), 4);
-        let jobs: Vec<_> =
-            (0..5).map(|_| CompressJob::new(JobKind::DeflateCompress, vec![7u8; 1_000])).collect();
+        let data = [7u8; 1_000];
+        let jobs = vec![CompressJob::new(JobKind::DeflateCompress, &data); 5];
         assert!(q.submit_batch(jobs, SimInstant::EPOCH).is_err());
     }
 
@@ -310,11 +299,11 @@ mod tests {
         let (ch0, ch1) = (Workq::new(costs, 8), Workq::new(costs, 8));
         let now = SimInstant::EPOCH;
         let a = ch0
-            .submit(CompressJob::new(JobKind::DeflateCompress, vec![1u8; 4_000_000]), now)
+            .submit(CompressJob::new(JobKind::DeflateCompress, &vec![1u8; 4_000_000]), now)
             .unwrap();
         // Same instant on the other channel: no queueing behind channel 0.
         let b = ch1
-            .submit(CompressJob::new(JobKind::DeflateCompress, vec![2u8; 4_000_000]), now)
+            .submit(CompressJob::new(JobKind::DeflateCompress, &vec![2u8; 4_000_000]), now)
             .unwrap();
         assert_eq!(a.started_at, now);
         assert_eq!(b.started_at, now);
@@ -327,11 +316,11 @@ mod tests {
         let mut rec = pedal_obs::LaneRecorder::new("ce-test", 64);
         let now = SimInstant::EPOCH;
         let h1 =
-            q.submit(CompressJob::new(JobKind::DeflateCompress, vec![3u8; 500_000]), now).unwrap();
+            q.submit(CompressJob::new(JobKind::DeflateCompress, &vec![3u8; 500_000]), now).unwrap();
         q.reset();
         let h2 = q
             .submit_traced(
-                CompressJob::new(JobKind::DeflateCompress, vec![3u8; 500_000]),
+                CompressJob::new(JobKind::DeflateCompress, &vec![3u8; 500_000]),
                 now,
                 &mut rec,
             )
@@ -351,8 +340,9 @@ mod tests {
     fn traced_batch_records_total_payload() {
         let q = workq();
         let mut rec = pedal_obs::LaneRecorder::new("ce-test", 64);
+        let inputs: Vec<Vec<u8>> = (0..3).map(|i| vec![i; 10_000]).collect();
         let jobs: Vec<_> =
-            (0..3).map(|i| CompressJob::new(JobKind::DeflateCompress, vec![i; 10_000])).collect();
+            inputs.iter().map(|d| CompressJob::new(JobKind::DeflateCompress, d)).collect();
         let b = q.submit_batch_traced(jobs, SimInstant::EPOCH, &mut rec).unwrap();
         assert_eq!(b.results.len(), 3);
         let t = rec.into_track();

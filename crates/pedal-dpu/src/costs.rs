@@ -11,7 +11,7 @@
 //! are per-operation.
 
 use crate::clock::SimDuration;
-use crate::platform::{Algorithm, Direction, Placement, Platform};
+use crate::platform::{Algorithm, Direction, Platform};
 
 const MB: f64 = 1_000_000.0;
 
@@ -357,17 +357,6 @@ impl CostModel {
     pub fn network_transfer(&self, bytes: usize) -> SimDuration {
         self.network.latency + time_for(bytes, self.network.bandwidth_mbps)
     }
-
-    /// Best available placement for an operation: prefer the engine when it
-    /// supports the op (the paper's policy: "PEDAL predominantly relies on
-    /// the C-Engine of BlueField (when applicable) over the SoC").
-    pub fn preferred_placement(&self, algo: Algorithm, dir: Direction) -> Placement {
-        if self.platform.spec().cengine.supports(algo, dir) {
-            Placement::CEngine
-        } else {
-            Placement::Soc
-        }
-    }
 }
 
 /// Per-stage breakdown of the SZ3 core lump (see
@@ -490,11 +479,7 @@ mod tests {
         let m = bf3();
         assert!(m.cengine_lossless(Algorithm::Deflate, Direction::Compress, 1_000_000).is_none());
         assert!(m.cengine_lossless(Algorithm::Zlib, Direction::Compress, 1_000_000).is_none());
-        assert_eq!(m.preferred_placement(Algorithm::Deflate, Direction::Compress), Placement::Soc);
-        assert_eq!(
-            m.preferred_placement(Algorithm::Deflate, Direction::Decompress),
-            Placement::CEngine
-        );
+        assert!(m.cengine_lossless(Algorithm::Deflate, Direction::Decompress, 1_000_000).is_some());
         // LZ4 decompression exists only on BF3's engine.
         assert!(m.cengine_lossless(Algorithm::Lz4, Direction::Decompress, 1_000_000).is_some());
         assert!(bf2().cengine_lossless(Algorithm::Lz4, Direction::Decompress, 1_000_000).is_none());
@@ -567,7 +552,6 @@ mod tests {
             // No engine path exists: placement always lands on the SoC.
             for dir in [Direction::Compress, Direction::Decompress] {
                 assert!(m.cengine_lossless(Algorithm::Pco, dir, MIB_5_1).is_none());
-                assert_eq!(m.preferred_placement(Algorithm::Pco, dir), Placement::Soc);
             }
             // SoC cost stays within 2x of SoC DEFLATE either way — the
             // "comparable virtual-time cost" band the ratio gate assumes.

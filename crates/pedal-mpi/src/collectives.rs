@@ -250,32 +250,6 @@ mod tests {
     }
 }
 
-/// Scatter: the root distributes one payload per rank. Returns this rank's
-/// slice.
-pub fn scatter(
-    ctx: &mut RankCtx,
-    root: usize,
-    data: Option<Vec<Bytes>>,
-) -> Result<Bytes, MpiError> {
-    let tag = COLL_TAG_BASE | 0x5C;
-    if ctx.rank == root {
-        let parts = data.expect("root must supply one payload per rank");
-        assert_eq!(parts.len(), ctx.size, "scatter needs size payloads");
-        let mut mine = Bytes::new();
-        for (dst, part) in parts.into_iter().enumerate() {
-            if dst == root {
-                mine = part;
-            } else {
-                ctx.send(dst, tag, part)?;
-            }
-        }
-        Ok(mine)
-    } else {
-        let (msg, _) = ctx.recv(root, tag)?;
-        Ok(msg)
-    }
-}
-
 /// All-to-all personalized exchange: rank i sends `parts[j]` to rank j and
 /// receives one payload from every rank, returned in rank order.
 ///
@@ -307,28 +281,6 @@ mod scatter_alltoall_tests {
     use super::*;
     use crate::comm::{run_world, WorldConfig};
     use pedal_dpu::Platform;
-
-    #[test]
-    fn scatter_distributes_distinct_parts() {
-        for size in [1usize, 2, 5, 8] {
-            let results = run_world(WorldConfig::new(size, Platform::BlueField2), move |ctx| {
-                let data = if ctx.rank == 2 % size {
-                    Some(
-                        (0..size)
-                            .map(|r| Bytes::from(vec![r as u8; r * 100 + 1]))
-                            .collect::<Vec<_>>(),
-                    )
-                } else {
-                    None
-                };
-                scatter(ctx, 2 % size, data).unwrap()
-            });
-            for (rank, part) in results.iter().enumerate() {
-                assert_eq!(part.len(), rank * 100 + 1, "size {size} rank {rank}");
-                assert!(part.iter().all(|&b| b == rank as u8));
-            }
-        }
-    }
 
     #[test]
     fn alltoall_full_exchange() {

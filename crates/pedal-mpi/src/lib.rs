@@ -18,7 +18,7 @@ pub mod collectives;
 pub mod comm;
 pub mod stream;
 
-pub use collectives::{allreduce, alltoall, barrier, bcast, gather, reduce, scatter};
+pub use collectives::{allreduce, alltoall, barrier, bcast, gather, reduce};
 pub use comm::{run_world, MpiError, RankCtx, SendHandle, WorldConfig, DEFAULT_EAGER_THRESHOLD};
 pub use pedal_dpu::Bytes;
 pub use stream::{

@@ -223,14 +223,10 @@ pub const MIN_PAR_CHUNK: usize = 64 * 1024;
 // ---------------------------------------------------------------------
 
 /// Shared state of the per-message adaptive policy: the stateless
-/// decision engine, the externally fed feedback snapshot, and the
-/// decision log (a determinism witness — see `pedal_policy::log`).
+/// decision engine and the decision log (a determinism witness — see
+/// `pedal_policy::log`).
 struct PolicyShared {
     engine: AdaptivePolicy,
-    /// Latest live-feedback snapshot supplied by the integrator via
-    /// [`PedalService::set_policy_snapshot`]. The scheduler merges its
-    /// own predicted engine backlog on top before deciding.
-    snapshot: Mutex<PolicySnapshot>,
     log: Mutex<PolicyLog>,
 }
 
@@ -357,7 +353,6 @@ impl PedalService {
         let policy = cfg.adaptive.map(|p| {
             Arc::new(PolicyShared {
                 engine: AdaptivePolicy::new(p),
-                snapshot: Mutex::new(PolicySnapshot::calm()),
                 log: Mutex::new(PolicyLog::default()),
             })
         });
@@ -439,18 +434,6 @@ impl PedalService {
     /// comes from [`LiveConfig::slo_target`]).
     pub fn set_slo_target(&self, tenant: TenantId, target: SimDuration) {
         self.shared.ledger().slos.set_target(tenant, target);
-    }
-
-    /// Feed the adaptive policy a fresh live-feedback snapshot (rolling
-    /// p99, external queue pressure, engine availability). Determinism
-    /// is the caller's contract: build snapshots from virtual-time
-    /// sources at deterministic points (the fleet does it at epoch
-    /// barriers). No-op unless the service was started with
-    /// [`ServiceConfig::with_adaptive_policy`].
-    pub fn set_policy_snapshot(&self, snap: PolicySnapshot) {
-        if let Some(p) = &self.policy {
-            *p.snapshot.lock().unwrap() = snap;
-        }
     }
 
     /// Copy of the adaptive policy's decision log so far, one record per
@@ -716,11 +699,11 @@ impl Scheduler {
     }
 
     /// The adaptive-policy hook, ahead of all placement. For lossless
-    /// byte-stream compress jobs it probes the message, merges the live
-    /// snapshot with this router's own predicted engine backlog (both
-    /// deterministic in submission order), and rewrites the job's
-    /// design/datatype — or flags it store-raw. Returns the job plus a
-    /// policy-chosen streaming chunk size, if any.
+    /// byte-stream compress jobs it probes the message, decides against
+    /// a calm snapshot at the job's arrival carrying this router's own
+    /// predicted engine backlog (deterministic in submission order), and
+    /// rewrites the job's design/datatype — or flags it store-raw.
+    /// Returns the job plus a policy-chosen streaming chunk size, if any.
     fn apply_policy(&mut self, mut job: Job) -> (Job, Option<usize>) {
         let Some(policy) = self.policy.clone() else { return (job, None) };
         if !matches!(job.desc.op.direction(), Direction::Compress)
@@ -736,21 +719,19 @@ impl Scheduler {
         }
         let JobOp::Compress { data } = &job.desc.op else { unreachable!("direction checked") };
         let arrival = job.desc.arrival;
-        let external = *policy.snapshot.lock().unwrap();
         let snap = PolicySnapshot {
-            at: external.at.max(arrival),
+            at: arrival,
             // Engine descriptors predicted still busy at this arrival —
             // the router's own virtual-time state, not live Workq reads.
-            queue_depth: external.queue_depth
-                + self
-                    .ce_busy
-                    .iter()
-                    .map(|q| q.iter().filter(|&&t| t > arrival).count() as u64)
-                    .sum::<u64>(),
-            p99_ns: external.p99_ns,
-            engine_available: external.engine_available
-                && Design::CE_DEFLATE.effective_placement(self.platform, Direction::Compress)
-                    == Placement::CEngine,
+            queue_depth: self
+                .ce_busy
+                .iter()
+                .map(|q| q.iter().filter(|&&t| t > arrival).count() as u64)
+                .sum(),
+            engine_available: Design::CE_DEFLATE
+                .effective_placement(self.platform, Direction::Compress)
+                == Placement::CEngine,
+            ..PolicySnapshot::calm()
         };
         let (f, d) = policy.engine.probe_and_decide(data, &snap);
         self.rec.span_for(SpanKind::PolicyDecision, arrival, arrival, job.id, job.desc.tenant);
@@ -1036,7 +1017,7 @@ fn run_lane(
                     .iter()
                     .map(|j| match &j.desc.op {
                         JobOp::Compress { data } => {
-                            CompressJob::new(JobKind::DeflateCompress, data.clone())
+                            CompressJob::new(JobKind::DeflateCompress, data)
                         }
                         JobOp::Decompress { .. } => unreachable!("batching is compress-only"),
                     })
@@ -1047,12 +1028,12 @@ fn run_lane(
                 virt_free = batch.completed_at.max(begin);
                 rec.span(SpanKind::Batch, start, virt_free, jobs.len() as u64);
                 stats.batches += 1;
-                for (i, job) in jobs.into_iter().enumerate() {
-                    let result = match &batch.results[i] {
+                for (job, result) in jobs.into_iter().zip(batch.results) {
+                    let result = match result {
                         Ok(r) => {
                             let JobOp::Compress { data } = &job.desc.op else { unreachable!() };
                             let (payload, passthrough) =
-                                wire::frame_compressed(job.desc.design, data, r.output.clone());
+                                wire::frame_compressed(job.desc.design, data, r.output);
                             Ok(JobOutput { bytes: payload, passthrough })
                         }
                         Err(e) => Err(ServiceError::Pedal(e.to_string())),
@@ -1075,11 +1056,8 @@ fn run_lane(
                 rec.span(SpanKind::PoolAcquire, start, begin, 0);
                 let range = parent.ranges[index].clone();
                 let last = index == parent.ranges.len() - 1;
-                let cj = CompressJob::new(
-                    JobKind::DeflateCompress,
-                    parent.data()[range.clone()].to_vec(),
-                )
-                .with_final_block(last);
+                let cj = CompressJob::new(JobKind::DeflateCompress, &parent.data()[range.clone()])
+                    .with_final_block(last);
                 let h = wq
                     .submit_traced(cj, begin, &mut rec)
                     .expect("serial lane cannot overfill its channel");

@@ -6,7 +6,7 @@ use pedal::{wire, Datatype, Design, PedalConfig, PedalContext, PedalHeader};
 use pedal_datasets::DatasetId;
 use pedal_dpu::{Platform, SimInstant};
 use pedal_obs::SpanKind;
-use pedal_service::{JobDesc, PedalService, PolicyConfig, PolicySnapshot, ServiceConfig};
+use pedal_service::{JobDesc, PedalService, PolicyConfig, ServiceConfig};
 
 fn adaptive_config(platform: Platform) -> ServiceConfig {
     ServiceConfig::new(platform)
@@ -99,18 +99,12 @@ fn store_raw_decisions_round_trip_byte_identically() {
     }
 }
 
-/// Satellite: same trace + same snapshot → same decisions, proven by
-/// the PolicyLog digest and the output bytes of every job.
+/// Same trace → same decisions, proven by the PolicyLog digest and the
+/// output bytes of every job.
 #[test]
 fn policy_log_digest_is_replay_deterministic() {
     let run = || {
         let svc = PedalService::start(adaptive_config(Platform::BlueField2));
-        svc.set_policy_snapshot(PolicySnapshot {
-            at: SimInstant(0),
-            queue_depth: 2,
-            p99_ns: 40_000,
-            engine_available: true,
-        });
         svc.pause();
         for (i, id) in DatasetId::MIXED.iter().cycle().take(18).enumerate() {
             let data = id.generate_bytes((1 + i % 4) * (8 << 10));

@@ -237,8 +237,10 @@ impl PedalContext {
         let costs = CostModel::for_platform(cfg.platform);
         let doca = DocaContext::open(cfg.platform).map_err(|e| PedalError::Doca(e.to_string()))?;
         let pool = PedalPool::new(costs);
+        // Every pooled buffer is also registered for the engine once here,
+        // which is what lets steady-state messages skip per-message mapping.
         let pool_prealloc = pool.preallocate(cfg.pool_buffers, cfg.pool_capacity)
-            + doca.inventory.preallocate(cfg.pool_buffers, cfg.pool_capacity);
+            + costs.buffer_prep(cfg.pool_capacity) * cfg.pool_buffers as u64;
         let init_report = InitReport { doca_init: doca.init_cost, pool_prealloc };
         let clock = SimClock::new();
         // The prepaid init happens before any message; advance the clock so

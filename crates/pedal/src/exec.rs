@@ -115,7 +115,7 @@ fn engine_err(e: EngineError) -> PedalError {
 /// Submit one engine job at `now`, recording its queue and execute spans.
 fn submit(
     wq: &Workq,
-    job: CompressJob,
+    job: CompressJob<'_>,
     now: SimInstant,
     rec: &mut LaneRecorder,
 ) -> Result<JobHandle, Failed> {
@@ -173,7 +173,7 @@ impl Executor<'_> {
     ) -> Result<(ExecOutput, SimInstant), Failed> {
         let (body, completed, checksum) = match design.algorithm {
             Algorithm::Deflate | Algorithm::Zlib => {
-                let job = CompressJob::new(JobKind::DeflateCompress, data.to_vec());
+                let job = CompressJob::new(JobKind::DeflateCompress, data);
                 let h = submit(wq, job, begin, rec)?;
                 let r = at(h.result.map_err(engine_err), h.completed_at)?;
                 if design.algorithm == Algorithm::Zlib {
@@ -202,8 +202,7 @@ impl Executor<'_> {
                 rec.span(SpanKind::Sz3Quantize, t1, t2, stats.quantized as u64);
                 rec.span(SpanKind::Sz3Huffman, t2, t3, stats.huffman_bytes as u64);
                 // The lossless backend is what PEDAL offloads (Fig. 4).
-                let h =
-                    submit(wq, CompressJob::new(JobKind::DeflateCompress, core.clone()), t3, rec)?;
+                let h = submit(wq, CompressJob::new(JobKind::DeflateCompress, &core), t3, rec)?;
                 rec.span(SpanKind::Sz3Backend, h.started_at, h.completed_at, core.len() as u64);
                 let r = at(h.result.map_err(engine_err), h.completed_at)?;
                 let sealed = pedal_sz3::seal_with(&core, BackendKind::Deflate, |_| r.output);
@@ -273,7 +272,7 @@ impl Executor<'_> {
                 } else {
                     JobKind::DeflateDecompress
                 };
-                let job = CompressJob::new(kind, body.to_vec()).with_expected_len(expected_len);
+                let job = CompressJob::new(kind, body).with_expected_len(expected_len);
                 let h = submit(wq, job, begin, rec)?;
                 let r = at(h.result.map_err(engine_err), h.completed_at)?;
                 check_len(r.output.len(), expected_len, h.completed_at)?;
@@ -282,7 +281,7 @@ impl Executor<'_> {
             Algorithm::Zlib => {
                 let (deflate_body, expected_sum) =
                     at(pedal_zlib::split_stream(body).map_err(PedalError::codec), begin)?;
-                let job = CompressJob::new(JobKind::DeflateDecompress, deflate_body.to_vec())
+                let job = CompressJob::new(JobKind::DeflateDecompress, deflate_body)
                     .with_expected_len(expected_len);
                 let h = submit(wq, job, begin, rec)?;
                 let r = at(h.result.map_err(engine_err), h.completed_at)?;
@@ -326,7 +325,7 @@ impl Executor<'_> {
                 BackendKind::Deflate => {
                     // The engine needs a sized destination; the validated
                     // budget becomes its output cap.
-                    let job = CompressJob::new(JobKind::DeflateDecompress, packed.to_vec())
+                    let job = CompressJob::new(JobKind::DeflateDecompress, packed)
                         .with_expected_len(limit);
                     let h = wq
                         .submit(job, begin)

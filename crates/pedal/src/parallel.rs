@@ -74,8 +74,7 @@ pub fn compress_chunked(
     let mut payloads = Vec::with_capacity(n);
     let mut engine_time = SimDuration::ZERO;
     for (i, chunk) in chunks[..engine_take].iter().enumerate() {
-        let job =
-            CompressJob::new(JobKind::DeflateCompress, chunk.to_vec()).with_final_block(i + 1 == n);
+        let job = CompressJob::new(JobKind::DeflateCompress, chunk).with_final_block(i + 1 == n);
         let (r, done) = doca.submit(job, SimInstant::EPOCH + engine_time).map_err(doca_err)?;
         payloads.push(Payload { bytes: r.output, raw: false });
         engine_time = done.elapsed_since(SimInstant::EPOCH);
@@ -127,7 +126,7 @@ pub fn decompress_chunked(
             parts.push(f.decode(stream.codec).map_err(codec_err)?);
             continue;
         }
-        let job = CompressJob::new(JobKind::DeflateDecompress, f.payload.to_vec())
+        let job = CompressJob::new(JobKind::DeflateDecompress, f.payload)
             .with_expected_len(f.raw_len)
             .with_final_block(f.last);
         let (r, done) = doca.submit(job, SimInstant::EPOCH + engine_time).map_err(doca_err)?;
@@ -401,13 +400,8 @@ mod tests {
         doca.workq.reset();
         let mut engine_only = SimDuration::ZERO;
         for chunk in data.chunks(256 * 1024) {
-            let (r, done) = doca
-                .submit(
-                    CompressJob::new(JobKind::DeflateCompress, chunk.to_vec()),
-                    SimInstant::EPOCH + engine_only,
-                )
-                .unwrap();
-            let _ = r;
+            let job = CompressJob::new(JobKind::DeflateCompress, chunk);
+            let (_, done) = doca.submit(job, SimInstant::EPOCH + engine_only).unwrap();
             engine_only = done.elapsed_since(SimInstant::EPOCH);
         }
         assert!(hybrid.makespan <= engine_only);

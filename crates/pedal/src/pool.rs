@@ -4,9 +4,11 @@
 //! mapping between regular and DOCA-operable memory during each compression
 //! and decompression execution."
 //!
-//! This pool manages plain SoC-side buffers; DOCA-operable buffers live in
-//! [`pedal_doca::BufInventory`]. Both charge virtual costs from the same
-//! model so the ablation harness can compare pooled vs unpooled designs.
+//! Engine jobs read the caller's bytes in place, so this pool serves both
+//! placements: `PedalContext::init` charges the host allocation and the
+//! engine registration of every pooled buffer once, from the same cost
+//! model the per-message baseline charges, so the ablation harness can
+//! compare pooled vs unpooled designs.
 
 use pedal_dpu::{CostModel, SimDuration};
 use std::sync::Mutex;

@@ -296,3 +296,24 @@ fn auto_config_picks_sane_designs() {
         assert_eq!(ctx.decompress(&packed.payload, data.len()).unwrap().data, data);
     }
 }
+
+#[test]
+fn init_report_is_pinned_at_default_pool_sizes() {
+    // PEDAL_init prepays DOCA setup plus the default pool (4 x 8 MiB):
+    // host allocation and DOCA registration of every pooled buffer. The
+    // overhead mode decides when that cost is charged, not its size.
+    let pinned = [
+        (Platform::BlueField2, 80_000_000, 92_396_964),
+        (Platform::BlueField3, 75_000_000, 72_024_304),
+    ];
+    for (platform, doca_init, pool_prealloc) in pinned {
+        for cfg in [
+            PedalConfig::new(platform, Design::CE_DEFLATE),
+            PedalConfig::new(platform, Design::CE_DEFLATE).baseline(),
+        ] {
+            let r = PedalContext::init(cfg).unwrap().init_report();
+            let got = (r.doca_init.as_nanos(), r.pool_prealloc.as_nanos());
+            assert_eq!(got, (doca_init, pool_prealloc), "{platform:?} {:?}", cfg.overhead_mode);
+        }
+    }
+}

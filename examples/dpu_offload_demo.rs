@@ -37,17 +37,16 @@ fn main() {
                 continue;
             }
             // Decompress jobs need an input produced on the SoC first.
-            let (input, expected) = match kind {
-                JobKind::DeflateCompress | JobKind::Lz4Compress => (data.clone(), None),
-                JobKind::DeflateDecompress => (
-                    pedal_deflate::compress(&data, pedal_deflate::Level::DEFAULT),
-                    Some(data.len()),
-                ),
-                JobKind::Lz4Decompress => (pedal_lz4::compress_block(&data, 1), Some(data.len())),
+            let encoded = match kind {
+                JobKind::DeflateCompress | JobKind::Lz4Compress => None,
+                JobKind::DeflateDecompress => {
+                    Some(pedal_deflate::compress(&data, pedal_deflate::Level::DEFAULT))
+                }
+                JobKind::Lz4Decompress => Some(pedal_lz4::compress_block(&data, 1)),
             };
-            let mut job = CompressJob::new(kind, input);
-            if let Some(n) = expected {
-                job = job.with_expected_len(n);
+            let mut job = CompressJob::new(kind, encoded.as_deref().unwrap_or(&data));
+            if encoded.is_some() {
+                job = job.with_expected_len(data.len());
             }
             match ctx.submit(job, SimInstant::EPOCH) {
                 Ok((result, done)) => println!(

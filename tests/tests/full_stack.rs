@@ -87,11 +87,10 @@ fn engine_contention_serializes_virtual_time() {
     use pedal_dpu::SimInstant;
     let ctx = DocaContext::open(Platform::BlueField2).unwrap();
     let data = DatasetId::SilesiaMozilla.generate_bytes(4_000_000);
-    let (r1, t1) = ctx
-        .submit(CompressJob::new(JobKind::DeflateCompress, data.clone()), SimInstant::EPOCH)
-        .unwrap();
+    let (r1, t1) =
+        ctx.submit(CompressJob::new(JobKind::DeflateCompress, &data), SimInstant::EPOCH).unwrap();
     let (r2, t2) =
-        ctx.submit(CompressJob::new(JobKind::DeflateCompress, data), SimInstant::EPOCH).unwrap();
+        ctx.submit(CompressJob::new(JobKind::DeflateCompress, &data), SimInstant::EPOCH).unwrap();
     assert_eq!(t2.0, r1.service_time.as_nanos() + r2.service_time.as_nanos());
     assert!(t2 > t1);
 }
