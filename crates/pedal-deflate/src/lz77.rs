@@ -29,7 +29,6 @@
 
 use crate::consts::{MAX_MATCH, MIN_MATCH, WINDOW_SIZE};
 use std::cell::Cell;
-use std::sync::OnceLock;
 
 /// One LZ77 token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -498,10 +497,12 @@ fn read_u64_le(data: &[u8], pos: usize) -> u64 {
     u64::from_le_bytes(word)
 }
 
+/// How many bytes `data[a..]` and `data[b..]` share, up to `max`, with
+/// `a <= b` and `b + max <= data.len()`. The LZ4 compressor extends its
+/// matches with it too.
 #[inline]
-fn match_len(data: &[u8], a: usize, b: usize, max: usize) -> usize {
-    // Compare 8 bytes at a time. `b + max <= data.len()` (and `a < b`), so
-    // the word reads below never run past the input.
+pub fn match_len(data: &[u8], a: usize, b: usize, max: usize) -> usize {
+    // Compare 8 bytes at a time; the word reads never run past the input.
     let mut i = 0usize;
     while i + 8 <= max {
         let x = read_u64_le(data, a + i);
@@ -540,15 +541,9 @@ pub fn tokenize(data: &[u8], params: MatcherParams, emit: impl FnMut(Token)) {
     let segments = if data.len() < SPLIT_MIN || crate::pool::on_worker() {
         1
     } else {
-        (data.len() / SEGMENT_MIN).min(cores())
+        (data.len() / SEGMENT_MIN).min(crate::pool::cores())
     };
     tokenize_split(data, params, segments, emit);
-}
-
-/// The host's core count, read once.
-fn cores() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// [`tokenize`] with the candidate source forced, on the calling thread;

@@ -1,16 +1,23 @@
 //! The workspace's one worker pool: indexed jobs fanned out over scoped
 //! threads, their outputs returned in index order.
 //!
-//! The tokenizer parses the segments of a large input on it, and
-//! `pedal::parallel` compresses and decompresses chunks on it. A job that
-//! already runs on a worker does not fan out again: [`on_worker`] tells
-//! the tokenizer to parse sequentially there, so chunk workers never spawn
-//! helpers of their own.
+//! The DEFLATE tokenizer and the LZ4 block compressor parse the segments
+//! of a large input on it, and `pedal::parallel` compresses and
+//! decompresses chunks on it. A job that already runs on a worker does
+//! not fan out again: [`on_worker`] tells the parsers to stay sequential
+//! there, so chunk workers never spawn helpers of their own.
 
 use std::cell::Cell;
+use std::sync::OnceLock;
 
 thread_local! {
     static ON_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// The host's core count, read once.
+pub fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Whether the calling thread is one of this pool's workers.

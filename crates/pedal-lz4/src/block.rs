@@ -5,6 +5,12 @@
 //! a 2-byte little-endian offset, and optional length continuation bytes.
 //! Matches are at least 4 bytes; the last 5 bytes of a block are always
 //! literals and the last match must start at least 12 bytes before the end.
+//!
+//! The compressor is a one-slot hash table parse. Large blocks are parsed
+//! in segments on several cores with the bytes of the sequential parse
+//! (see [`compress_block_split`]).
+
+use pedal_deflate::{lz77::match_len, pool};
 
 /// Minimum match length in the LZ4 format.
 pub const MIN_MATCH: usize = 4;
@@ -57,80 +63,345 @@ fn read_u32(data: &[u8], i: usize) -> u32 {
     u32::from_le_bytes(data[i..i + 4].try_into().unwrap())
 }
 
+#[inline]
+fn read_u64(data: &[u8], i: usize) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&data[i..i + 8]);
+    u64::from_le_bytes(word)
+}
+
+/// Each run of `1 << SKIP_TRIGGER` misses in a row lengthens the step by
+/// one byte.
+const SKIP_TRIGGER: u32 = 7;
+/// The largest `accel` honoured, as in the reference encoder.
+const ACCEL_MAX: u32 = 65_537;
+
+/// How far the parse moves after the `misses`-th miss in a row: `accel`
+/// bytes, one more for every `1 << SKIP_TRIGGER` misses, so a higher
+/// `accel` skips incompressible data faster.
+#[inline]
+fn skip(misses: u32, accel: u32) -> usize {
+    (accel + (misses >> SKIP_TRIGGER)) as usize
+}
+
+/// A helper starts parsing this far before its seam, with an empty table.
+const WARM_UP: usize = 256 * 1024;
+/// Inputs shorter than this compress on the calling thread alone: a
+/// helper's own share would be less than twice its warm-up.
+const SPLIT_MIN: usize = 5 * WARM_UP;
+/// A seam resynchronises within this many bytes past it, or not at all.
+const RESYNC_WINDOW: usize = 192 * 1024;
+
 /// Compress `src` into LZ4 block format.
 ///
-/// `accel` trades ratio for speed exactly like the reference `acceleration`
-/// parameter: higher values skip positions faster on incompressible data.
-/// `accel = 1` is the default.
+/// `accel` trades ratio for speed like the reference `acceleration`
+/// parameter: it is the step after a miss, so higher values skip
+/// positions faster on incompressible data. `accel = 1` is the default.
+///
+/// An input of at least 1.25 MiB is split into at most one segment per
+/// core, each helper's share at least twice its 256 KiB warm-up, and
+/// parsed concurrently (see [`compress_block_split`]); the bytes are
+/// those of the sequential parse. On a `pedal_deflate::pool` worker the
+/// parse stays on the calling thread.
 pub fn compress_block(src: &[u8], accel: u32) -> Vec<u8> {
-    let accel = accel.max(1);
+    compress_segments(src, accel, segments_for(src.len())).0
+}
+
+/// How many segments [`compress_block`] splits `len` bytes into here.
+fn segments_for(len: usize) -> usize {
+    if len < SPLIT_MIN || pool::on_worker() {
+        1
+    } else {
+        ((len - WARM_UP) / (2 * WARM_UP)).min(pool::cores())
+    }
+}
+
+/// [`compress_block`] with `accel = 1`, split into `segments` segments
+/// whatever the input size; the bytes are the same for every count.
+/// Returns them and how many seams resynchronised.
+///
+/// The calling thread parses the first segment while helpers on
+/// `pedal_deflate::pool` threads each parse one of the others, starting
+/// 256 KiB before its seam with an empty table. Past each seam
+/// the calling thread parses on, and at each match end it checks whether
+/// the helper ended a match there too and both parses hashed exactly the
+/// same positions over the last `MAX_DISTANCE` bytes. From such a point
+/// every lookup sees the same in-window candidate in both tables, so
+/// the calling thread appends the helper's bytes from there and takes
+/// over its state and table. If no such point comes within 192 KiB
+/// past the seam, it parses the segment itself.
+pub fn compress_block_split(src: &[u8], segments: usize) -> (Vec<u8>, usize) {
+    compress_segments(src, 1, segments)
+}
+
+fn compress_segments(src: &[u8], accel: u32, segments: usize) -> (Vec<u8>, usize) {
+    let accel = accel.clamp(1, ACCEL_MAX);
     let n = src.len();
     let mut out = Vec::with_capacity(n / 2 + 16);
     if n == 0 {
         // A single token with zero literal length terminates the block.
         out.push(0);
-        return out;
+        return (out, 0);
     }
     if n < MFLIMIT {
         emit_final_literals(&mut out, src);
-        return out;
+        return (out, 0);
+    }
+    let mut p = Parse::new(src, accel, 0);
+    let segments = segments.clamp(1, n / MFLIMIT);
+    let mut resynced = 0;
+    if segments == 1 {
+        p.run(n, Some(&mut out), &mut (), |_, _, _| false);
+    } else {
+        // Seam `j` sits at `(j * n + (segments - j) * w) / segments`, so
+        // the first segment and each helper's warm-up plus segment are
+        // equally long.
+        let w = WARM_UP.min(n / segments);
+        let seam = |j: usize| (j * n + (segments - j) * w) / segments;
+        let mut bits = Bits::from_seam(seam(1), src);
+        let (_, helpers) = pool::fan_out_beside(
+            segments - 1,
+            segments - 1,
+            |j| Helper::parse(src, accel, seam(j + 1), seam(j + 2)),
+            || p.run(seam(1), Some(&mut out), &mut bits, |_, _, _| false),
+        );
+        for helper in helpers {
+            resynced += helper.join(&mut p, &mut out, &mut bits) as usize;
+        }
+        p.run(n, Some(&mut out), &mut (), |_, _, _| false);
+    }
+    emit_final_literals(&mut out, &src[p.st.anchor..]);
+    (out, resynced)
+}
+
+/// The parse between two steps: the next position to look up, the start
+/// of the literals no sequence has emitted yet, and the misses since the
+/// last match.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct State {
+    pos: usize,
+    anchor: usize,
+    misses: u32,
+}
+
+impl State {
+    /// Whether the step just taken ended a match at `pos`.
+    fn after_match(self) -> bool {
+        self.misses == 0 && self.anchor == self.pos
+    }
+}
+
+/// Where the positions a parse hashes go.
+trait Inserted {
+    fn insert(&mut self, pos: usize);
+}
+
+impl Inserted for () {
+    #[inline(always)]
+    fn insert(&mut self, _: usize) {}
+}
+
+/// A set of input positions, one bit each, kept from a multiple of 64
+/// on: positions before that are neither stored nor read back.
+struct Bits {
+    /// Index of `words[0]` in the whole input's words.
+    base: usize,
+    words: Vec<u64>,
+}
+
+impl Bits {
+    /// Room for what a check at `seam` or past it reads back: the
+    /// positions from `seam - MAX_DISTANCE` to the end of `src`.
+    fn from_seam(seam: usize, src: &[u8]) -> Bits {
+        let base = seam.saturating_sub(MAX_DISTANCE) / 64;
+        Bits { base, words: vec![0; src.len().div_ceil(64) - base] }
     }
 
-    let mut table = vec![0u32; 1 << HASH_LOG]; // position + 1, 0 = empty
-    let mut anchor = 0usize;
-    let mut pos = 0usize;
-    let match_limit = n - MFLIMIT;
-    // Skip-strength counter: after 64/accel misses, start stepping faster.
-    let mut search_misses = 0u32;
+    /// Word `w` of the whole input's words (empty outside the room).
+    fn word(&self, w: usize) -> u64 {
+        w.checked_sub(self.base).and_then(|i| self.words.get(i)).map_or(0, |&x| x)
+    }
+}
 
-    while pos <= match_limit {
-        let h = hash4(read_u32(src, pos));
-        let cand = table[h] as usize;
-        table[h] = pos as u32 + 1;
-
-        let found = cand != 0 && {
-            let cpos = cand - 1;
-            pos - cpos <= MAX_DISTANCE && read_u32(src, cpos) == read_u32(src, pos)
-        };
-
-        if !found {
-            search_misses += 1;
-            pos += 1 + (search_misses >> (6 + accel.min(8))) as usize;
-            continue;
-        }
-        search_misses = 0;
-        let cpos = cand - 1;
-
-        // Extend the match forward (bounded so the last 5 bytes stay literal).
-        let max_len = n - LAST_LITERALS - pos;
-        let mut mlen = MIN_MATCH;
-        while mlen < max_len && src[cpos + mlen] == src[pos + mlen] {
-            mlen += 1;
-        }
-        // Extend backwards over pending literals.
-        let mut back = 0usize;
-        while pos - back > anchor && cpos - back > 0 && src[cpos - back - 1] == src[pos - back - 1]
-        {
-            back += 1;
-        }
-        let mpos = pos - back;
-        let cstart = cpos - back;
-        let mlen = mlen + back;
-        let offset = mpos - cstart;
-
-        emit_sequence(&mut out, &src[anchor..mpos], offset, mlen);
-        pos = mpos + mlen;
-        anchor = pos;
-
-        // Prime the table with a couple of positions inside the match to
-        // improve the next search.
-        if pos <= match_limit && pos >= 2 {
-            let p = pos - 2;
-            table[hash4(read_u32(src, p))] = p as u32 + 1;
+impl Inserted for Bits {
+    #[inline(always)]
+    fn insert(&mut self, pos: usize) {
+        if let Some(w) = self.words.get_mut((pos / 64).wrapping_sub(self.base)) {
+            *w |= 1 << (pos % 64);
         }
     }
-    emit_final_literals(&mut out, &src[anchor..]);
-    out
+}
+
+/// One parse of `src`: its hash table (position + 1 per hash, 0 for
+/// empty) and where it stands.
+struct Parse<'a> {
+    src: &'a [u8],
+    accel: u32,
+    table: Vec<u32>,
+    st: State,
+}
+
+impl<'a> Parse<'a> {
+    fn new(src: &'a [u8], accel: u32, pos: usize) -> Self {
+        let table = vec![0u32; 1 << HASH_LOG];
+        Parse { src, accel, table, st: State { pos, anchor: pos, misses: 0 } }
+    }
+
+    /// Step until the parse stands at or past `end` (or past the last
+    /// position a match may start at), or `stop(state, out.len(),
+    /// inserted)` holds after a step. Sequences go to `out`, if any;
+    /// every hashed position goes to `inserted`, in increasing order.
+    ///
+    /// Each step depends only on the state and on the in-window candidate
+    /// the table holds for `pos`. This is the one copy of the parse rules.
+    #[inline(always)]
+    fn run<I: Inserted>(
+        &mut self,
+        end: usize,
+        mut out: Option<&mut Vec<u8>>,
+        inserted: &mut I,
+        mut stop: impl FnMut(State, usize, &I) -> bool,
+    ) {
+        let (src, accel) = (self.src, self.accel);
+        let n = src.len();
+        // No match starts in the last `MFLIMIT` bytes.
+        let limit = n - MFLIMIT + 1;
+        let end = end.min(limit);
+        let table = &mut self.table[..];
+        let State { mut pos, mut anchor, mut misses } = self.st;
+        while pos < end {
+            let cur = read_u32(src, pos);
+            let h = hash4(cur);
+            let cand = table[h] as usize;
+            table[h] = pos as u32 + 1;
+            inserted.insert(pos);
+
+            let found =
+                cand != 0 && pos - (cand - 1) <= MAX_DISTANCE && read_u32(src, cand - 1) == cur;
+            if !found {
+                misses += 1;
+                pos += skip(misses, accel);
+            } else {
+                misses = 0;
+                let cpos = cand - 1;
+                // Extend the match forward (bounded so the last 5 bytes
+                // stay literal), then backwards over pending literals.
+                let max_len = n - LAST_LITERALS - pos;
+                let mut mlen = MIN_MATCH
+                    + match_len(src, cpos + MIN_MATCH, pos + MIN_MATCH, max_len - MIN_MATCH);
+                let mut back = 0usize;
+                while pos - back > anchor
+                    && cpos - back > 0
+                    && src[cpos - back - 1] == src[pos - back - 1]
+                {
+                    back += 1;
+                }
+                let mpos = pos - back;
+                mlen += back;
+                if let Some(out) = out.as_deref_mut() {
+                    emit_sequence(out, &src[anchor..mpos], pos - cpos, mlen);
+                }
+                pos = mpos + mlen;
+                anchor = pos;
+                // Prime the table with a position inside the match to
+                // improve the next search.
+                if pos < limit {
+                    let p = pos - 2;
+                    table[hash4(read_u32(src, p))] = p as u32 + 1;
+                    inserted.insert(p);
+                }
+            }
+            let len = out.as_deref().map_or(0, Vec::len);
+            if stop(State { pos, anchor, misses }, len, inserted) {
+                break;
+            }
+        }
+        self.st = State { pos, anchor, misses };
+    }
+}
+
+/// A helper's parse of one segment: from [`WARM_UP`] bytes before `seam`
+/// with an empty table, to the first step at or past `end`.
+struct Helper {
+    seam: usize,
+    end: usize,
+    /// The sequences it emitted from `seam` on.
+    out: Vec<u8>,
+    /// Every position it hashed from `MAX_DISTANCE` before `seam` on.
+    bits: Bits,
+    /// (position, `out` length) at each match end in the
+    /// [`RESYNC_WINDOW`] bytes from `seam`, in position order.
+    ends: Vec<(usize, usize)>,
+    table: Vec<u32>,
+    last: State,
+}
+
+impl Helper {
+    fn parse(src: &[u8], accel: u32, seam: usize, end: usize) -> Helper {
+        let start = seam.saturating_sub(WARM_UP);
+        let mut p = Parse::new(src, accel, start);
+        let mut out = Vec::new();
+        let mut bits = Bits::from_seam(seam, src);
+        let mut ends = Vec::new();
+        // The warm-up only fills the table: no byte of it is kept.
+        p.run(seam, None, &mut bits, |_, _, _| false);
+        p.run((seam + RESYNC_WINDOW).min(end), Some(&mut out), &mut bits, |st, len, _| {
+            if st.after_match() {
+                ends.push((st.pos, len));
+            }
+            false
+        });
+        p.run(end, Some(&mut out), &mut bits, |_, _, _| false);
+        Helper { seam, end, out, bits, ends, table: p.table, last: p.st }
+    }
+
+    /// Parse on from `p`, which stands at or past `seam`, until the two
+    /// parses agree or `p` reaches `end`. On agreement, append this
+    /// helper's bytes to `out` and hand `p` its table, state and hashed
+    /// positions; returns whether they agreed.
+    fn join(self, p: &mut Parse<'_>, out: &mut Vec<u8>, bits: &mut Bits) -> bool {
+        let mut ends = self.ends.iter().peekable();
+        // Words below `scanned` are compared; `diff` is the last position
+        // among them that one parse hashed and the other did not. A check
+        // at `r >= seam` looks back to `r - MAX_DISTANCE` at most.
+        let mut scanned = self.seam.saturating_sub(MAX_DISTANCE) / 64;
+        let mut diff = None;
+        let mut from = None;
+        p.run(self.end, Some(out), bits, |st, _, bits| {
+            if !st.after_match() {
+                return false;
+            }
+            let r = st.pos;
+            while ends.next_if(|&&(e, _)| e < r).is_some() {}
+            let Some(&&(_, len)) = ends.peek().filter(|&&&(e, _)| e == r) else {
+                return false;
+            };
+            let last_diff = |w: usize, d: u64| 64 * w + 63 - d.leading_zeros() as usize;
+            for w in scanned..r / 64 {
+                let d = bits.word(w) ^ self.bits.word(w);
+                if d != 0 {
+                    diff = Some(last_diff(w, d));
+                }
+            }
+            scanned = scanned.max(r / 64);
+            let partial = (bits.word(r / 64) ^ self.bits.word(r / 64)) & ((1u64 << (r % 64)) - 1);
+            let latest = if partial != 0 { Some(last_diff(r / 64, partial)) } else { diff };
+            if latest.is_some_and(|d| d + MAX_DISTANCE >= r) {
+                return false;
+            }
+            from = Some((r, len));
+            true
+        });
+        let Some((r, len)) = from else { return false };
+        // Both parses hashed the same positions over the words from
+        // `r / 64` up to `r`, so the helper's words stand for both.
+        out.extend_from_slice(&self.out[len..]);
+        bits.words[r / 64 - bits.base..]
+            .copy_from_slice(&self.bits.words[r / 64 - self.bits.base..]);
+        p.table = self.table;
+        p.st = self.last;
+        true
+    }
 }
 
 /// Emit one LZ4 sequence: token, literal length extension, literals, offset,
@@ -185,10 +456,152 @@ pub fn decompress_block_with_limit(src: &[u8], limit: usize) -> Result<Vec<u8>, 
     decompress_block(src, None, limit)
 }
 
+/// Room kept past the decoded bytes, so that short literal runs and
+/// matches copy as whole 8- and 16-byte moves.
+const SLACK: usize = 64;
+
 /// Decompress an LZ4 block. `expected_len`, when known, lets the caller
 /// preallocate and validates the result; pass `None` to accept any size up
 /// to `limit`.
+///
+/// The output is written in place into a buffer sized up front (and
+/// doubled, within `limit`, when a block decodes longer): literal runs of
+/// up to 16 bytes and matches of up to 32 copy as whole words, and an
+/// overlapping match copies in doubling spans. The checks and errors are
+/// those of [`decompress_block_bytewise`], in the same order.
 pub fn decompress_block(
+    src: &[u8],
+    expected_len: Option<usize>,
+    limit: usize,
+) -> Result<Vec<u8>, Lz4Error> {
+    let mut out =
+        vec![0u8; expected_len.unwrap_or(src.len() * 3).min(limit).min(MAX_PREALLOC) + SLACK];
+    let mut op = 0usize;
+    let mut i = 0usize;
+    let n = src.len();
+    loop {
+        // The common sequence: its lengths fit in the token, its offset is
+        // at least 8, and it ends well before both buffers do. None of
+        // the checks below can fail for it.
+        if i + 19 <= n && op + 48 <= out.len() {
+            let token = src[i];
+            let lit_len = (token >> 4) as usize;
+            let match_len = (token & 0x0F) as usize + MIN_MATCH;
+            if lit_len < 15 && match_len < 15 + MIN_MATCH && op + lit_len + match_len <= limit {
+                let at = i + 1 + lit_len;
+                let offset = u16::from_le_bytes([src[at], src[at + 1]]) as usize;
+                if (8..=op + lit_len).contains(&offset) {
+                    out[op..op + 16].copy_from_slice(&src[i + 1..i + 17]);
+                    op += lit_len;
+                    i = at + 2;
+                    let from = op - offset;
+                    for k in [0, 8, 16] {
+                        let w = read_u64(&out, from + k);
+                        out[op + k..op + k + 8].copy_from_slice(&w.to_le_bytes());
+                    }
+                    op += match_len;
+                    continue;
+                }
+            }
+        }
+        if i >= n {
+            return Err(Lz4Error::Truncated);
+        }
+        let token = src[i];
+        i += 1;
+        // Literal run.
+        let mut lit_len = (token >> 4) as usize;
+        if lit_len == 15 {
+            lit_len += read_len_ext(src, &mut i)?;
+        }
+        if i + lit_len > n {
+            return Err(Lz4Error::Truncated);
+        }
+        if op + lit_len > limit {
+            return Err(Lz4Error::OutputLimitExceeded(limit));
+        }
+        make_room(&mut out, op + lit_len, limit);
+        if lit_len <= 16 && i + 16 <= n {
+            out[op..op + 16].copy_from_slice(&src[i..i + 16]);
+        } else {
+            out[op..op + lit_len].copy_from_slice(&src[i..i + lit_len]);
+        }
+        op += lit_len;
+        i += lit_len;
+        if i == n {
+            break; // final sequence has no match part
+        }
+        // Match part.
+        if i + 2 > n {
+            return Err(Lz4Error::Truncated);
+        }
+        let offset = u16::from_le_bytes([src[i], src[i + 1]]) as usize;
+        i += 2;
+        if offset == 0 || offset > op {
+            return Err(Lz4Error::InvalidOffset { offset, available: op });
+        }
+        let mut match_len = (token & 0x0F) as usize;
+        if match_len == 15 {
+            match_len += read_len_ext(src, &mut i)?;
+        }
+        let match_len = match_len + MIN_MATCH;
+        if op + match_len > limit {
+            return Err(Lz4Error::OutputLimitExceeded(limit));
+        }
+        make_room(&mut out, op + match_len, limit);
+        copy_match(&mut out, op, offset, match_len);
+        op += match_len;
+    }
+    out.truncate(op);
+    if let Some(expected) = expected_len {
+        if op != expected {
+            return Err(Lz4Error::SizeMismatch { expected, actual: op });
+        }
+    }
+    Ok(out)
+}
+
+/// Grow `out` to hold `need` bytes and the slack after them, at least
+/// doubling it but never past `limit` and the slack.
+#[inline]
+fn make_room(out: &mut Vec<u8>, need: usize, limit: usize) {
+    if out.len() < need + SLACK {
+        out.resize((out.len() * 2).min(limit.saturating_add(SLACK)).max(need + SLACK), 0);
+    }
+}
+
+/// Copy the `len` bytes `offset` back from `op` to `op`, as LZ4 defines
+/// it for overlapping spans; `out` holds [`SLACK`] bytes past `op + len`,
+/// which a short copy may overwrite.
+#[inline]
+fn copy_match(out: &mut [u8], op: usize, offset: usize, len: usize) {
+    let from = op - offset;
+    if offset >= 8 && len <= 32 {
+        // Each word is read whole before or at the bytes written so far.
+        for k in (0..len).step_by(8) {
+            let w = read_u64(out, from + k);
+            out[op + k..op + k + 8].copy_from_slice(&w.to_le_bytes());
+        }
+    } else if offset >= len {
+        out.copy_within(from..from + len, op);
+    } else {
+        // The source repeats every `offset` bytes: each copy doubles the
+        // span the next may take.
+        let end = op + len;
+        let mut at = op;
+        while at < end {
+            let span = (at - from).min(end - at);
+            out.copy_within(from..from + span, at);
+            at += span;
+        }
+    }
+}
+
+/// The plain decoder, growing its output one copy at a time and copying
+/// overlapping matches byte by byte. [`decompress_block`] must return
+/// exactly what it returns, output or error; the differential tests hold
+/// it to that.
+pub fn decompress_block_bytewise(
     src: &[u8],
     expected_len: Option<usize>,
     limit: usize,
@@ -203,7 +616,6 @@ pub fn decompress_block(
         }
         let token = src[i];
         i += 1;
-        // Literal run.
         let mut lit_len = (token >> 4) as usize;
         if lit_len == 15 {
             lit_len += read_len_ext(src, &mut i)?;
@@ -217,9 +629,8 @@ pub fn decompress_block(
         out.extend_from_slice(&src[i..i + lit_len]);
         i += lit_len;
         if i == n {
-            break; // final sequence has no match part
+            break;
         }
-        // Match part.
         if i + 2 > n {
             return Err(Lz4Error::Truncated);
         }
@@ -236,7 +647,11 @@ pub fn decompress_block(
         if out.len() + match_len > limit {
             return Err(Lz4Error::OutputLimitExceeded(limit));
         }
-        copy_match(&mut out, offset, match_len);
+        let start = out.len() - offset;
+        for k in 0..match_len {
+            let b = out[start + k];
+            out.push(b);
+        }
     }
     if let Some(expected) = expected_len {
         if out.len() != expected {
@@ -262,20 +677,6 @@ fn read_len_ext(src: &[u8], i: &mut usize) -> Result<usize, Lz4Error> {
     }
 }
 
-#[inline]
-fn copy_match(out: &mut Vec<u8>, offset: usize, len: usize) {
-    let start = out.len() - offset;
-    if offset >= len {
-        out.extend_from_within(start..start + len);
-    } else {
-        out.reserve(len);
-        for k in 0..len {
-            let b = out[start + k];
-            out.push(b);
-        }
-    }
-}
-
 /// Worst-case compressed size of `n` bytes (reference `LZ4_compressBound`).
 pub fn compress_bound(n: usize) -> usize {
     n + n / 255 + 16
@@ -292,6 +693,70 @@ mod tests {
             let dec = decompress_block(&enc, Some(data.len()), usize::MAX).unwrap();
             assert_eq!(dec, data, "accel {accel}");
         }
+    }
+
+    #[test]
+    fn skip_starts_at_accel_and_grows_with_misses() {
+        assert_eq!([1, 127, 128, 255, 256].map(|m| skip(m, 1)), [1, 1, 2, 2, 3]);
+        for misses in [1, 100, 1000, 100_000] {
+            for accel in 1..20 {
+                assert!(skip(misses, accel + 1) > skip(misses, accel));
+            }
+        }
+    }
+
+    /// How many positions a sequential parse at `accel` looks up or
+    /// primes.
+    fn hashed(data: &[u8], accel: u32) -> usize {
+        struct Count(usize);
+        impl Inserted for Count {
+            fn insert(&mut self, _: usize) {
+                self.0 += 1;
+            }
+        }
+        let mut count = Count(0);
+        Parse::new(data, accel, 0).run(data.len(), None, &mut count, |_, _, _| false);
+        count.0
+    }
+
+    #[test]
+    fn higher_accel_hashes_fewer_positions() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let random: Vec<u8> = (0..1 << 18)
+            .map(|_| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng as u8
+            })
+            .collect();
+        let counts = [1, 2, 8].map(|accel| hashed(&random, accel));
+        assert!(counts[0] > counts[1] && counts[1] > counts[2], "{counts:?}");
+        roundtrip(&random);
+    }
+
+    #[test]
+    fn split_parse_keeps_the_bytes_at_every_accel() {
+        let data: Vec<u8> = (0..600_000u64).map(|i| (i * i / 977 % 61) as u8).collect();
+        for accel in [1, 4] {
+            let sequential = compress_segments(&data, accel, 1).0;
+            for segments in [2, 3] {
+                assert!(compress_segments(&data, accel, segments).0 == sequential, "{accel}");
+            }
+        }
+        // Tiny inputs with more segments than make sense.
+        for n in [MFLIMIT, 40, 100, 1000] {
+            let data: Vec<u8> = (0..n).map(|i| (i % 7) as u8).collect();
+            assert_eq!(compress_segments(&data, 1, 5).0, compress_segments(&data, 1, 1).0);
+        }
+    }
+
+    #[test]
+    fn pool_workers_parse_alone() {
+        assert_eq!(pool::fan_out(2, 2, |_| segments_for(4 << 20)), [1, 1]);
+        assert_eq!(segments_for(4 << 20), pool::cores().min(7));
+        assert_eq!(segments_for(SPLIT_MIN), pool::cores().min(2));
+        assert_eq!(segments_for(SPLIT_MIN - 1), 1);
     }
 
     #[test]
@@ -388,9 +853,18 @@ mod tests {
 
     #[test]
     fn overlapping_match_copy() {
-        let mut out = b"Z".to_vec();
-        copy_match(&mut out, 1, 7);
-        assert_eq!(out, b"ZZZZZZZZ");
+        // Every offset against every length, including the word copies
+        // and the doubling spans, against the byte-by-byte definition.
+        for offset in 1..=40 {
+            for len in MIN_MATCH..=100 {
+                let mut out: Vec<u8> = (0..offset as u8).map(|b| b ^ 0xA5).collect();
+                out.resize(offset + len + SLACK, 0);
+                copy_match(&mut out, offset, offset, len);
+                for k in offset..offset + len {
+                    assert_eq!(out[k], out[k - offset], "offset {offset} len {len} at {k}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,11 +7,17 @@
 //! point-to-point transport sends them). Each case pins the length and
 //! FNV-1a 64 of `compress_block(.., 1)` and of `compress_frame(..,
 //! DEFAULT_BLOCK_SIZE, 1)`, and checks that both decode back.
+//!
+//! `compress_block` splits inputs of 1.25 MiB and up across cores; the
+//! split tests force every segment count so that a 1-core host runs every
+//! seam path too. The decoder tests hold `decompress_block` to the plain
+//! byte-by-byte decoder on valid, truncated and bit-flipped blocks.
 
 use pedal_datasets::DatasetId;
 use pedal_fleet::fnv1a64;
 use pedal_lz4::{
-    compress_block, compress_frame, decompress_block, decompress_frame, DEFAULT_BLOCK_SIZE,
+    compress_block, compress_block_split, compress_frame, decompress_block,
+    decompress_block_bytewise, decompress_frame, DEFAULT_BLOCK_SIZE,
 };
 
 /// `count` sizes evenly spaced over `min..=max`, multiples of 4.
@@ -81,4 +87,101 @@ fn encoder_output_is_pinned() {
         );
         assert!(decompress_frame(&frame).unwrap() == data, "{name}: frame roundtrip");
     }
+}
+
+/// `compress_block_split` at `segments` equals the sequential parse;
+/// returns how many seams resynchronised.
+fn split_matches_sequential(name: &str, data: &[u8], segments: usize) -> usize {
+    let (sequential, none) = compress_block_split(data, 1);
+    assert_eq!(none, 0);
+    let (split, resynced) = compress_block_split(data, segments);
+    assert!(split == sequential, "{name}: {segments} segments changed the bytes");
+    assert!(resynced < segments, "{name}: {resynced} of {} seams", segments - 1);
+    resynced
+}
+
+#[test]
+fn split_parse_reproduces_the_large_pins() {
+    let cases = cases();
+    for ((id, size), &(name, len, fnv, _, _)) in cases.iter().zip(&PINS).skip(16) {
+        let data = id.generate_bytes(*size);
+        for segments in 1..=4 {
+            let (block, resynced) = compress_block_split(&data, segments);
+            assert_eq!((block.len(), fnv1a64(&block)), (len, fnv), "{name}: {segments} segments");
+            // The executable-like source never agrees past a seam: every
+            // segment falls back to the calling thread's own parse.
+            let fell_back = *id == DatasetId::SilesiaMozilla;
+            assert_eq!(resynced, if fell_back { 0 } else { segments - 1 }, "{name}");
+        }
+    }
+}
+
+#[test]
+fn split_parse_resyncs_on_text_and_fields() {
+    let sources =
+        [DatasetId::SilesiaXml, DatasetId::SilesiaMr, DatasetId::SilesiaSamba, DatasetId::ObsError];
+    for id in sources {
+        let data = id.generate_bytes(1 << 20);
+        assert_eq!(split_matches_sequential(id.name(), &data, 2), 1, "{}", id.name());
+    }
+}
+
+#[test]
+fn split_parse_holds_inside_long_runs_and_at_the_threshold() {
+    // `compress_block` splits from 1.25 MiB (five 256 KiB warm-ups) on.
+    const THRESHOLD: usize = 5 << 18;
+    let zeros = vec![0u8; 2 << 20];
+    let period: Vec<u8> = (0..(2usize << 20)).map(|i| (i % 300 * 7 % 251) as u8).collect();
+    let mut above = DatasetId::SilesiaSamba.generate_bytes(THRESHOLD + 4096);
+    above.truncate(THRESHOLD + 1);
+    for (name, data) in [("zeros", &zeros), ("period-300", &period), ("threshold + 1", &above)] {
+        for segments in [2, 3] {
+            split_matches_sequential(name, data, segments);
+        }
+    }
+    // The automatic split at and above the threshold.
+    for data in [&above, &above[..THRESHOLD].to_vec()] {
+        assert!(compress_block(data, 1) == compress_block_split(data, 1).0);
+    }
+}
+
+/// Both decoders on `block` with and without an expected length, and
+/// with a limit one byte short.
+fn decoders_agree(block: &[u8], len: usize, what: &str) {
+    for (expected, limit) in [(Some(len), len), (None, len), (None, len.saturating_sub(1))] {
+        assert_eq!(
+            decompress_block(block, expected, limit),
+            decompress_block_bytewise(block, expected, limit),
+            "{what}: expected {expected:?}, limit {limit}"
+        );
+    }
+}
+
+#[test]
+fn decoder_matches_the_bytewise_decoder_on_damaged_blocks() {
+    // The two smallest pinned blocks: short text matches, and a block
+    // of random bytes that is almost all literals.
+    for (id, size) in [(DatasetId::LogText, 2048), (DatasetId::RandomBlob, 6280)] {
+        let data = id.generate_bytes(size);
+        let block = compress_block(&data, 1);
+        decoders_agree(&block, size, "intact");
+        for cut in 0..block.len() {
+            decoders_agree(&block[..cut], size, &format!("{}: cut at {cut}", id.name()));
+        }
+        let mut flipped = block.clone();
+        for bit in 0..block.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            decoders_agree(&flipped, size, &format!("{}: bit {bit} flipped", id.name()));
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+    // Long runs: overlapping matches of every span, and an output that
+    // outgrows the first guess at its size.
+    let runs: Vec<u8> = (0..200_000u32).map(|i| (i / 4096 % 7) as u8 * (i % 5) as u8).collect();
+    decoders_agree(&compress_block(&runs, 1), runs.len(), "runs");
+    let zeros = compress_block(&[0u8; 100_000], 1);
+    assert_eq!(
+        pedal_lz4::decompress_block_with_limit(&zeros, 100_000),
+        decompress_block_bytewise(&zeros, None, 100_000)
+    );
 }
