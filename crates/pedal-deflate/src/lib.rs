@@ -12,8 +12,10 @@
 //!   so the SZ3 pipeline and the simulated C-Engine can reuse them; the
 //!   tokenizer splits the parse of a large input across cores and still
 //!   emits the tokens of the sequential parse,
-//! * [`pool`] — the scoped worker pool that split parse and the chunk-
-//!   parallel designs share.
+//! * [`pool`] — the scoped worker pool that the split parses and the
+//!   chunk-parallel designs share, and [`split`] — the one split parse
+//!   of a large input across cores, shared by the tokenizer and the LZ4
+//!   block compressor.
 //!
 //! The bitstream is interoperable with other DEFLATE decoders: it emits
 //! stored, fixed-Huffman, and dynamic-Huffman blocks, choosing the cheapest
@@ -33,6 +35,7 @@ pub mod huffman;
 pub mod inflate;
 pub mod lz77;
 pub mod pool;
+pub mod split;
 mod stitch;
 pub mod varint;
 

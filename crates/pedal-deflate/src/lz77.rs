@@ -23,11 +23,12 @@
 //! state, the next position and the match pending from the byte before it:
 //! two parses that reach the same state emit the same tokens from there
 //! on. [`tokenize_split`] parses the segments of a large input on several
-//! cores from a fresh state each, and joins them at the first position
+//! cores from a fresh state each, and joins them at the first match end
 //! past each seam that both parses reach with no match pending; the tokens
 //! are those of the sequential parse whatever the core count.
 
 use crate::consts::{MAX_MATCH, MIN_MATCH, WINDOW_SIZE};
+use crate::split::{self, MatchEnds};
 use std::cell::Cell;
 
 /// One LZ77 token.
@@ -480,8 +481,9 @@ impl<'a> Search<'a> {
     }
 }
 
+/// Read 4 bytes at `pos` as a little-endian word, as [`read_u64_le`] does.
 #[inline]
-fn read_u32_le(data: &[u8], pos: usize) -> u32 {
+pub fn read_u32_le(data: &[u8], pos: usize) -> u32 {
     let mut word = [0u8; 4];
     word.copy_from_slice(&data[pos..pos + 4]);
     u32::from_le_bytes(word)
@@ -489,9 +491,10 @@ fn read_u32_le(data: &[u8], pos: usize) -> u32 {
 
 /// Read 8 bytes at `pos` as a little-endian word via a fixed-size copy.
 /// Callers guarantee `pos + 8 <= data.len()`; the bounds check lives in
-/// the slice indexing, with no fallible slice-to-array conversion.
+/// the slice indexing, with no fallible slice-to-array conversion. The
+/// LZ4 codec reads its words with these two as well.
 #[inline]
-fn read_u64_le(data: &[u8], pos: usize) -> u64 {
+pub fn read_u64_le(data: &[u8], pos: usize) -> u64 {
     let mut word = [0u8; 8];
     word.copy_from_slice(&data[pos..pos + 8]);
     u64::from_le_bytes(word)
@@ -519,14 +522,6 @@ pub fn match_len(data: &[u8], a: usize, b: usize, max: usize) -> usize {
     i
 }
 
-/// Inputs shorter than this parse on the calling thread alone.
-const SPLIT_MIN: usize = 256 * 1024;
-/// Every segment of a split parse is at least this long.
-const SEGMENT_MIN: usize = 128 * 1024;
-/// A seam resynchronises within this many bytes past the start of the
-/// segment after it, or not at all.
-const RESYNC_WINDOW: usize = 64 * 1024;
-
 /// Tokenize `data` into literals and matches using the given parameters,
 /// reading candidates from hash chains or sorted runs segment by segment.
 ///
@@ -538,12 +533,7 @@ const RESYNC_WINDOW: usize = 64 * 1024;
 /// [`tokenize_split`]); the tokens are those of the sequential parse. On a
 /// [`crate::pool`] worker the parse stays on the calling thread.
 pub fn tokenize(data: &[u8], params: MatcherParams, emit: impl FnMut(Token)) {
-    let segments = if data.len() < SPLIT_MIN || crate::pool::on_worker() {
-        1
-    } else {
-        (data.len() / SEGMENT_MIN).min(crate::pool::cores())
-    };
-    tokenize_split(data, params, segments, emit);
+    tokenize_split(data, params, split::DEFLATE.segments(data.len()), emit);
 }
 
 /// [`tokenize`] with the candidate source forced, on the calling thread;
@@ -564,19 +554,15 @@ pub fn tokenize_from(
 /// segment size; the tokens are the same for every count. Returns how
 /// many seams resynchronised.
 ///
-/// The calling thread parses the first segment and streams its tokens to
-/// `emit` while helpers on [`crate::pool`] threads parse the others from a
-/// fresh state, each recording its matches and which of its first 64 KiB
-/// of positions it reached with no match pending. Past each
-/// seam the calling thread parses on until it reaches such a position: the
-/// two parses agree from there, so it replays the helper's matches and
-/// resumes from the helper's final state. If it reaches none, it parses
-/// the whole segment itself.
+/// The segments run on [`crate::split`]. A helper records its tokens as
+/// 4-byte steps. The calling thread adopts them at a helper's match end
+/// that it reaches with no match pending: `find_match` is pure in (data,
+/// pos), so from equal states both parses emit the same tokens.
 pub fn tokenize_split(
     data: &[u8],
     params: MatcherParams,
     segments: usize,
-    mut emit: impl FnMut(Token),
+    emit: impl FnMut(Token),
 ) -> usize {
     let n = data.len();
     let segments = segments.clamp(1, n.max(1));
@@ -584,27 +570,12 @@ pub fn tokenize_split(
         tokenize_from(data, params, Candidates::Adaptive, emit);
         return 0;
     }
-    let bound = |i: usize| n * i / segments;
-    let mut m = Matcher::new(data, params, Candidates::Adaptive);
-    let mut state = Parse::START;
-    let first_end = bound(1);
-    let ((), helpers) = crate::pool::fan_out_beside(
-        segments - 1,
-        segments - 1,
-        |j| Segment::parse(data, params, bound(j + 1), bound(j + 2)),
-        || parse_from(&mut m, &mut state, |s| s.pos >= first_end, &mut emit),
-    );
-    let mut resynced = 0;
-    for seg in &helpers {
-        parse_from(&mut m, &mut state, |s| s.pos >= seg.end || seg.reached(s), &mut emit);
-        if seg.reached(state) {
-            seg.replay(data, state.pos, &mut emit);
-            state = seg.last;
-            m.restart();
-            resynced += 1;
-        }
-    }
-    state.finish(&mut emit);
+    let m = Matcher::new(data, params, Candidates::Adaptive);
+    let mut caller = Caller { m, state: Parse::START, emit };
+    let resynced = split::parse(&split::DEFLATE, &mut caller, n, segments, |seam, end, ends| {
+        helper(data, params, seam, end, ends)
+    });
+    caller.state.finish(&mut caller.emit);
     resynced
 }
 
@@ -707,79 +678,75 @@ struct Step {
     dist: u16,
 }
 
-/// A helper's parse of `start..end` from a fresh state.
-struct Segment {
-    start: usize,
+/// A helper's parse of `seam..end` from a fresh state: its steps, each
+/// match end recorded with the steps up to it, and its final state.
+fn helper(
+    data: &[u8],
+    params: MatcherParams,
+    seam: usize,
     end: usize,
-    steps: Vec<Step>,
-    /// Bit `i` is set when the parse reached `start + i` with no match
-    /// pending, for `i` below [`RESYNC_WINDOW`].
-    reached: Vec<u64>,
-    /// The state the parse stopped in, at or past `end`.
-    last: Parse,
-}
-
-impl Segment {
-    fn parse(data: &[u8], params: MatcherParams, start: usize, end: usize) -> Segment {
-        let window = RESYNC_WINDOW.min(end - start);
-        let mut reached = vec![0u64; window.div_ceil(64)];
-        // Room for every step the segment can take, so the buffer never
-        // grows by copying; only the pages it fills become resident.
-        let mut steps = Vec::with_capacity((end - start) / MIN_MATCH + 1);
-        let mut gap = 0u8;
-        let mut m = Matcher::new(data, params, Candidates::Adaptive);
-        let mut state = Parse { pos: start, pending: None };
-        let stop = |s: Parse| {
-            let i = s.pos - start;
-            if s.pending.is_none() && i < window {
-                reached[i / 64] |= 1 << (i % 64);
-            }
-            s.pos >= end
-        };
-        let mut record = |t: Token| match t {
-            Token::Literal(_) if gap == u8::MAX => {
+    ends: &mut MatchEnds,
+) -> (Vec<Step>, Parse) {
+    // Room for every step the segment can take, so the buffer never
+    // grows by copying; only the pages it fills become resident.
+    let mut steps = Vec::with_capacity((end - seam) / MIN_MATCH + 1);
+    let (mut gap, mut at) = (0u8, seam);
+    let mut record = |t: Token| match t {
+        Token::Literal(_) => {
+            if gap == u8::MAX {
                 steps.push(Step { gap, len: 0, dist: 0 });
-                gap = 1;
-            }
-            Token::Literal(_) => gap += 1,
-            Token::Match { len, dist } => {
-                steps.push(Step { gap, len: (len as usize - MIN_MATCH) as u8, dist });
                 gap = 0;
             }
-        };
-        parse_from(&mut m, &mut state, stop, &mut record);
-        Segment { start, end, steps, reached, last: state }
+            gap += 1;
+            at += 1;
+        }
+        Token::Match { len, dist } => {
+            steps.push(Step { gap, len: (len as usize - MIN_MATCH) as u8, dist });
+            gap = 0;
+            at += len as usize;
+            ends.record(at, steps.len());
+        }
+    };
+    let mut m = Matcher::new(data, params, Candidates::Adaptive);
+    let mut state = Parse { pos: seam, pending: None };
+    parse_from(&mut m, &mut state, |s| s.pos >= end, &mut record);
+    (steps, state)
+}
+
+/// The calling thread's parse of a split input, streaming its tokens.
+struct Caller<'a, E> {
+    m: Matcher<'a>,
+    state: Parse,
+    emit: E,
+}
+
+impl<E: FnMut(Token)> split::Parser for Caller<'_, E> {
+    type Out = Vec<Step>;
+    type Last = Parse;
+
+    fn run(&mut self, end: usize, mut at_match_end: impl FnMut(usize) -> bool) {
+        let stop = |s: Parse| s.pos >= end || s.pending.is_none() && at_match_end(s.pos);
+        parse_from(&mut self.m, &mut self.state, stop, &mut self.emit);
     }
 
-    /// Whether this segment's parse reached `s` too.
-    fn reached(&self, s: Parse) -> bool {
-        let i = s.pos.wrapping_sub(self.start);
-        s.pending.is_none()
-            && i < self.reached.len() * 64
-            && self.reached[i / 64] >> (i % 64) & 1 == 1
-    }
-
-    /// Emit this segment's tokens from `from`, a position it reached with
-    /// no match pending, up to its final state.
-    fn replay(&self, data: &[u8], from: usize, emit: &mut impl FnMut(Token)) {
-        // No token spans `from`: each literal run is emitted from there on,
-        // each match only when it starts there or later.
-        let from_on =
-            |run: std::ops::Range<usize>| &data[run.start.max(from).min(run.end)..run.end];
-        let mut at = self.start;
-        for step in &self.steps {
-            from_on(at..at + step.gap as usize).iter().for_each(|&b| emit(Token::Literal(b)));
-            at += step.gap as usize;
+    fn adopt(&mut self, steps: Vec<Step>, pos: usize, off: usize, last: Parse) {
+        let (data, emit) = (self.m.data, &mut self.emit);
+        let mut at = pos;
+        for step in &steps[off..] {
+            let gap = step.gap as usize;
+            data[at..at + gap].iter().for_each(|&b| emit(Token::Literal(b)));
+            at += gap;
             if step.dist > 0 {
                 let len = step.len as usize + MIN_MATCH;
-                if at >= from {
-                    emit(matched(len, step.dist as usize));
-                }
+                emit(matched(len, step.dist as usize));
                 at += len;
             }
         }
-        let covered = self.last.pos - self.last.pending.is_some() as usize;
-        from_on(at..covered).iter().for_each(|&b| emit(Token::Literal(b)));
+        // The literals the helper settled after its last step.
+        let settled = last.pos - last.pending.is_some() as usize;
+        data[at..settled].iter().for_each(|&b| emit(Token::Literal(b)));
+        self.state = last;
+        self.m.restart();
     }
 }
 

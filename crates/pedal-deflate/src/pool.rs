@@ -1,11 +1,12 @@
 //! The workspace's one worker pool: indexed jobs fanned out over scoped
 //! threads, their outputs returned in index order.
 //!
-//! The DEFLATE tokenizer and the LZ4 block compressor parse the segments
-//! of a large input on it, and `pedal::parallel` compresses and
-//! decompresses chunks on it. A job that already runs on a worker does
-//! not fan out again: [`on_worker`] tells the parsers to stay sequential
-//! there, so chunk workers never spawn helpers of their own.
+//! [`crate::split`] parses the segments of a large input on it for the
+//! DEFLATE tokenizer and the LZ4 block compressor, and `pedal::parallel`
+//! compresses and decompresses chunks on it. A job that already runs on a
+//! worker does not fan out again: [`on_worker`] tells [`crate::split`] to
+//! keep the parse sequential there, so chunk workers never spawn helpers
+//! of their own.
 
 use std::cell::Cell;
 use std::sync::OnceLock;

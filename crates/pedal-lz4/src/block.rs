@@ -10,7 +10,8 @@
 //! in segments on several cores with the bytes of the sequential parse
 //! (see [`compress_block_split`]).
 
-use pedal_deflate::{lz77::match_len, pool};
+use pedal_deflate::lz77::{match_len, read_u32_le as read_u32, read_u64_le as read_u64};
+use pedal_deflate::split::{self, MatchEnds};
 
 /// Minimum match length in the LZ4 format.
 pub const MIN_MATCH: usize = 4;
@@ -58,18 +59,6 @@ fn hash4(v: u32) -> usize {
     (v.wrapping_mul(2654435761) >> (32 - HASH_LOG)) as usize
 }
 
-#[inline]
-fn read_u32(data: &[u8], i: usize) -> u32 {
-    u32::from_le_bytes(data[i..i + 4].try_into().unwrap())
-}
-
-#[inline]
-fn read_u64(data: &[u8], i: usize) -> u64 {
-    let mut word = [0u8; 8];
-    word.copy_from_slice(&data[i..i + 8]);
-    u64::from_le_bytes(word)
-}
-
 /// Each run of `1 << SKIP_TRIGGER` misses in a row lengthens the step by
 /// one byte.
 const SKIP_TRIGGER: u32 = 7;
@@ -84,14 +73,6 @@ fn skip(misses: u32, accel: u32) -> usize {
     (accel + (misses >> SKIP_TRIGGER)) as usize
 }
 
-/// A helper starts parsing this far before its seam, with an empty table.
-const WARM_UP: usize = 256 * 1024;
-/// Inputs shorter than this compress on the calling thread alone: a
-/// helper's own share would be less than twice its warm-up.
-const SPLIT_MIN: usize = 5 * WARM_UP;
-/// A seam resynchronises within this many bytes past it, or not at all.
-const RESYNC_WINDOW: usize = 192 * 1024;
-
 /// Compress `src` into LZ4 block format.
 ///
 /// `accel` trades ratio for speed like the reference `acceleration`
@@ -104,32 +85,19 @@ const RESYNC_WINDOW: usize = 192 * 1024;
 /// those of the sequential parse. On a `pedal_deflate::pool` worker the
 /// parse stays on the calling thread.
 pub fn compress_block(src: &[u8], accel: u32) -> Vec<u8> {
-    compress_segments(src, accel, segments_for(src.len())).0
-}
-
-/// How many segments [`compress_block`] splits `len` bytes into here.
-fn segments_for(len: usize) -> usize {
-    if len < SPLIT_MIN || pool::on_worker() {
-        1
-    } else {
-        ((len - WARM_UP) / (2 * WARM_UP)).min(pool::cores())
-    }
+    compress_segments(src, accel, split::LZ4.segments(src.len())).0
 }
 
 /// [`compress_block`] with `accel = 1`, split into `segments` segments
 /// whatever the input size; the bytes are the same for every count.
 /// Returns them and how many seams resynchronised.
 ///
-/// The calling thread parses the first segment while helpers on
-/// `pedal_deflate::pool` threads each parse one of the others, starting
-/// 256 KiB before its seam with an empty table. Past each seam
-/// the calling thread parses on, and at each match end it checks whether
-/// the helper ended a match there too and both parses hashed exactly the
-/// same positions over the last `MAX_DISTANCE` bytes. From such a point
-/// every lookup sees the same in-window candidate in both tables, so
-/// the calling thread appends the helper's bytes from there and takes
-/// over its state and table. If no such point comes within 192 KiB
-/// past the seam, it parses the segment itself.
+/// The segments run on `pedal_deflate::split`. A helper starts 256 KiB
+/// before its seam with an empty table and keeps its bytes from the seam
+/// on. The calling thread adopts them at a match end that both parses
+/// share, once both also hashed exactly the same positions over the last
+/// `MAX_DISTANCE` bytes: from there every lookup sees the same in-window
+/// candidate in both tables.
 pub fn compress_block_split(src: &[u8], segments: usize) -> (Vec<u8>, usize) {
     compress_segments(src, 1, segments)
 }
@@ -149,27 +117,17 @@ fn compress_segments(src: &[u8], accel: u32, segments: usize) -> (Vec<u8>, usize
     }
     let mut p = Parse::new(src, accel, 0);
     let segments = segments.clamp(1, n / MFLIMIT);
-    let mut resynced = 0;
     if segments == 1 {
         p.run(n, Some(&mut out), &mut (), |_, _, _| false);
-    } else {
-        // Seam `j` sits at `(j * n + (segments - j) * w) / segments`, so
-        // the first segment and each helper's warm-up plus segment are
-        // equally long.
-        let w = WARM_UP.min(n / segments);
-        let seam = |j: usize| (j * n + (segments - j) * w) / segments;
-        let mut bits = Bits::from_seam(seam(1), src);
-        let (_, helpers) = pool::fan_out_beside(
-            segments - 1,
-            segments - 1,
-            |j| Helper::parse(src, accel, seam(j + 1), seam(j + 2)),
-            || p.run(seam(1), Some(&mut out), &mut bits, |_, _, _| false),
-        );
-        for helper in helpers {
-            resynced += helper.join(&mut p, &mut out, &mut bits) as usize;
-        }
-        p.run(n, Some(&mut out), &mut (), |_, _, _| false);
+        emit_final_literals(&mut out, &src[p.st.anchor..]);
+        return (out, 0);
     }
+    let bits = Bits::from_seam(split::LZ4.seam(n, segments, 1), src);
+    let mut caller = Caller { p, out, bits };
+    let resynced = split::parse(&split::LZ4, &mut caller, n, segments, |seam, end, ends| {
+        helper(src, accel, seam, end, ends)
+    });
+    let Caller { p, mut out, .. } = caller;
     emit_final_literals(&mut out, &src[p.st.anchor..]);
     (out, resynced)
 }
@@ -320,87 +278,81 @@ impl<'a> Parse<'a> {
     }
 }
 
-/// A helper's parse of one segment: from [`WARM_UP`] bytes before `seam`
-/// with an empty table, to the first step at or past `end`.
-struct Helper {
+/// A helper's parse of `seam..end`, from a warm-up before `seam` with an
+/// empty table; it keeps its bytes, match ends and hashed positions.
+fn helper<'a>(
+    src: &'a [u8],
+    accel: u32,
     seam: usize,
     end: usize,
-    /// The sequences it emitted from `seam` on.
-    out: Vec<u8>,
-    /// Every position it hashed from `MAX_DISTANCE` before `seam` on.
-    bits: Bits,
-    /// (position, `out` length) at each match end in the
-    /// [`RESYNC_WINDOW`] bytes from `seam`, in position order.
-    ends: Vec<(usize, usize)>,
-    table: Vec<u32>,
-    last: State,
+    ends: &mut MatchEnds,
+) -> (Vec<u8>, Last<'a>) {
+    let mut p = Parse::new(src, accel, seam.saturating_sub(split::LZ4.warm_up));
+    let mut out = Vec::new();
+    let mut bits = Bits::from_seam(seam, src);
+    // The warm-up only fills the table: no byte of it is kept.
+    p.run(seam, None, &mut bits, |_, _, _| false);
+    p.run(ends.until, Some(&mut out), &mut bits, |st, len, _| {
+        if st.after_match() {
+            ends.record(st.pos, len);
+        }
+        false
+    });
+    p.run(end, Some(&mut out), &mut bits, |_, _, _| false);
+    (out, Last { p, scanned: bits.base, bits, diff: None })
 }
 
-impl Helper {
-    fn parse(src: &[u8], accel: u32, seam: usize, end: usize) -> Helper {
-        let start = seam.saturating_sub(WARM_UP);
-        let mut p = Parse::new(src, accel, start);
-        let mut out = Vec::new();
-        let mut bits = Bits::from_seam(seam, src);
-        let mut ends = Vec::new();
-        // The warm-up only fills the table: no byte of it is kept.
-        p.run(seam, None, &mut bits, |_, _, _| false);
-        p.run((seam + RESYNC_WINDOW).min(end), Some(&mut out), &mut bits, |st, len, _| {
-            if st.after_match() {
-                ends.push((st.pos, len));
-            }
-            false
-        });
-        p.run(end, Some(&mut out), &mut bits, |_, _, _| false);
-        Helper { seam, end, out, bits, ends, table: p.table, last: p.st }
+/// A helper's final parse and hashed positions. The calling thread has
+/// compared the words of those below `scanned`; `diff` is the last
+/// position among them that one parse hashed and the other did not.
+struct Last<'a> {
+    p: Parse<'a>,
+    bits: Bits,
+    scanned: usize,
+    diff: Option<usize>,
+}
+
+/// The calling thread's parse of a split block, with every position it
+/// hashed from `MAX_DISTANCE` before the first seam on.
+struct Caller<'a> {
+    p: Parse<'a>,
+    out: Vec<u8>,
+    bits: Bits,
+}
+
+impl<'a> split::Parser for Caller<'a> {
+    type Out = Vec<u8>;
+    type Last = Last<'a>;
+
+    fn run(&mut self, end: usize, mut at_match_end: impl FnMut(usize) -> bool) {
+        let stop = |st: State, _, _: &Bits| st.after_match() && at_match_end(st.pos);
+        self.p.run(end, Some(&mut self.out), &mut self.bits, stop);
     }
 
-    /// Parse on from `p`, which stands at or past `seam`, until the two
-    /// parses agree or `p` reaches `end`. On agreement, append this
-    /// helper's bytes to `out` and hand `p` its table, state and hashed
-    /// positions; returns whether they agreed.
-    fn join(self, p: &mut Parse<'_>, out: &mut Vec<u8>, bits: &mut Bits) -> bool {
-        let mut ends = self.ends.iter().peekable();
-        // Words below `scanned` are compared; `diff` is the last position
-        // among them that one parse hashed and the other did not. A check
-        // at `r >= seam` looks back to `r - MAX_DISTANCE` at most.
-        let mut scanned = self.seam.saturating_sub(MAX_DISTANCE) / 64;
-        let mut diff = None;
-        let mut from = None;
-        p.run(self.end, Some(out), bits, |st, _, bits| {
-            if !st.after_match() {
-                return false;
+    /// Both parses hashed the same positions over the `MAX_DISTANCE` bytes
+    /// before `r`, the furthest back a lookup at `r` or later can reach.
+    fn agrees(&mut self, last: &mut Last<'a>, r: usize) -> bool {
+        let (ours, theirs) = (&self.bits, &last.bits);
+        let last_diff = |w: usize, d: u64| 64 * w + 63 - d.leading_zeros() as usize;
+        for w in last.scanned..r / 64 {
+            let d = ours.word(w) ^ theirs.word(w);
+            if d != 0 {
+                last.diff = Some(last_diff(w, d));
             }
-            let r = st.pos;
-            while ends.next_if(|&&(e, _)| e < r).is_some() {}
-            let Some(&&(_, len)) = ends.peek().filter(|&&&(e, _)| e == r) else {
-                return false;
-            };
-            let last_diff = |w: usize, d: u64| 64 * w + 63 - d.leading_zeros() as usize;
-            for w in scanned..r / 64 {
-                let d = bits.word(w) ^ self.bits.word(w);
-                if d != 0 {
-                    diff = Some(last_diff(w, d));
-                }
-            }
-            scanned = scanned.max(r / 64);
-            let partial = (bits.word(r / 64) ^ self.bits.word(r / 64)) & ((1u64 << (r % 64)) - 1);
-            let latest = if partial != 0 { Some(last_diff(r / 64, partial)) } else { diff };
-            if latest.is_some_and(|d| d + MAX_DISTANCE >= r) {
-                return false;
-            }
-            from = Some((r, len));
-            true
-        });
-        let Some((r, len)) = from else { return false };
+        }
+        last.scanned = last.scanned.max(r / 64);
+        let partial = (ours.word(r / 64) ^ theirs.word(r / 64)) & ((1u64 << (r % 64)) - 1);
+        let latest = if partial != 0 { Some(last_diff(r / 64, partial)) } else { last.diff };
+        latest.is_none_or(|d| d + MAX_DISTANCE < r)
+    }
+
+    fn adopt(&mut self, out: Vec<u8>, r: usize, off: usize, last: Last<'a>) {
+        self.out.extend_from_slice(&out[off..]);
         // Both parses hashed the same positions over the words from
         // `r / 64` up to `r`, so the helper's words stand for both.
-        out.extend_from_slice(&self.out[len..]);
-        bits.words[r / 64 - bits.base..]
-            .copy_from_slice(&self.bits.words[r / 64 - self.bits.base..]);
-        p.table = self.table;
-        p.st = self.last;
-        true
+        let (ours, theirs) = (&mut self.bits, &last.bits);
+        ours.words[r / 64 - ours.base..].copy_from_slice(&theirs.words[r / 64 - theirs.base..]);
+        self.p = last.p;
     }
 }
 
@@ -749,14 +701,6 @@ mod tests {
             let data: Vec<u8> = (0..n).map(|i| (i % 7) as u8).collect();
             assert_eq!(compress_segments(&data, 1, 5).0, compress_segments(&data, 1, 1).0);
         }
-    }
-
-    #[test]
-    fn pool_workers_parse_alone() {
-        assert_eq!(pool::fan_out(2, 2, |_| segments_for(4 << 20)), [1, 1]);
-        assert_eq!(segments_for(4 << 20), pool::cores().min(7));
-        assert_eq!(segments_for(SPLIT_MIN), pool::cores().min(2));
-        assert_eq!(segments_for(SPLIT_MIN - 1), 1);
     }
 
     #[test]

@@ -99,24 +99,24 @@ const MAX_PREALLOC: usize = 1 << 22;
 /// capped and every block is decoded against the remaining budget.
 pub fn decompress_frame_with_limit(src: &[u8], limit: usize) -> Result<Vec<u8>, FrameError> {
     let mut i = 0usize;
-    let magic = read_u32(src, &mut i)?;
+    let magic = u32::from_le_bytes(take(src, &mut i)?);
     if magic != FRAME_MAGIC {
         return Err(FrameError::BadMagic(magic));
     }
-    let content_len = read_u64(src, &mut i)?;
+    let content_len = u64::from_le_bytes(take(src, &mut i)?);
     if content_len > limit as u64 {
         return Err(FrameError::OutputLimitExceeded(limit));
     }
-    let _block_size = read_u32(src, &mut i)?;
+    let _block_size = u32::from_le_bytes(take(src, &mut i)?);
     let mut out = Vec::with_capacity((content_len as usize).min(MAX_PREALLOC));
     loop {
-        let raw_len = read_u32(src, &mut i)?;
+        let raw_len = u32::from_le_bytes(take(src, &mut i)?);
         if raw_len == 0 {
             break;
         }
         let is_raw = raw_len & 0x8000_0000 != 0;
         let len = (raw_len & 0x7FFF_FFFF) as usize;
-        let orig = read_u32(src, &mut i)? as usize;
+        let orig = u32::from_le_bytes(take(src, &mut i)?) as usize;
         if i + len > src.len() {
             return Err(FrameError::Truncated);
         }
@@ -144,22 +144,12 @@ pub fn decompress_frame_with_limit(src: &[u8], limit: usize) -> Result<Vec<u8>, 
     Ok(out)
 }
 
-fn read_u32(src: &[u8], i: &mut usize) -> Result<u32, FrameError> {
-    if *i + 4 > src.len() {
-        return Err(FrameError::Truncated);
-    }
-    let v = u32::from_le_bytes(src[*i..*i + 4].try_into().unwrap());
-    *i += 4;
-    Ok(v)
-}
-
-fn read_u64(src: &[u8], i: &mut usize) -> Result<u64, FrameError> {
-    if *i + 8 > src.len() {
-        return Err(FrameError::Truncated);
-    }
-    let v = u64::from_le_bytes(src[*i..*i + 8].try_into().unwrap());
-    *i += 8;
-    Ok(v)
+/// The `N` bytes at `*i`, moving `*i` past them.
+fn take<const N: usize>(src: &[u8], i: &mut usize) -> Result<[u8; N], FrameError> {
+    let mut bytes = [0; N];
+    bytes.copy_from_slice(src.get(*i..*i + N).ok_or(FrameError::Truncated)?);
+    *i += N;
+    Ok(bytes)
 }
 
 /// Worst-case framed size for `n` bytes with the given block size.

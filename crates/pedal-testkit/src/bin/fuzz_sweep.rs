@@ -1,4 +1,5 @@
-//! Standing fuzz sweep over every PEDAL decode path.
+//! Standing fuzz sweep over every PEDAL decode path, and over the split
+//! DEFLATE and LZ4 encoders against their sequential parse.
 //!
 //! ```text
 //! fuzz_sweep [--seed N] [--cases N] [--target N] [--codec NAME] [--case-seed N]

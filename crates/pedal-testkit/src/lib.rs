@@ -15,7 +15,9 @@
 //!   relevant path and check the verdicts: no panic anywhere, output
 //!   bounded by the caller's budget, and (for full PEDAL payloads) the
 //!   pure wire decoder and the BlueField-2 / BlueField-3 contexts agree —
-//!   same bytes on success, same error class on rejection.
+//!   same bytes on success, same error class on rejection. The DEFLATE
+//!   and LZ4 block cases also hold the split encoders to the sequential
+//!   parse on a mutated input.
 //!
 //! Run the standing sweep with the `fuzz_sweep` binary:
 //!

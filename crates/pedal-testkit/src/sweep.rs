@@ -1,5 +1,7 @@
 //! The standing fuzz sweep: corpora × mutation classes × seeds, decoded
-//! through every relevant path under a panic trap.
+//! through every relevant path under a panic trap. The DEFLATE and LZ4
+//! block cases also compress the same mutation of the raw bytes with the
+//! split parses at 1..=4 forced segments, against the sequential parse.
 //!
 //! Every case derives its own seed from the sweep seed, the codec, and
 //! the case index, so a failure replays in isolation with
@@ -10,6 +12,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use crate::corpus::{build_corpus, CaseBase, CodecId};
 use crate::mutate::{mutate, MutationClass};
 use crate::oracle::DiffOracle;
+use pedal_deflate::lz77::{detokenize, tokenize_split, MatcherParams};
 use pedal_dpu::Pcg32;
 use pedal_sz3::huff;
 
@@ -213,6 +216,44 @@ fn decode_one(
     }
 }
 
+/// Compress `input` with the codec's split parse at 1..=4 forced
+/// segments: every count must give the tokens (DEFLATE, at `level`) or
+/// block bytes (LZ4) of the sequential parse, and those must decode back
+/// to `input`. Other codecs have no split encoder.
+fn encode_split(codec: CodecId, input: &[u8], level: u8) -> Result<(), String> {
+    match codec {
+        CodecId::Deflate => {
+            let params = MatcherParams::for_level(level);
+            let tokens = |segments| {
+                let mut tokens = Vec::new();
+                tokenize_split(input, params, segments, |t| tokens.push(t));
+                tokens
+            };
+            let sequential = tokens(1);
+            if detokenize(&sequential) != input {
+                return Err(format!("level {level}: sequential tokens do not decode back"));
+            }
+            match (2..=4).find(|&k| tokens(k) != sequential) {
+                Some(k) => Err(format!("level {level}: {k} segments change the tokens")),
+                None => Ok(()),
+            }
+        }
+        CodecId::Lz4Block => {
+            let block = |segments| pedal_lz4::compress_block_split(input, segments).0;
+            let sequential = block(1);
+            let decoded = pedal_lz4::decompress_block(&sequential, Some(input.len()), input.len());
+            if decoded.as_deref() != Ok(input) {
+                return Err("sequential block does not decode back".into());
+            }
+            match (2..=4).find(|&k| block(k) != sequential) {
+                Some(k) => Err(format!("{k} segments change the block bytes")),
+                None => Ok(()),
+            }
+        }
+        _ => Ok(()),
+    }
+}
+
 /// Feed a PSF1 stream to the resumable decoder one byte at a time — the
 /// most hostile arrival granularity a receiver can see.
 fn decode_stream_bytewise(
@@ -274,7 +315,12 @@ fn run_case_with(
     let donor = &corpus[rng.gen_range(0..corpus.len())];
     let class = MutationClass::ALL[rng.gen_range(0..MutationClass::ALL.len())];
     let stream = mutate(&mut rng, class, &base.encoded, &donor.encoded);
-    let outcome = catch_unwind(AssertUnwindSafe(|| decode_one(codec, &stream, base, true, oracle)));
+    let input = mutate(&mut rng, class, &base.original, &donor.original);
+    let level = rng.gen_range(1..10u32) as u8;
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        decode_one(codec, &stream, base, true, oracle)?;
+        encode_split(codec, &input, level).map_err(|e| format!("split encoder, {e}"))
+    }));
     match outcome {
         Ok(r) => r.map_err(|e| format!("{} on {}: {e}", class.name(), base.dataset)),
         Err(p) => {

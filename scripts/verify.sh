@@ -29,9 +29,11 @@ trap - EXIT
 
 echo "==> fuzz smoke sweep (fixed seed)"
 # Structure-aware mutation sweep over every decode path: no panics,
-# bounded allocation, SoC/C-Engine differential agreement. Fixed seed,
-# ~2s budget; reuses the release build from the first stage. Failures
-# print a fuzz_sweep repro command with the exact case seed.
+# bounded allocation, SoC/C-Engine differential agreement. The deflate
+# and lz4-block cases also compress a mutated input with the split
+# parses at 1..=4 forced segments against the sequential parse. Fixed
+# seed, ~4s budget; reuses the release build from the first stage.
+# Failures print a fuzz_sweep repro command with the exact case seed.
 cargo run --release -q -p pedal-testkit --bin fuzz_sweep -- --cases 2500
 
 echo "==> golden vectors regenerate byte-identically"
