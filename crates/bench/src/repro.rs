@@ -12,7 +12,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-use std::thread;
+
+use pedal_deflate::pool;
 
 /// What one experiment produced: its table text and its named files.
 #[derive(Debug, Default)]
@@ -69,31 +70,31 @@ pub fn select(table: &[Experiment], names: &[String]) -> Result<Vec<Experiment>,
 /// write each one's `results/<name>.txt` and named files under `root`,
 /// failed experiments included, printing each path relative to `root`.
 /// Returns every failed experiment with its message.
+///
+/// With more than one thread the experiments run on
+/// `pedal_deflate::pool` workers, so the split parses and wave encoders
+/// inside them stay sequential while every core already runs an
+/// experiment; the artifacts do not depend on it.
 pub fn run(
     experiments: &[Experiment],
     root: &Path,
 ) -> std::io::Result<Vec<(&'static str, String)>> {
-    let workers = thread::available_parallelism().map_or(1, |n| n.get()).min(experiments.len());
+    let workers = pool::cores().min(experiments.len());
     // `next` only hands out indices (Relaxed is enough); each result is
     // published through its `OnceLock` and the scope's join.
     let next = AtomicUsize::new(0);
     let done: Vec<OnceLock<(Artifacts, Result<(), String>)>> =
         experiments.iter().map(|_| OnceLock::new()).collect();
-    thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(_, body)) = experiments.get(i) else { break };
-                let mut out = Artifacts::default();
-                let result =
-                    catch_unwind(AssertUnwindSafe(|| body(&mut out))).unwrap_or_else(|p| {
-                        let msg = p.downcast_ref::<&str>().map(|s| s.to_string());
-                        let msg = msg.or_else(|| p.downcast_ref::<String>().cloned());
-                        Err(format!("panicked: {}", msg.unwrap_or_default()))
-                    });
-                let _ = done[i].set((out, result));
-            });
-        }
+    pool::fan_out(workers, workers, |_| loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(&(_, body)) = experiments.get(i) else { break };
+        let mut out = Artifacts::default();
+        let result = catch_unwind(AssertUnwindSafe(|| body(&mut out))).unwrap_or_else(|p| {
+            let msg = p.downcast_ref::<&str>().map(|s| s.to_string());
+            let msg = msg.or_else(|| p.downcast_ref::<String>().cloned());
+            Err(format!("panicked: {}", msg.unwrap_or_default()))
+        });
+        let _ = done[i].set((out, result));
     });
 
     let mut failures = Vec::new();

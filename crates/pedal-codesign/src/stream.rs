@@ -109,6 +109,15 @@ impl PedalComm {
     /// is on the wire. `tag_base` must not collide with ordinary tags —
     /// use [`pedal_mpi::STREAM_TAG_BASE`] offsets. Returns the
     /// sender-side completion time.
+    ///
+    /// The chunks are encoded in waves of one per core
+    /// ([`StreamCodec::encode_waves`]), ahead of the frames that ship
+    /// them. The messages and their virtual charges are those of
+    /// [`StreamEncoder::push`]ing one chunk at a time: chunk `i`'s
+    /// compression is charged, then what the encoder has sealed ships —
+    /// the header after chunk 0, frame `i − 1` after chunk `i` (a full
+    /// chunk waits for a later byte), and the final frame with the
+    /// trailer last.
     pub fn send_streamed(
         &mut self,
         mpi: &mut RankCtx,
@@ -118,15 +127,22 @@ impl PedalComm {
         cfg: StreamSendConfig,
     ) -> Result<SimInstant, CommError> {
         let codec = self.stream_codec()?;
-        let chunk = cfg.chunk_size.max(1);
-        let scfg = StreamConfig::new(codec).with_chunk_size(chunk);
+        let scfg = StreamConfig::new(codec).with_chunk_size(cfg.chunk_size);
+        let chunks: Vec<&[u8]> = scfg.chunks(data).collect();
+        let mut payloads = scfg.codec.encode_waves(&chunks);
         let mut enc = StreamEncoder::new(&scfg);
         let mut tx = StreamSender::new(dst, tag_base, cfg.window);
         self.stats.messages_sent += 1;
         self.stats.streamed_messages += 1;
         self.stats.raw_bytes_sent += data.len() as u64;
-        for (i, piece) in data.chunks(chunk).enumerate() {
-            enc.push(piece);
+        let mut ship = |this: &mut Self, mpi: &mut RankCtx, wire: Vec<u8>| {
+            this.stats.wire_bytes_sent += wire.len() as u64;
+            this.stats.streamed_frames += 1;
+            tx.send_frame(mpi, Bytes::from(wire))
+        };
+        // An empty message charges nothing and ships whole below.
+        let charged = if data.is_empty() { 0 } else { chunks.len() };
+        for (i, piece) in chunks[..charged].iter().enumerate() {
             let cost = self.cfg.deployment.sender_phase(
                 &self.pedal.costs,
                 piece.len(),
@@ -134,24 +150,23 @@ impl PedalComm {
             );
             self.stats.compress_time += cost;
             mpi.compute(cost);
-            let wire = enc.take();
-            if !wire.is_empty() {
-                self.stats.wire_bytes_sent += wire.len() as u64;
-                self.stats.streamed_frames += 1;
-                tx.send_frame(mpi, Bytes::from(wire))?;
+            if i > 0 {
+                let payload = payloads.next().expect("one payload per chunk");
+                enc.push_encoded(chunks[i - 1], &payload, false);
             }
+            ship(self, mpi, enc.take())?;
         }
-        // Final frame (the deferred last chunk) plus the PSF1 trailer.
-        let tail = enc.finish();
-        self.stats.wire_bytes_sent += tail.len() as u64;
-        self.stats.streamed_frames += 1;
-        tx.send_frame(mpi, Bytes::from(tail))?;
+        // Final frame (the last chunk) plus the PSF1 trailer.
+        let payload = payloads.next().expect("one payload per chunk");
+        enc.push_encoded(chunks[chunks.len() - 1], &payload, true);
+        ship(self, mpi, enc.finish())?;
         Ok(tx.finish(mpi)?)
     }
 
     /// Streamed compressing receive: decode each frame as it lands,
-    /// overlapping decompression with the remaining transfers. Bounded
-    /// memory: one in-flight frame of buffering plus the decoded output.
+    /// overlapping decompression with the remaining transfers. Frames
+    /// decode in place into the returned message, so memory is one
+    /// in-flight frame plus the message itself.
     pub fn recv_streamed(
         &mut self,
         mpi: &mut RankCtx,
@@ -164,11 +179,12 @@ impl PedalComm {
         self.stream_codec()?;
         let mut rx = StreamReceiver::new(src, tag_base);
         let mut dec = StreamDecoder::new(expected_len);
-        let mut out = Vec::with_capacity(expected_len.min(1 << 24));
+        let mut out = pedal_stream::output_buffer(expected_len.min(1 << 24));
         let mut first = true;
         while let Some((frame, _)) = rx.recv_frame(mpi)? {
             let before = dec.decoded_len();
-            dec.feed(&frame).map_err(|e| CommError::Pedal(PedalError::Codec(e.to_string())))?;
+            dec.feed(&frame, &mut out)
+                .map_err(|e| CommError::Pedal(PedalError::Codec(e.to_string())))?;
             let produced = dec.decoded_len() - before;
             if produced > 0 {
                 let cost = self.cfg.deployment.receiver_phase(
@@ -180,7 +196,6 @@ impl PedalComm {
                 self.stats.decompress_time += cost;
                 mpi.compute(cost);
             }
-            out.extend_from_slice(&dec.take());
         }
         if !dec.is_finished() {
             return Err(CommError::Pedal(PedalError::Codec(

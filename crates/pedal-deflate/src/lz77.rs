@@ -200,7 +200,7 @@ impl HashChains {
             // SAFETY: chains hold only positions inserted so far, all
             // before `pos`; a value decodes to at most the position stored
             // (u32 truncation of a huge input only lowers it).
-            if unsafe { s.passes(cpos) } && s.measure(cpos) {
+            if unsafe { s.passes(cpos) && s.measure(cpos) } {
                 break;
             }
             cand = self.prev[cpos % WINDOW_SIZE];
@@ -279,7 +279,7 @@ impl SortedRuns {
             }
             *links += 1;
             // SAFETY: `k >= min_key`, so `at(k)` precedes `pos`.
-            !(unsafe { s.passes(at(k)) } && s.measure(at(k)))
+            !unsafe { s.passes(at(k)) && s.measure(at(k)) }
         };
         let mut links = 0;
         let mut chunks = self.keys[rank.saturating_sub(budget)..rank].rchunks_exact(4);
@@ -455,18 +455,24 @@ impl<'a> Search<'a> {
     /// ends by `pos + 3`.
     #[inline]
     unsafe fn passes(&self, cpos: usize) -> bool {
-        let at = cpos + self.off;
-        debug_assert!(cpos < self.pos && at + 4 <= self.data.len());
-        // SAFETY: `at + 4 <= data.len()` by the caller's `cpos < pos`,
-        // as above; the read is unaligned.
-        let word = unsafe { self.data.as_ptr().add(at).cast::<u32>().read_unaligned() };
-        u32::from_le(word) & self.mask == self.want
+        debug_assert!(cpos < self.pos);
+        // SAFETY: the read ends by `pos + max_len <= data.len()`, by the
+        // caller's `cpos < pos`, as above.
+        let word = unsafe { read_u32_le(self.data, cpos + self.off) };
+        word & self.mask == self.want
     }
 
     /// Measure a candidate that passed; true once the search is done.
+    ///
+    /// # Safety
+    ///
+    /// `cpos < pos`.
     #[inline]
-    fn measure(&mut self, cpos: usize) -> bool {
-        let len = match_len(self.data, cpos, self.pos, self.max_len);
+    unsafe fn measure(&mut self, cpos: usize) -> bool {
+        debug_assert!(cpos < self.pos);
+        // SAFETY: `cpos < pos` by the caller, and `pos + max_len <=
+        // data.len()` by construction.
+        let len = unsafe { match_len(self.data, cpos, self.pos, self.max_len) };
         if len > self.len {
             self.len = len;
             self.dist = self.pos - cpos;
@@ -475,24 +481,32 @@ impl<'a> Search<'a> {
             }
             self.off = len - 3;
             self.mask = u32::MAX;
-            self.want = read_u32_le(self.data, self.pos + self.off);
+            // SAFETY: `len < max_len`, so the word ends by `pos + len + 1
+            // <= pos + max_len <= data.len()`.
+            self.want = unsafe { read_u32_le(self.data, self.pos + self.off) };
         }
         false
     }
 }
 
-/// Read 4 bytes at `pos` as a little-endian word, as [`read_u64_le`] does.
-#[inline]
-pub fn read_u32_le(data: &[u8], pos: usize) -> u32 {
-    let mut word = [0u8; 4];
-    word.copy_from_slice(&data[pos..pos + 4]);
-    u32::from_le_bytes(word)
+/// The little-endian word at `data[pos..pos + 4]`, read unaligned and
+/// without a bounds check. The DEFLATE and LZ4 matchers read their
+/// candidate words with it.
+///
+/// # Safety
+///
+/// `pos + 4 <= data.len()`.
+#[inline(always)]
+pub unsafe fn read_u32_le(data: &[u8], pos: usize) -> u32 {
+    debug_assert!(pos + 4 <= data.len());
+    // SAFETY: in bounds by the caller's contract; the read is unaligned.
+    u32::from_le(unsafe { data.as_ptr().add(pos).cast::<u32>().read_unaligned() })
 }
 
 /// Read 8 bytes at `pos` as a little-endian word via a fixed-size copy.
 /// Callers guarantee `pos + 8 <= data.len()`; the bounds check lives in
 /// the slice indexing, with no fallible slice-to-array conversion. The
-/// LZ4 codec reads its words with these two as well.
+/// LZ4 decoder reads its words with it.
 #[inline]
 pub fn read_u64_le(data: &[u8], pos: usize) -> u64 {
     let mut word = [0u8; 8];
@@ -500,23 +514,31 @@ pub fn read_u64_le(data: &[u8], pos: usize) -> u64 {
     u64::from_le_bytes(word)
 }
 
-/// How many bytes `data[a..]` and `data[b..]` share, up to `max`, with
-/// `a <= b` and `b + max <= data.len()`. The LZ4 compressor extends its
-/// matches with it too.
-#[inline]
-pub fn match_len(data: &[u8], a: usize, b: usize, max: usize) -> usize {
-    // Compare 8 bytes at a time; the word reads never run past the input.
+/// How many bytes `data[a..]` and `data[b..]` share, up to `max`,
+/// compared 8 bytes at a time without bounds checks. The DEFLATE and LZ4
+/// matchers extend their matches with it.
+///
+/// # Safety
+///
+/// `a <= b` and `b + max <= data.len()`.
+#[inline(always)]
+pub unsafe fn match_len(data: &[u8], a: usize, b: usize, max: usize) -> usize {
+    debug_assert!(a <= b && b + max <= data.len());
+    let at = |k: usize| data.as_ptr().wrapping_add(k);
     let mut i = 0usize;
     while i + 8 <= max {
-        let x = read_u64_le(data, a + i);
-        let y = read_u64_le(data, b + i);
-        let diff = x ^ y;
+        // SAFETY: both words end by `b + i + 8 <= b + max <= data.len()`.
+        let (x, y) = unsafe {
+            (at(a + i).cast::<u64>().read_unaligned(), at(b + i).cast::<u64>().read_unaligned())
+        };
+        let diff = u64::from_le(x ^ y);
         if diff != 0 {
             return i + (diff.trailing_zeros() / 8) as usize;
         }
         i += 8;
     }
-    while i < max && data[a + i] == data[b + i] {
+    // SAFETY: `a + i <= b + i < b + max <= data.len()`.
+    while i < max && unsafe { *at(a + i) == *at(b + i) } {
         i += 1;
     }
     i
@@ -862,8 +884,9 @@ mod tests {
     #[test]
     fn match_len_helper() {
         let data = b"abcdefghabcdefgX";
-        assert_eq!(match_len(data, 0, 8, 8), 7);
-        assert_eq!(match_len(data, 0, 0, 16), 16);
+        // SAFETY (every call below): `a <= b` and `b + max <= data.len()`.
+        assert_eq!(unsafe { match_len(data, 0, 8, 8) }, 7);
+        assert_eq!(unsafe { match_len(data, 0, 0, 16) }, 16);
     }
 
     #[test]
@@ -877,12 +900,13 @@ mod tests {
         data.extend_from_slice(pattern);
         data.extend_from_slice(pattern);
         assert_eq!(data.len(), 26);
-        assert_eq!(match_len(&data, 0, 13, 13), 13);
+        // SAFETY (every call below): `a <= b` and `b + max <= data.len()`.
+        assert_eq!(unsafe { match_len(&data, 0, 13, 13) }, 13);
         // Same, but the tail differs at the final byte.
         data[25] = b'X';
-        assert_eq!(match_len(&data, 0, 13, 13), 12);
+        assert_eq!(unsafe { match_len(&data, 0, 13, 13) }, 12);
         // Tail shorter than a word from the start (no word-loop iteration).
-        assert_eq!(match_len(&data, 0, 13, 5), 5);
+        assert_eq!(unsafe { match_len(&data, 0, 13, 5) }, 5);
     }
 
     #[test]

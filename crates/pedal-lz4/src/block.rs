@@ -10,7 +10,7 @@
 //! in segments on several cores with the bytes of the sequential parse
 //! (see [`compress_block_split`]).
 
-use pedal_deflate::lz77::{match_len, read_u32_le as read_u32, read_u64_le as read_u64};
+use pedal_deflate::lz77::{match_len, read_u32_le, read_u64_le as read_u64};
 use pedal_deflate::split::{self, MatchEnds};
 
 /// Minimum match length in the LZ4 format.
@@ -195,13 +195,13 @@ impl Inserted for Bits {
 struct Parse<'a> {
     src: &'a [u8],
     accel: u32,
-    table: Vec<u32>,
+    table: Box<[u32; 1 << HASH_LOG]>,
     st: State,
 }
 
 impl<'a> Parse<'a> {
     fn new(src: &'a [u8], accel: u32, pos: usize) -> Self {
-        let table = vec![0u32; 1 << HASH_LOG];
+        let table = vec![0u32; 1 << HASH_LOG].into_boxed_slice().try_into().expect("table size");
         Parse { src, accel, table, st: State { pos, anchor: pos, misses: 0 } }
     }
 
@@ -225,17 +225,23 @@ impl<'a> Parse<'a> {
         // No match starts in the last `MFLIMIT` bytes.
         let limit = n - MFLIMIT + 1;
         let end = end.min(limit);
-        let table = &mut self.table[..];
+        let table = &mut *self.table;
         let State { mut pos, mut anchor, mut misses } = self.st;
         while pos < end {
-            let cur = read_u32(src, pos);
+            // SAFETY: `pos < end <= limit`, so `pos + 4 <= n - 8`.
+            let cur = unsafe { read_u32_le(src, pos) };
             let h = hash4(cur);
             let cand = table[h] as usize;
             table[h] = pos as u32 + 1;
             inserted.insert(pos);
 
-            let found =
-                cand != 0 && pos - (cand - 1) <= MAX_DISTANCE && read_u32(src, cand - 1) == cur;
+            // `cand - 1` is a position hashed before `pos`, or `cand` is 0:
+            // one branch tests both, and a wrapped distance fails it.
+            let distance = pos.wrapping_sub(cand).wrapping_add(1);
+            // SAFETY: the distance test proves `cand - 1 <= pos`, and
+            // `pos + 4 <= n`.
+            let found = (cand != 0) & (distance <= MAX_DISTANCE)
+                && unsafe { read_u32_le(src, cand - 1) } == cur;
             if !found {
                 misses += 1;
                 pos += skip(misses, accel);
@@ -245,19 +251,27 @@ impl<'a> Parse<'a> {
                 // Extend the match forward (bounded so the last 5 bytes
                 // stay literal), then backwards over pending literals.
                 let max_len = n - LAST_LITERALS - pos;
-                let mut mlen = MIN_MATCH
-                    + match_len(src, cpos + MIN_MATCH, pos + MIN_MATCH, max_len - MIN_MATCH);
+                // SAFETY: `cpos <= pos` by the distance test, and the
+                // compare ends by `pos + max_len = n - LAST_LITERALS`.
+                let ext = unsafe {
+                    match_len(src, cpos + MIN_MATCH, pos + MIN_MATCH, max_len - MIN_MATCH)
+                };
+                let mut mlen = MIN_MATCH + ext;
                 let mut back = 0usize;
+                debug_assert!(cpos <= pos && pos < n);
+                // SAFETY: both reads are before `pos < n`.
                 while pos - back > anchor
                     && cpos - back > 0
-                    && src[cpos - back - 1] == src[pos - back - 1]
+                    && unsafe {
+                        src.get_unchecked(cpos - back - 1) == src.get_unchecked(pos - back - 1)
+                    }
                 {
                     back += 1;
                 }
                 let mpos = pos - back;
                 mlen += back;
                 if let Some(out) = out.as_deref_mut() {
-                    emit_sequence(out, &src[anchor..mpos], pos - cpos, mlen);
+                    emit_sequence(out, src, anchor, mpos, pos - cpos, mlen);
                 }
                 pos = mpos + mlen;
                 anchor = pos;
@@ -265,7 +279,8 @@ impl<'a> Parse<'a> {
                 // improve the next search.
                 if pos < limit {
                     let p = pos - 2;
-                    table[hash4(read_u32(src, p))] = p as u32 + 1;
+                    // SAFETY: `p + 4 = pos + 2 <= limit + 1 <= n`.
+                    table[hash4(unsafe { read_u32_le(src, p) })] = p as u32 + 1;
                     inserted.insert(p);
                 }
             }
@@ -356,24 +371,77 @@ impl<'a> split::Parser for Caller<'a> {
     }
 }
 
-/// Emit one LZ4 sequence: token, literal length extension, literals, offset,
-/// match length extension.
-fn emit_sequence(out: &mut Vec<u8>, literals: &[u8], offset: usize, match_len: usize) {
-    debug_assert!(match_len >= MIN_MATCH);
+/// Emit one LZ4 sequence for the literals `src[anchor..mpos]` and a match:
+/// token, literal length extension, literals, offset, match length
+/// extension. One `reserve` covers every store, which are raw; a run of
+/// at most 16 literals copies as one 16-byte move when `src` has the
+/// bytes, the excess landing in reserved room past the output.
+#[inline(always)]
+fn emit_sequence(
+    out: &mut Vec<u8>,
+    src: &[u8],
+    anchor: usize,
+    mpos: usize,
+    offset: usize,
+    match_len: usize,
+) {
+    debug_assert!(match_len >= MIN_MATCH && anchor <= mpos && mpos <= src.len());
     debug_assert!((1..=MAX_DISTANCE).contains(&offset));
-    let lit_len = literals.len();
+    let lit_len = mpos - anchor;
     let ml = match_len - MIN_MATCH;
-    let tok_lit = lit_len.min(15) as u8;
-    let tok_ml = ml.min(15) as u8;
-    out.push((tok_lit << 4) | tok_ml);
-    if lit_len >= 15 {
-        emit_len_ext(out, lit_len - 15);
+    // Token 1, literal extension at most `lit_len / 255 + 1`, literals at
+    // most `lit_len + 16`, offset 2, match extension at most `ml / 255 + 1`.
+    let room = lit_len + lit_len / 255 + ml / 255 + 21;
+    out.reserve(room);
+    let (buf, mut at) = (out.as_mut_ptr(), out.len());
+    let end = at + room;
+    // SAFETY: every store lands in `out[at..end]`, reserved above, by the
+    // count above; the 16-byte move reads `src[anchor..anchor + 16]`, in
+    // bounds by its test, and the literals `src[anchor..mpos]`.
+    unsafe {
+        buf.add(at).write(((lit_len.min(15) as u8) << 4) | ml.min(15) as u8);
+        at += 1;
+        if lit_len >= 15 {
+            at = put_len_ext(buf, at, end, lit_len - 15);
+        }
+        let from = src.as_ptr().add(anchor);
+        debug_assert!(at + lit_len.max(16) <= end);
+        if lit_len <= 16 && anchor + 16 <= src.len() {
+            std::ptr::copy_nonoverlapping(from, buf.add(at), 16);
+        } else {
+            std::ptr::copy_nonoverlapping(from, buf.add(at), lit_len);
+        }
+        at += lit_len;
+        debug_assert!(at + 2 <= end);
+        buf.add(at).cast::<[u8; 2]>().write_unaligned((offset as u16).to_le_bytes());
+        at += 2;
+        if ml >= 15 {
+            at = put_len_ext(buf, at, end, ml - 15);
+        }
+        out.set_len(at);
     }
-    out.extend_from_slice(literals);
-    out.extend_from_slice(&(offset as u16).to_le_bytes());
-    if ml >= 15 {
-        emit_len_ext(out, ml - 15);
+}
+
+/// Store a length extension of `rem` at `buf[at..]`: a 255 for every
+/// whole 255, then the rest; returns the index after it.
+///
+/// # Safety
+///
+/// `buf[at..end]` is allocated and `at + rem / 255 + 1 <= end`.
+#[inline(always)]
+unsafe fn put_len_ext(buf: *mut u8, mut at: usize, end: usize, mut rem: usize) -> usize {
+    debug_assert!(at + rem / 255 < end);
+    // SAFETY: `rem / 255 + 1` stores from `at`, before `end` by the
+    // caller's contract.
+    unsafe {
+        while rem >= 255 {
+            buf.add(at).write(255);
+            at += 1;
+            rem -= 255;
+        }
+        buf.add(at).write(rem as u8);
     }
+    at + 1
 }
 
 /// The final sequence of a block carries only literals, no match.
@@ -408,27 +476,45 @@ pub fn decompress_block_with_limit(src: &[u8], limit: usize) -> Result<Vec<u8>, 
     decompress_block(src, None, limit)
 }
 
-/// Room kept past the decoded bytes, so that short literal runs and
-/// matches copy as whole 8- and 16-byte moves.
-const SLACK: usize = 64;
+/// Room [`decompress_block_into`] keeps past the bytes it appends, so
+/// that short literal runs and matches copy as whole 8- and 16-byte
+/// moves. A buffer with this much spare capacity past the decoded bytes
+/// never reallocates.
+pub const DECODE_SLACK: usize = 64;
 
 /// Decompress an LZ4 block. `expected_len`, when known, lets the caller
 /// preallocate and validates the result; pass `None` to accept any size up
-/// to `limit`.
-///
-/// The output is written in place into a buffer sized up front (and
-/// doubled, within `limit`, when a block decodes longer): literal runs of
-/// up to 16 bytes and matches of up to 32 copy as whole words, and an
-/// overlapping match copies in doubling spans. The checks and errors are
-/// those of [`decompress_block_bytewise`], in the same order.
+/// to `limit`. [`decompress_block_into`] a new buffer.
 pub fn decompress_block(
     src: &[u8],
     expected_len: Option<usize>,
     limit: usize,
 ) -> Result<Vec<u8>, Lz4Error> {
-    let mut out =
-        vec![0u8; expected_len.unwrap_or(src.len() * 3).min(limit).min(MAX_PREALLOC) + SLACK];
-    let mut op = 0usize;
+    let mut out = Vec::new();
+    decompress_block_into(src, expected_len, limit, &mut out)?;
+    Ok(out)
+}
+
+/// [`decompress_block`], appending the block's bytes to `out`; after an
+/// error `out` may hold bytes past what it held before.
+///
+/// The output is written in place into room sized up front (and
+/// doubled, within `limit`, when a block decodes longer): literal runs of
+/// up to 16 bytes and matches of up to 32 copy as whole words, and an
+/// overlapping match copies in doubling spans. The checks and errors are
+/// those of [`decompress_block_bytewise`], in the same order.
+pub fn decompress_block_into(
+    src: &[u8],
+    expected_len: Option<usize>,
+    limit: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), Lz4Error> {
+    let base = out.len();
+    let room = expected_len.unwrap_or(src.len() * 3).min(limit).min(MAX_PREALLOC) + DECODE_SLACK;
+    out.resize(base + room, 0);
+    // Positions in `out` are absolute; lengths and offsets count from `base`.
+    let end = base.saturating_add(limit);
+    let mut op = base;
     let mut i = 0usize;
     let n = src.len();
     loop {
@@ -439,16 +525,16 @@ pub fn decompress_block(
             let token = src[i];
             let lit_len = (token >> 4) as usize;
             let match_len = (token & 0x0F) as usize + MIN_MATCH;
-            if lit_len < 15 && match_len < 15 + MIN_MATCH && op + lit_len + match_len <= limit {
+            if lit_len < 15 && match_len < 15 + MIN_MATCH && op + lit_len + match_len <= end {
                 let at = i + 1 + lit_len;
                 let offset = u16::from_le_bytes([src[at], src[at + 1]]) as usize;
-                if (8..=op + lit_len).contains(&offset) {
+                if (8..=op - base + lit_len).contains(&offset) {
                     out[op..op + 16].copy_from_slice(&src[i + 1..i + 17]);
                     op += lit_len;
                     i = at + 2;
                     let from = op - offset;
                     for k in [0, 8, 16] {
-                        let w = read_u64(&out, from + k);
+                        let w = read_u64(out, from + k);
                         out[op + k..op + k + 8].copy_from_slice(&w.to_le_bytes());
                     }
                     op += match_len;
@@ -469,10 +555,10 @@ pub fn decompress_block(
         if i + lit_len > n {
             return Err(Lz4Error::Truncated);
         }
-        if op + lit_len > limit {
+        if op + lit_len > end {
             return Err(Lz4Error::OutputLimitExceeded(limit));
         }
-        make_room(&mut out, op + lit_len, limit);
+        make_room(out, op + lit_len, end);
         if lit_len <= 16 && i + 16 <= n {
             out[op..op + 16].copy_from_slice(&src[i..i + 16]);
         } else {
@@ -489,41 +575,42 @@ pub fn decompress_block(
         }
         let offset = u16::from_le_bytes([src[i], src[i + 1]]) as usize;
         i += 2;
-        if offset == 0 || offset > op {
-            return Err(Lz4Error::InvalidOffset { offset, available: op });
+        if offset == 0 || offset > op - base {
+            return Err(Lz4Error::InvalidOffset { offset, available: op - base });
         }
         let mut match_len = (token & 0x0F) as usize;
         if match_len == 15 {
             match_len += read_len_ext(src, &mut i)?;
         }
         let match_len = match_len + MIN_MATCH;
-        if op + match_len > limit {
+        if op + match_len > end {
             return Err(Lz4Error::OutputLimitExceeded(limit));
         }
-        make_room(&mut out, op + match_len, limit);
-        copy_match(&mut out, op, offset, match_len);
+        make_room(out, op + match_len, end);
+        copy_match(out, op, offset, match_len);
         op += match_len;
     }
     out.truncate(op);
     if let Some(expected) = expected_len {
-        if op != expected {
-            return Err(Lz4Error::SizeMismatch { expected, actual: op });
+        if op - base != expected {
+            return Err(Lz4Error::SizeMismatch { expected, actual: op - base });
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Grow `out` to hold `need` bytes and the slack after them, at least
-/// doubling it but never past `limit` and the slack.
+/// doubling it but never past `end` and the slack.
 #[inline]
-fn make_room(out: &mut Vec<u8>, need: usize, limit: usize) {
-    if out.len() < need + SLACK {
-        out.resize((out.len() * 2).min(limit.saturating_add(SLACK)).max(need + SLACK), 0);
+fn make_room(out: &mut Vec<u8>, need: usize, end: usize) {
+    let room = need + DECODE_SLACK;
+    if out.len() < room {
+        out.resize((out.len() * 2).min(end.saturating_add(DECODE_SLACK)).max(room), 0);
     }
 }
 
 /// Copy the `len` bytes `offset` back from `op` to `op`, as LZ4 defines
-/// it for overlapping spans; `out` holds [`SLACK`] bytes past `op + len`,
+/// it for overlapping spans; `out` holds [`DECODE_SLACK`] bytes past `op + len`,
 /// which a short copy may overwrite.
 #[inline]
 fn copy_match(out: &mut [u8], op: usize, offset: usize, len: usize) {
@@ -802,13 +889,29 @@ mod tests {
         for offset in 1..=40 {
             for len in MIN_MATCH..=100 {
                 let mut out: Vec<u8> = (0..offset as u8).map(|b| b ^ 0xA5).collect();
-                out.resize(offset + len + SLACK, 0);
+                out.resize(offset + len + DECODE_SLACK, 0);
                 copy_match(&mut out, offset, offset, len);
                 for k in offset..offset + len {
                     assert_eq!(out[k], out[k - offset], "offset {offset} len {len} at {k}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn into_appends_after_what_the_buffer_holds() {
+        let data = b"appended after a prefix; appended after a prefix".repeat(20);
+        let block = compress_block(&data, 1);
+        let mut out = b"prefix".to_vec();
+        decompress_block_into(&block, Some(data.len()), data.len(), &mut out).unwrap();
+        assert_eq!(out, [&b"prefix"[..], &data].concat());
+        // Offsets and the limit count from the block's start: one literal
+        // cannot serve an offset of 2, whatever the buffer held.
+        let bad = [0x10, b'a', 0x02, 0x00, 0x00];
+        let err = decompress_block_into(&bad, None, 100, &mut b"prefix".to_vec());
+        assert_eq!(err, Err(Lz4Error::InvalidOffset { offset: 2, available: 1 }));
+        let err = decompress_block_into(&block, None, data.len() - 1, &mut b"prefix".to_vec());
+        assert_eq!(err, Err(Lz4Error::OutputLimitExceeded(data.len() - 1)));
     }
 
     #[test]

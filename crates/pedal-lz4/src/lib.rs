@@ -15,7 +15,8 @@ pub mod frame;
 
 pub use block::{
     compress_block, compress_block_split, compress_bound, decompress_block,
-    decompress_block_bytewise, decompress_block_with_limit, Lz4Error,
+    decompress_block_bytewise, decompress_block_into, decompress_block_with_limit, Lz4Error,
+    DECODE_SLACK,
 };
 pub use frame::{
     compress_frame, decompress_frame, decompress_frame_with_limit, FrameError, DEFAULT_BLOCK_SIZE,

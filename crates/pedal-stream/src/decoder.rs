@@ -20,19 +20,21 @@ enum State {
 /// time or a megabyte at a time — all validation happens at frame
 /// granularity, and every structural defect is a clean [`StreamError`].
 ///
-/// Buffering is bounded: at most one in-flight frame (header + payload,
-/// itself bounded by the stream's declared chunk size) plus whatever
-/// decoded plaintext the caller has not yet [`take`](Self::take)n.
+/// Decoded plaintext is appended in place to the caller's buffer, frame
+/// by frame, with no staging copy (LZ4 frames decode straight into it).
+/// Buffering is bounded: the decoder keeps only the unparsed tail of the
+/// wire bytes fed so far — at most one in-flight frame (header + payload,
+/// itself bounded by the stream's declared chunk size) — and parses
+/// whole frames straight from the caller's slice when nothing is
+/// buffered.
 pub struct StreamDecoder {
     limit: usize,
     buf: Vec<u8>,
-    pos: usize,
     state: State,
     header: Header,
     next_index: u64,
     emitted: usize,
     adler: Adler32,
-    ready: Vec<u8>,
 }
 
 impl StreamDecoder {
@@ -42,39 +44,41 @@ impl StreamDecoder {
         Self {
             limit,
             buf: Vec::new(),
-            pos: 0,
             state: State::Header,
             // Placeholder until the header is parsed.
             header: Header { codec: CODEC_DEFLATE, chunk_size: 0 },
             next_index: 0,
             emitted: 0,
             adler: Adler32::new(),
-            ready: Vec::new(),
         }
     }
 
-    /// Append wire bytes and decode as many complete frames as they
-    /// finish. Errors are sticky only in the sense that the stream is
-    /// corrupt — callers should stop feeding after an `Err`.
-    pub fn feed(&mut self, data: &[u8]) -> Result<(), StreamError> {
+    /// Append wire bytes, decode every frame they complete and append its
+    /// plaintext to `out`. Callers should stop feeding after an `Err`: the
+    /// stream is corrupt.
+    pub fn feed(&mut self, data: &[u8], out: &mut Vec<u8>) -> Result<(), StreamError> {
         if self.state == State::Done {
             if data.is_empty() {
                 return Ok(());
             }
             return Err(StreamError::TrailingBytes(data.len()));
         }
-        self.buf.extend_from_slice(data);
-        while self.step()? {}
-        self.compact();
-        if self.state == State::Done && self.pos < self.buf.len() {
-            return Err(StreamError::TrailingBytes(self.buf.len() - self.pos));
+        let rest = if self.buf.is_empty() {
+            let used = self.steps(data, out)?;
+            &data[used..]
+        } else {
+            let mut buf = std::mem::take(&mut self.buf);
+            buf.extend_from_slice(data);
+            let used = self.steps(&buf, out);
+            self.buf = buf;
+            self.buf.drain(..used?);
+            &[]
+        };
+        if self.state == State::Done && self.buf.len() + rest.len() > 0 {
+            return Err(StreamError::TrailingBytes(self.buf.len() + rest.len()));
         }
+        self.buf.extend_from_slice(rest);
         Ok(())
-    }
-
-    /// Drain the plaintext decoded so far.
-    pub fn take(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.ready)
     }
 
     /// True once the trailer has been verified.
@@ -82,14 +86,14 @@ impl StreamDecoder {
         self.state == State::Done
     }
 
-    /// Total plaintext bytes decoded so far (including already-taken).
+    /// Total plaintext bytes decoded so far.
     pub fn decoded_len(&self) -> usize {
         self.emitted
     }
 
     /// Bytes currently buffered waiting for a frame to complete.
     pub fn buffered_len(&self) -> usize {
-        self.buf.len() - self.pos
+        self.buf.len()
     }
 
     /// Frames fully decoded so far.
@@ -97,23 +101,31 @@ impl StreamDecoder {
         self.next_index
     }
 
-    /// Close the stream: errors with [`StreamError::Truncated`] unless
-    /// the trailer was seen, otherwise returns the not-yet-taken
-    /// plaintext.
-    pub fn finish(self) -> Result<Vec<u8>, StreamError> {
+    /// Close the stream: [`StreamError::Truncated`] unless the trailer
+    /// was seen.
+    pub fn finish(self) -> Result<(), StreamError> {
         if self.state != State::Done {
             return Err(StreamError::Truncated);
         }
-        Ok(self.ready)
+        Ok(())
     }
 
-    /// One parsing step. `Ok(true)` means progress was made; `Ok(false)`
-    /// means more input is needed.
-    fn step(&mut self) -> Result<bool, StreamError> {
-        let mut c = Cursor::new(&self.buf[self.pos..]);
+    /// Parse as many steps as `input` completes; returns the bytes used.
+    fn steps(&mut self, input: &[u8], out: &mut Vec<u8>) -> Result<usize, StreamError> {
+        let mut used = 0;
+        while let Some(n) = self.step(&input[used..], out)? {
+            used += n;
+        }
+        Ok(used)
+    }
+
+    /// One parsing step over the start of `input`: the bytes it used, or
+    /// `None` when more input is needed.
+    fn step(&mut self, input: &[u8], out: &mut Vec<u8>) -> Result<Option<usize>, StreamError> {
+        let mut c = Cursor::new(input);
         match self.state {
             State::Header => {
-                let Some(header) = read_header(&mut c)? else { return Ok(false) };
+                let Some(header) = read_header(&mut c)? else { return Ok(None) };
                 self.header = header;
                 self.state = State::Frame;
             }
@@ -121,38 +133,25 @@ impl StreamDecoder {
                 let Some(frame) =
                     read_frame(&mut c, &self.header, self.next_index, self.emitted, self.limit)?
                 else {
-                    return Ok(false);
+                    return Ok(None);
                 };
-                let decoded = frame.decode(self.header.codec)?;
-                self.adler.update(&decoded);
-                self.ready.extend_from_slice(&decoded);
+                let start = out.len();
+                frame.decode_into(self.header.codec, out)?;
+                self.adler.update(&out[start..]);
                 self.emitted += frame.raw_len;
                 self.next_index += 1;
                 self.state = if frame.last { State::Trailer } else { State::Frame };
             }
             State::Trailer => {
                 let Some(sum) = read_trailer(&mut c, self.emitted as u64)? else {
-                    return Ok(false);
+                    return Ok(None);
                 };
                 check_stream_sum(sum, self.adler.finish())?;
                 self.state = State::Done;
             }
-            State::Done => return Ok(false),
+            State::Done => return Ok(None),
         }
-        self.pos += c.at;
-        Ok(true)
-    }
-
-    /// Drop consumed bytes once they dominate the buffer, keeping
-    /// in-flight buffering proportional to one frame.
-    fn compact(&mut self) {
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        } else if self.pos > 4096 && self.pos * 2 >= self.buf.len() {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
+        Ok(Some(c.at))
     }
 }
 
@@ -160,8 +159,17 @@ impl StreamDecoder {
 /// budget.
 pub fn decode_all(stream: &[u8], limit: usize) -> Result<Vec<u8>, StreamError> {
     let mut dec = StreamDecoder::new(limit);
-    dec.feed(stream)?;
-    dec.finish()
+    let mut out = Vec::new();
+    dec.feed(stream, &mut out)?;
+    dec.finish()?;
+    Ok(out)
+}
+
+/// A buffer that holds `len` bytes of plaintext from
+/// [`StreamDecoder::feed`] without growing: in-place LZ4 frames write up
+/// to [`pedal_lz4::DECODE_SLACK`] bytes past their end.
+pub fn output_buffer(len: usize) -> Vec<u8> {
+    Vec::with_capacity(len + pedal_lz4::DECODE_SLACK)
 }
 
 /// A complete PSF1 stream whose frames passed every check

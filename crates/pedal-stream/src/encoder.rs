@@ -5,9 +5,9 @@ use crate::frame::{
     write_frame, write_header, write_trailer, Payload, CODEC_DEFLATE, CODEC_LZ4, CODEC_PCO,
     MAX_CHUNK_SIZE,
 };
-use pedal_deflate::Level;
+use pedal_deflate::{pool, Level};
 use pedal_pco::PcoConfig;
-use pedal_zlib::{adler32, Adler32};
+use pedal_zlib::Adler32;
 
 /// Default chunk: 1 MiB. The one default for every chunked path (PSF1
 /// streams, `pedal::parallel`, the service fan-out): it balances fan-out
@@ -64,6 +64,30 @@ impl StreamCodec {
         // DEFLATE fragments stay encoded: they must stitch into one stream.
         let raw = !matches!(self, StreamCodec::Deflate(_)) && bytes.len() >= chunk.len();
         Payload { bytes: if raw { chunk.to_vec() } else { bytes }, raw }
+    }
+
+    /// The payloads of a stream's `chunks` (as [`StreamConfig::chunks`]
+    /// cuts them), in order, encoded in waves of one chunk per core: the
+    /// thread that asks for a wave's first payload encodes that chunk
+    /// while `pedal_deflate::pool` workers encode the rest. Each payload
+    /// is [`encode_chunk`](Self::encode_chunk)'s, so the stream's bytes
+    /// do not depend on the wave width; up to one wave of payloads is
+    /// held at a time. On a pool worker the waves are one chunk wide.
+    pub fn encode_waves<'a>(
+        &'a self,
+        chunks: &'a [&'a [u8]],
+    ) -> impl Iterator<Item = Payload> + 'a {
+        let width = if pool::on_worker() { 1 } else { pool::cores() };
+        let n = chunks.len();
+        (0..n).step_by(width).flat_map(move |at| {
+            let wave = &chunks[at..n.min(at + width)];
+            let encode = |j: usize| self.encode_chunk(wave[j], at + j + 1 == n);
+            let (first, rest) = match wave.len() {
+                1 => (encode(0), Vec::new()),
+                k => pool::fan_out_beside(k - 1, k - 1, |j| encode(j + 1), || encode(0)),
+            };
+            std::iter::once(first).chain(rest)
+        })
     }
 }
 
@@ -144,7 +168,8 @@ pub struct StreamEncoder {
     raw_frames: u64,
     wire_out: u64,
     adler: Adler32,
-    finished: bool,
+    /// The final frame is written: only the trailer may follow.
+    sealed: bool,
 }
 
 impl StreamEncoder {
@@ -163,14 +188,14 @@ impl StreamEncoder {
             raw_frames: 0,
             wire_out,
             adler: Adler32::new(),
-            finished: false,
+            sealed: false,
         }
     }
 
     /// Append plaintext. Consumes directly from `data`, so a large write
     /// still buffers at most one chunk of pending plaintext.
     pub fn push(&mut self, mut data: &[u8]) {
-        assert!(!self.finished, "push after finish");
+        assert!(!self.sealed, "push after the final frame");
         while self.pending.len() + data.len() > self.chunk {
             if self.pending.is_empty() {
                 let (head, rest) = data.split_at(self.chunk);
@@ -188,6 +213,21 @@ impl StreamEncoder {
             }
         }
         self.pending.extend_from_slice(data);
+    }
+
+    /// Frame `chunk`, encoded elsewhere as `payload` with the same `last`
+    /// (as [`StreamCodec::encode_chunk`] or
+    /// [`StreamCodec::encode_waves`] would): a full chunk, or the final
+    /// frame. The caller marks the final chunk `last`, as
+    /// [`StreamConfig::chunks`] ends; the bytes then equal what
+    /// [`push`](Self::push) writes for the same plaintext, and
+    /// [`finish`](Self::finish) panics if no frame was marked. No
+    /// [`push`](Self::push)ed plaintext may be pending, and no frame may
+    /// follow the final one.
+    pub fn push_encoded(&mut self, chunk: &[u8], payload: &Payload, last: bool) {
+        assert!(self.pending.is_empty() && !self.sealed, "framing out of order");
+        assert!(chunk.len() == self.chunk || last && chunk.len() <= self.chunk, "not a chunk");
+        self.frame(chunk, payload, last);
     }
 
     /// Drain every wire byte produced so far (header, then frames as
@@ -224,12 +264,19 @@ impl StreamEncoder {
     /// `wire_bytes` counts the whole stream, including bytes already
     /// drained through [`take`](Self::take).
     pub fn finish_with_stats(mut self) -> (Vec<u8>, EncoderStats) {
-        let tail = std::mem::take(&mut self.pending);
-        self.emit_frame(&tail, true);
+        if !self.sealed {
+            // `push` keeps the final frame's bytes pending, so frames with
+            // nothing pending came from `push_encoded` without a last one.
+            assert!(
+                self.next_index == 0 || !self.pending.is_empty(),
+                "final frame not marked last"
+            );
+            let tail = std::mem::take(&mut self.pending);
+            self.emit_frame(&tail, true);
+        }
         let before = self.ready.len();
         write_trailer(&mut self.ready, self.total_raw, self.adler.finish());
         self.wire_out += (self.ready.len() - before) as u64;
-        self.finished = true;
         let stats = EncoderStats {
             frames: self.next_index,
             raw_frames: self.raw_frames,
@@ -241,8 +288,13 @@ impl StreamEncoder {
 
     fn emit_frame(&mut self, chunk: &[u8], last: bool) {
         let payload = self.codec.encode_chunk(chunk, last);
+        self.frame(chunk, &payload, last);
+    }
+
+    /// The one framing path: every frame of every stream is written here.
+    fn frame(&mut self, chunk: &[u8], payload: &Payload, last: bool) {
         let before = self.ready.len();
-        write_frame(&mut self.ready, self.next_index, chunk.len(), &payload, last);
+        write_frame(&mut self.ready, self.next_index, chunk.len(), payload, last);
         self.wire_out += (self.ready.len() - before) as u64;
         if payload.raw {
             self.raw_frames += 1;
@@ -250,6 +302,7 @@ impl StreamEncoder {
         self.adler.update(chunk);
         self.total_raw += chunk.len() as u64;
         self.next_index += 1;
+        self.sealed = last;
     }
 }
 
@@ -279,12 +332,10 @@ pub fn encode_all(data: &[u8], cfg: &StreamConfig) -> Vec<u8> {
 /// would. With those payloads the result equals [`encode_all`].
 pub fn assemble(cfg: &StreamConfig, data: &[u8], payloads: &[Payload]) -> Vec<u8> {
     assert_eq!(payloads.len(), cfg.chunks(data).count(), "one payload per chunk");
-    let framed: usize = payloads.iter().map(|p| p.bytes.len() + 24).sum();
-    let mut out = Vec::with_capacity(framed + 32);
-    write_header(&mut out, cfg.codec.id(), cfg.chunk());
+    let mut enc = StreamEncoder::new(cfg);
+    enc.ready.reserve(payloads.iter().map(|p| p.bytes.len() + 24).sum::<usize>() + 16);
     for (i, (chunk, p)) in cfg.chunks(data).zip(payloads).enumerate() {
-        write_frame(&mut out, i as u64, chunk.len(), p, i + 1 == payloads.len());
+        enc.push_encoded(chunk, p, i + 1 == payloads.len());
     }
-    write_trailer(&mut out, data.len() as u64, adler32(data));
-    out
+    enc.finish()
 }

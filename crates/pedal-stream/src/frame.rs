@@ -182,31 +182,53 @@ pub struct Frame<'a> {
 }
 
 impl Frame<'_> {
-    /// Decode the payload with the stream's `codec` id, checking the
-    /// DEFLATE final-block marker against the frame's last-frame flag and
-    /// the decoded length against `raw_len`.
+    /// Decode the payload into a new buffer; see [`decode_into`](Self::decode_into).
     pub fn decode(&self, codec: u8) -> Result<Vec<u8>, StreamError> {
-        let decoded = if self.raw {
-            self.payload.to_vec()
-        } else {
-            match codec {
-                CODEC_DEFLATE => {
-                    let (bytes, saw_final) =
-                        pedal_deflate::decompress_fragment_with_limit(self.payload, self.raw_len)?;
-                    if saw_final != self.last {
-                        return Err(StreamError::FinalFlagMismatch);
-                    }
-                    bytes
+        let mut out = Vec::new();
+        self.decode_into(codec, &mut out)?;
+        Ok(out)
+    }
+
+    /// Decode the payload with the stream's `codec` id and append it to
+    /// `out`, checking the DEFLATE final-block marker against the frame's
+    /// last-frame flag and the decoded length against `raw_len`. LZ4
+    /// payloads decode in place. On an error `out` keeps only what it held
+    /// before.
+    pub fn decode_into(&self, codec: u8, out: &mut Vec<u8>) -> Result<(), StreamError> {
+        let start = out.len();
+        let decoded = self.append(codec, out).and_then(|()| self.check_len(&out[start..]));
+        if decoded.is_err() {
+            out.truncate(start);
+        }
+        decoded
+    }
+
+    fn append(&self, codec: u8, out: &mut Vec<u8>) -> Result<(), StreamError> {
+        if self.raw {
+            out.extend_from_slice(self.payload);
+            return Ok(());
+        }
+        match codec {
+            CODEC_DEFLATE => {
+                let (bytes, saw_final) =
+                    pedal_deflate::decompress_fragment_with_limit(self.payload, self.raw_len)?;
+                if saw_final != self.last {
+                    return Err(StreamError::FinalFlagMismatch);
                 }
-                CODEC_LZ4 => {
-                    pedal_lz4::decompress_block(self.payload, Some(self.raw_len), self.raw_len)?
-                }
-                CODEC_PCO => pedal_pco::decode_bytes_chunk(self.payload, self.raw_len)?,
-                other => return Err(StreamError::UnknownCodec(other)),
+                out.extend_from_slice(&bytes);
             }
-        };
-        self.check_len(&decoded)?;
-        Ok(decoded)
+            CODEC_LZ4 => pedal_lz4::decompress_block_into(
+                self.payload,
+                Some(self.raw_len),
+                self.raw_len,
+                out,
+            )?,
+            CODEC_PCO => {
+                out.extend_from_slice(&pedal_pco::decode_bytes_chunk(self.payload, self.raw_len)?)
+            }
+            other => return Err(StreamError::UnknownCodec(other)),
+        }
+        Ok(())
     }
 
     /// Check plaintext decoded elsewhere (e.g. on an engine) against the

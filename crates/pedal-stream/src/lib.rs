@@ -21,6 +21,15 @@
 //! [`assemble`] frames precomputed payloads and [`split_frames`] yields
 //! validated [`Frame`]s, through the same readers and writers.
 //!
+//! A streamed sender encodes ahead in waves of one chunk per core
+//! ([`StreamCodec::encode_waves`]) and frames each payload through
+//! [`StreamEncoder::push_encoded`], the encoder's one framing path: it
+//! holds up to `pedal_deflate::pool::cores()` encoded frames, and the
+//! bytes are those of [`StreamEncoder::push`]. A receiver's
+//! [`StreamDecoder::feed`] appends each frame's plaintext in place to a
+//! buffer the caller owns ([`output_buffer`] sizes one that never
+//! grows); LZ4 frames decode straight into it.
+//!
 //! The contract that makes streaming safe to deploy anywhere in the
 //! pipeline: encoder output is a pure function of `(data, codec,
 //! chunk_size)` — independent of write granularity — and the decoder
@@ -43,12 +52,14 @@
 //! }
 //! wire.extend_from_slice(&enc.finish());
 //!
-//! // Incremental decode, fed as the frames "arrive".
+//! // Incremental decode, fed as the frames "arrive", appending in place.
 //! let mut dec = StreamDecoder::new(data.len());
+//! let mut out = Vec::new();
 //! for piece in wire.chunks(512) {
-//!     dec.feed(piece).unwrap();
+//!     dec.feed(piece, &mut out).unwrap();
 //! }
-//! assert_eq!(dec.finish().unwrap(), data);
+//! dec.finish().unwrap();
+//! assert_eq!(out, data);
 //! assert_eq!(decode_all(&wire, data.len()).unwrap(), data);
 //! ```
 
@@ -59,7 +70,7 @@ mod frame;
 pub use pedal_deflate::Level;
 pub use pedal_pco::PcoConfig;
 
-pub use decoder::{decode_all, split_frames, Frames, StreamDecoder};
+pub use decoder::{decode_all, output_buffer, split_frames, Frames, StreamDecoder};
 pub use encoder::{
     assemble, encode_all, EncoderStats, StreamCodec, StreamConfig, StreamEncoder, DEFAULT_CHUNK,
 };
@@ -137,6 +148,42 @@ mod tests {
         }
     }
 
+    /// Payloads encoded in waves (one chunk per core, or one at a time on
+    /// a pool worker) frame through `push_encoded` into the bytes `push`
+    /// writes.
+    #[test]
+    fn waves_frame_into_the_pushed_bytes() {
+        for cfg in configs(256) {
+            for n in [0usize, 1, 256, 257, 1024, 5000] {
+                let data = sample(n);
+                let chunks: Vec<&[u8]> = cfg.chunks(&data).collect();
+                let frame = || {
+                    let mut enc = StreamEncoder::new(&cfg);
+                    for (i, p) in cfg.codec.encode_waves(&chunks).enumerate() {
+                        enc.push_encoded(chunks[i], &p, i + 1 == chunks.len());
+                    }
+                    enc.finish()
+                };
+                let want = encode_all(&data, &cfg);
+                assert_eq!(frame(), want, "{} n={n}", cfg.codec.name());
+                let on_worker = pedal_deflate::pool::fan_out(1, 2, |_| frame());
+                assert_eq!(on_worker[0], want, "{} n={n} on a worker", cfg.codec.name());
+            }
+        }
+    }
+
+    /// A full final chunk framed without `last` would end in an empty
+    /// final frame that `push` never writes.
+    #[test]
+    #[should_panic(expected = "final frame not marked last")]
+    fn finish_rejects_an_unmarked_final_frame() {
+        let cfg = configs(256).swap_remove(0);
+        let data = sample(256);
+        let mut enc = StreamEncoder::new(&cfg);
+        enc.push_encoded(&data, &cfg.codec.encode_chunk(&data, false), false);
+        enc.finish();
+    }
+
     #[test]
     fn split_rejects_what_the_decoder_rejects() {
         let cfg = &configs(128)[0];
@@ -198,7 +245,7 @@ mod tests {
             for cut in [0, 1, 7, wire.len() / 2, wire.len() - 1] {
                 let mut dec = StreamDecoder::new(data.len());
                 // A feed error is fine too: corrupt-by-truncation is clean.
-                if dec.feed(&wire[..cut]).is_ok() {
+                if dec.feed(&wire[..cut], &mut Vec::new()).is_ok() {
                     assert!(!dec.is_finished());
                     assert_eq!(dec.finish().unwrap_err(), StreamError::Truncated);
                 }
@@ -271,14 +318,46 @@ mod tests {
         let wire = encode_all(&data, &cfg);
         let mut dec = StreamDecoder::new(data.len());
         let mut peak = 0usize;
+        let mut out = Vec::new();
         for piece in wire.chunks(97) {
-            dec.feed(piece).unwrap();
-            dec.take();
+            dec.feed(piece, &mut out).unwrap();
             peak = peak.max(dec.buffered_len());
         }
+        assert_eq!(out, data);
         assert!(dec.is_finished());
         // One frame of a 1 KiB chunk plus header slop, never the stream.
         assert!(peak < 2 * 1024 + 256, "peak buffered {peak}");
+    }
+
+    /// Frames append in place: a buffer from `output_buffer` takes a
+    /// whole stream of every codec without moving, and a failed frame
+    /// leaves it as it was.
+    #[test]
+    fn decoder_appends_in_place() {
+        for cfg in configs(1024) {
+            let data = sample(10_000);
+            let wire = encode_all(&data, &cfg);
+            let mut out = output_buffer(data.len());
+            let at = out.as_ptr();
+            let mut dec = StreamDecoder::new(data.len());
+            dec.feed(&wire, &mut out).unwrap();
+            dec.finish().unwrap();
+            assert_eq!((out.as_ptr(), &out[..]), (at, &data[..]), "{}", cfg.codec.name());
+        }
+        let cfg = &configs(1024)[1];
+        let data = sample(3000);
+        let wire = encode_all(&data, cfg);
+        let (_, spans) = frame_spans(&wire).unwrap();
+        let mut bad = wire.clone();
+        // The second frame declares 1023 bytes (LEB128 after its flags and
+        // index) and fails once its payload has decoded past them.
+        bad[spans[1].start + 2..spans[1].start + 4].copy_from_slice(&[0xFF, 0x07]);
+        let mut dec = StreamDecoder::new(data.len());
+        let mut out = Vec::new();
+        dec.feed(&bad[..spans[1].start], &mut out).unwrap();
+        assert_eq!(out, data[..1024]);
+        assert!(dec.feed(&bad[spans[1].start..], &mut out).is_err());
+        assert_eq!(out, data[..1024], "a failed frame appends nothing");
     }
 
     /// A varint that overflows 64 bits, in the header or in a frame, is
@@ -295,7 +374,7 @@ mod tests {
             assert_eq!(decode_all(&bad, 1000), Err(StreamError::VarintOverflow), "at {at}");
             let mut dec = StreamDecoder::new(1000);
             for (k, b) in bad.iter().enumerate() {
-                let fed = dec.feed(std::slice::from_ref(b));
+                let fed = dec.feed(std::slice::from_ref(b), &mut Vec::new());
                 if k + 1 < bad.len() {
                     assert_eq!(fed, Ok(()), "at {at}, byte {k}");
                 } else {
@@ -318,8 +397,8 @@ mod tests {
         let mut dec = StreamDecoder::new(data.len());
         let mut pos = 0usize;
         let mut deliver = |blob: &[u8]| {
-            dec.feed(blob).expect("encoded frames decode");
-            let out = dec.take();
+            let mut out = Vec::new();
+            dec.feed(blob, &mut out).expect("encoded frames decode");
             assert_eq!(out, data[pos..pos + out.len()], "decoded bytes diverge at {pos}");
             pos += out.len();
         };

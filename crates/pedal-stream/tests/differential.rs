@@ -80,8 +80,7 @@ fn byte_fed_decoder_reproduces_plaintext_exactly() {
         let mut dec = StreamDecoder::new(data.len());
         let mut out = Vec::new();
         for b in &wire {
-            dec.feed(std::slice::from_ref(b)).expect("valid stream");
-            out.extend_from_slice(&dec.take());
+            dec.feed(std::slice::from_ref(b), &mut out).expect("valid stream");
         }
         assert!(dec.is_finished(), "{}", codec.name());
         assert_eq!(out, data, "{} byte-fed decode diverged", codec.name());
@@ -113,12 +112,12 @@ fn frame_boundary_aligned_feeds_reproduce_plaintext() {
             assert!(frames_end < wire.len(), "{}: missing trailer", codec.name());
 
             let mut dec = StreamDecoder::new(data.len());
-            dec.feed(&wire[..header_len]).expect("header alone parses");
+            let mut out = Vec::new();
+            dec.feed(&wire[..header_len], &mut out).expect("header alone parses");
             assert!(!dec.is_finished(), "{}: finished before any frame", codec.name());
-            let mut out = dec.take();
+            assert!(out.is_empty());
             for (k, s) in spans.iter().enumerate() {
-                dec.feed(&wire[s.start..s.end]).expect("whole frame parses");
-                out.extend_from_slice(&dec.take());
+                dec.feed(&wire[s.start..s.end], &mut out).expect("whole frame parses");
                 assert_eq!(
                     dec.buffered_len(),
                     0,
@@ -135,8 +134,7 @@ fn frame_boundary_aligned_feeds_reproduce_plaintext() {
                 assert_eq!(s.last, k == spans.len() - 1, "{}: LAST flag misplaced", codec.name());
             }
             // The trailer as its own aligned slice completes the stream.
-            dec.feed(&wire[frames_end..]).expect("trailer parses");
-            out.extend_from_slice(&dec.take());
+            dec.feed(&wire[frames_end..], &mut out).expect("trailer parses");
             assert!(dec.is_finished(), "{}", codec.name());
             assert_eq!(out, data, "{} chunk={chunk}: aligned decode diverged", codec.name());
         }
@@ -157,10 +155,12 @@ fn edge_sizes_stay_granularity_independent() {
                 assert_eq!(wire, one_shot, "{} n={n} gran={gran}", codec.name());
             }
             let mut dec = StreamDecoder::new(n);
+            let mut out = Vec::new();
             for b in &one_shot {
-                dec.feed(std::slice::from_ref(b)).unwrap();
+                dec.feed(std::slice::from_ref(b), &mut out).unwrap();
             }
-            assert_eq!(dec.finish().unwrap(), data, "{} n={n}", codec.name());
+            dec.finish().unwrap();
+            assert_eq!(out, data, "{} n={n}", codec.name());
         }
     }
 }

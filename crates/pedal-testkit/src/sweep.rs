@@ -1,7 +1,8 @@
 //! The standing fuzz sweep: corpora × mutation classes × seeds, decoded
 //! through every relevant path under a panic trap. The DEFLATE and LZ4
 //! block cases also compress the same mutation of the raw bytes with the
-//! split parses at 1..=4 forced segments, against the sequential parse.
+//! split parses at 1..=4 forced segments, against the sequential parse;
+//! one LZ4 case in 24 does so inside a 768 KiB–1 MiB input.
 //!
 //! Every case derives its own seed from the sweep seed, the codec, and
 //! the case index, so a failure replays in isolation with
@@ -12,6 +13,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use crate::corpus::{build_corpus, CaseBase, CodecId};
 use crate::mutate::{mutate, MutationClass};
 use crate::oracle::DiffOracle;
+use pedal_datasets::DatasetId;
 use pedal_deflate::lz77::{detokenize, tokenize_split, MatcherParams};
 use pedal_dpu::Pcg32;
 use pedal_sz3::huff;
@@ -254,6 +256,25 @@ fn encode_split(codec: CodecId, input: &[u8], level: u8) -> Result<(), String> {
     }
 }
 
+/// One `lz4-block` case in this many compresses a long input.
+const LONG_EVERY: u32 = 24;
+
+/// A long split-encoder input: `LONG_MIN..=LONG_MAX` bytes of a dataset
+/// with the case's mutated bytes written over a random place. From
+/// 768 KiB on, every forced LZ4 helper starts its 256 KiB warm-up past
+/// byte 0, so its table differs from the calling thread's and only the
+/// history check keeps a seam from adopting the wrong bytes.
+fn long_input(rng: &mut Pcg32, mutated: &[u8]) -> Vec<u8> {
+    const LONG_MIN: usize = 768 << 10;
+    const LONG_MAX: usize = 1 << 20;
+    let id = DatasetId::ALL[rng.gen_range(0..DatasetId::ALL.len())];
+    let mut long = id.generate_bytes(rng.gen_range(LONG_MIN..=LONG_MAX));
+    let at = rng.gen_range(0..=long.len() - mutated.len().min(long.len()));
+    let end = (at + mutated.len()).min(long.len());
+    long[at..end].copy_from_slice(&mutated[..end - at]);
+    long
+}
+
 /// Feed a PSF1 stream to the resumable decoder one byte at a time — the
 /// most hostile arrival granularity a receiver can see.
 fn decode_stream_bytewise(
@@ -261,10 +282,12 @@ fn decode_stream_bytewise(
     limit: usize,
 ) -> Result<Vec<u8>, pedal_stream::StreamError> {
     let mut dec = pedal_stream::StreamDecoder::new(limit);
+    let mut out = Vec::new();
     for b in stream {
-        dec.feed(std::slice::from_ref(b))?;
+        dec.feed(std::slice::from_ref(b), &mut out)?;
     }
-    dec.finish()
+    dec.finish()?;
+    Ok(out)
 }
 
 fn check_lossless(
@@ -317,6 +340,8 @@ fn run_case_with(
     let stream = mutate(&mut rng, class, &base.encoded, &donor.encoded);
     let input = mutate(&mut rng, class, &base.original, &donor.original);
     let level = rng.gen_range(1..10u32) as u8;
+    let long = codec == CodecId::Lz4Block && rng.gen_range(0..LONG_EVERY) == 0;
+    let input = if long { long_input(&mut rng, &input) } else { input };
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         decode_one(codec, &stream, base, true, oracle)?;
         encode_split(codec, &input, level).map_err(|e| format!("split encoder, {e}"))

@@ -89,6 +89,54 @@ fn encoder_output_is_pinned() {
     }
 }
 
+/// One FNV-1a 64 over the length and bytes of every output of
+/// [`tail_outputs`], recorded before the parse loop wrote its sequences
+/// with raw stores and copied short literal runs as one 16-byte move.
+const TAIL_PIN: (usize, u64) = (393, 0xf98a_1f63_7431_0bc3);
+
+/// Blocks whose end falls at every distance from the last literal run:
+/// every length 0..=96 of log text, random bytes and a 300-byte period
+/// (alone, and after one whole period so that a match runs into the
+/// tail), then forced splits at 1..=4 segments of 1.25 MiB + 0, 1, 15,
+/// 16 and 17 bytes, the sizes around a 16-byte literal copy at the end.
+fn tail_outputs() -> Vec<Vec<u8>> {
+    let period: Vec<u8> = (0..396usize).map(|i| (i % 300 * 7 % 251) as u8).collect();
+    let sources = [
+        DatasetId::LogText.generate_bytes(96),
+        DatasetId::RandomBlob.generate_bytes(96),
+        period[..96].to_vec(),
+    ];
+    let mut outputs = Vec::new();
+    for n in 0..=96 {
+        for src in &sources {
+            outputs.push(compress_block(&src[..n], 1));
+        }
+        outputs.push(compress_block(&period[..300 + n], 1));
+    }
+    const BASE: usize = 5 << 18;
+    let large = DatasetId::SilesiaSamba.generate_bytes(BASE + 17);
+    for extra in [0, 1, 15, 16, 17] {
+        let (sequential, _) = compress_block_split(&large[..BASE + extra], 1);
+        for segments in 2..=4 {
+            let (split, _) = compress_block_split(&large[..BASE + extra], segments);
+            assert!(split == sequential, "+{extra}: {segments} segments changed the bytes");
+        }
+        outputs.push(sequential);
+    }
+    outputs
+}
+
+#[test]
+fn block_tails_are_pinned() {
+    let outputs = tail_outputs();
+    let mut all = Vec::new();
+    for out in &outputs {
+        all.extend_from_slice(&(out.len() as u64).to_le_bytes());
+        all.extend_from_slice(out);
+    }
+    assert_eq!((outputs.len(), fnv1a64(&all)), TAIL_PIN);
+}
+
 /// `compress_block_split` at `segments` equals the sequential parse;
 /// returns how many seams resynchronised.
 fn split_matches_sequential(name: &str, data: &[u8], segments: usize) -> usize {
