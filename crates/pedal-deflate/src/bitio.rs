@@ -102,13 +102,7 @@ impl<'a> BitReader<'a> {
     #[inline]
     fn refill(&mut self) {
         if let Some(word) = self.data.get(self.pos..self.pos + 8) {
-            let word = u64::from_le_bytes(word.try_into().expect("an 8-byte slice"));
-            // Take the whole bytes that fit above the buffered bits, so
-            // that no bit is set above `nbits`.
-            let take = (63 - self.nbits) / 8;
-            self.acc |= (word & ((1u64 << (take * 8)) - 1)) << self.nbits;
-            self.pos += take as usize;
-            self.nbits += take * 8;
+            self.load(u64::from_le_bytes(word.try_into().expect("an 8-byte slice")));
             return;
         }
         while self.nbits <= 56 && self.pos < self.data.len() {
@@ -116,6 +110,16 @@ impl<'a> BitReader<'a> {
             self.pos += 1;
             self.nbits += 8;
         }
+    }
+
+    /// Take the whole bytes of `word`, the 8 at `pos`, that fit above the
+    /// buffered bits, so that no bit is set above `nbits`.
+    #[inline(always)]
+    fn load(&mut self, word: u64) {
+        let take = (63 - self.nbits) / 8;
+        self.acc |= (word & ((1u64 << (take * 8)) - 1)) << self.nbits;
+        self.pos += take as usize;
+        self.nbits += take * 8;
     }
 
     /// Read `n` bits (n <= 32). Returns an error if the stream is exhausted.
@@ -175,23 +179,49 @@ impl<'a> BitReader<'a> {
         self.nbits -= drop;
     }
 
-    /// Read `len` whole bytes; requires byte alignment.
-    pub fn read_bytes(&mut self, len: usize) -> Result<Vec<u8>, OutOfBits> {
+    /// Take `len` whole bytes straight from the input; requires byte
+    /// alignment. The buffered bytes are the last ones loaded, so the
+    /// bytes start that many before the next byte to load.
+    pub fn take_bytes(&mut self, len: usize) -> Result<&'a [u8], OutOfBits> {
         debug_assert_eq!(self.nbits % 8, 0);
-        let mut out = Vec::with_capacity(len);
-        // Drain any buffered whole bytes first.
-        while self.nbits >= 8 && out.len() < len {
-            out.push((self.acc & 0xFF) as u8);
-            self.acc >>= 8;
-            self.nbits -= 8;
-        }
-        let need = len - out.len();
-        if self.data.len() - self.pos < need {
-            return Err(OutOfBits);
-        }
-        out.extend_from_slice(&self.data[self.pos..self.pos + need]);
-        self.pos += need;
-        Ok(out)
+        let start = self.pos - self.nbits as usize / 8;
+        let bytes = self.data.get(start..).and_then(|rest| rest.get(..len)).ok_or(OutOfBits)?;
+        self.pos = start + len;
+        self.acc = 0;
+        self.nbits = 0;
+        Ok(bytes)
+    }
+
+    /// Input bytes not yet loaded into the accumulator.
+    #[inline(always)]
+    pub(crate) fn bytes_left(&self) -> usize {
+        self.data.len() - self.pos
+    }
+
+    /// Load at least 56 bits with one 8-byte read; requires
+    /// [`Self::bytes_left`] `>= 8`.
+    #[inline(always)]
+    pub(crate) fn refill_word(&mut self) {
+        assert!(self.bytes_left() >= 8);
+        // SAFETY: the 8 bytes at `pos` are in bounds, as just checked.
+        let word = unsafe { self.data.as_ptr().add(self.pos).cast::<u64>().read_unaligned() };
+        self.load(u64::from_le(word));
+        debug_assert!(self.nbits >= 56);
+    }
+
+    /// The buffered bits, the next one lowest; none are set above the
+    /// buffered count.
+    #[inline(always)]
+    pub(crate) fn bits(&self) -> u64 {
+        self.acc
+    }
+
+    /// Drop `n` buffered bits, which the caller has checked are there.
+    #[inline(always)]
+    pub(crate) fn drop_bits(&mut self, n: u32) {
+        debug_assert!(n <= self.nbits);
+        self.acc >>= n;
+        self.nbits -= n;
     }
 }
 
@@ -238,7 +268,25 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(3).unwrap(), 0b101);
         r.align_byte();
-        assert_eq!(r.read_bytes(3).unwrap(), vec![1, 2, 3]);
+        assert_eq!(r.take_bytes(3).unwrap(), [1, 2, 3]);
+    }
+
+    #[test]
+    fn taken_bytes_start_with_the_buffered_ones() {
+        let data: Vec<u8> = (1..=20).collect();
+        for skip in 0..4u32 {
+            let mut r = BitReader::new(&data);
+            // The first read loads 7 bytes; `skip` of them are consumed.
+            for b in 1..=skip {
+                assert_eq!(r.read_bits(8).unwrap(), b);
+            }
+            let s = skip as u8;
+            assert_eq!(r.take_bytes(3).unwrap(), [s + 1, s + 2, s + 3]);
+            assert_eq!(r.read_bits(8).unwrap(), skip + 4, "reading resumes after them");
+            let rest = 16 - skip as usize;
+            assert_eq!(r.take_bytes(rest + 1), Err(OutOfBits));
+            assert_eq!(r.take_bytes(rest).unwrap().last(), Some(&20));
+        }
     }
 
     #[test]

@@ -58,11 +58,22 @@ pub fn length_code(len: usize) -> usize {
 /// Map a distance (1..=32768) to its distance code (0..=29).
 #[inline]
 pub fn dist_code(dist: usize) -> usize {
+    DIST_TO_CODE[dist_slot(dist)] as usize
+}
+
+/// The slot of a distance (1..=32768) in a 512-entry table: `dist - 1` up
+/// to 255, then `256 + (dist - 1) / 128`, since every 128 distances from
+/// 257 on share a code (zlib's `_dist_code` layout). A select, not a
+/// branch, so random distances cost no mispredictions.
+#[inline]
+pub fn dist_slot(dist: usize) -> usize {
     debug_assert!((1..=WINDOW_SIZE).contains(&dist));
-    if dist <= 256 {
-        DIST_TO_CODE_LO[dist - 1] as usize
+    let d = dist - 1;
+    let far = 256 + (d >> 7);
+    if d < 256 {
+        d
     } else {
-        DIST_TO_CODE_HI[(dist - 1) >> 7] as usize
+        far
     }
 }
 
@@ -92,10 +103,8 @@ const fn build_length_lut() -> [u8; 256] {
     lut
 }
 
-/// LUT for distances 1..=256.
-pub static DIST_TO_CODE_LO: [u8; 256] = build_dist_lut_lo();
-/// LUT for distances 257..=32768, indexed by (dist-1)>>7.
-pub static DIST_TO_CODE_HI: [u8; 256] = build_dist_lut_hi();
+/// LUT: [`dist_slot`] -> distance code.
+pub static DIST_TO_CODE: [u8; 512] = build_dist_lut();
 
 const fn dist_code_slow(dist: usize) -> u8 {
     let mut code = 29usize;
@@ -107,23 +116,15 @@ const fn dist_code_slow(dist: usize) -> u8 {
     }
 }
 
-const fn build_dist_lut_lo() -> [u8; 256] {
-    let mut lut = [0u8; 256];
-    let mut d = 1usize;
-    while d <= 256 {
-        lut[d - 1] = dist_code_slow(d);
-        d += 1;
-    }
-    lut
-}
-
-const fn build_dist_lut_hi() -> [u8; 256] {
-    let mut lut = [0u8; 256];
-    let mut i = 0usize;
-    while i < 256 {
-        let dist = (i << 7) + 1;
-        lut[i] = dist_code_slow(if dist < 257 { 257 } else { dist });
-        i += 1;
+const fn build_dist_lut() -> [u8; 512] {
+    let mut lut = [0u8; 512];
+    let mut slot = 0usize;
+    while slot < 512 {
+        // The first distance of the slot; `dist_slot` uses no slot
+        // between 256 and 257, which hold the codes of 1 and 129.
+        let dist = if slot < 256 { slot + 1 } else { ((slot - 256) << 7) + 1 };
+        lut[slot] = dist_code_slow(dist);
+        slot += 1;
     }
     lut
 }

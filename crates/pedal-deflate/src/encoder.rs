@@ -54,23 +54,23 @@ pub fn deflate_fragment(data: &[u8], level: Level, last: bool) -> Vec<u8> {
         return w.finish();
     }
 
-    // Encode each block as soon as it fills. A full block is held back
-    // until the next token arrives, so only the true last block is final.
+    // Encode each block as soon as it fills, with its symbols counted as
+    // its tokens arrive. A full block is held back until the next token
+    // arrives, so only the true last block is final.
     let mut block: Vec<Token> = Vec::with_capacity(BLOCK_TOKENS.min(data.len()));
+    let mut freqs = Freqs::new();
     let (mut block_start, mut block_end) = (0usize, 0usize);
     tokenize(data, MatcherParams::for_level(level.0), |t| {
         if block.len() == BLOCK_TOKENS {
-            encode_block(&mut w, &block, &data[block_start..block_end], false);
+            encode_block(&mut w, &block, &freqs, &data[block_start..block_end], false);
             block.clear();
+            freqs = Freqs::new();
             block_start = block_end;
         }
-        block_end += match t {
-            Token::Literal(_) => 1,
-            Token::Match { len, .. } => len as usize,
-        };
+        block_end += freqs.count(t);
         block.push(t);
     });
-    encode_block(&mut w, &block, &data[block_start..block_end], last);
+    encode_block(&mut w, &block, &freqs, &data[block_start..block_end], last);
     if !last {
         // Sync flush: the empty non-final stored block realigns the
         // fragment to a byte boundary so the next fragment can be
@@ -80,29 +80,54 @@ pub fn deflate_fragment(data: &[u8], level: Level, last: bool) -> Vec<u8> {
     w.finish()
 }
 
-/// Emit one block choosing the cheapest of stored/fixed/dynamic encoding.
-pub(crate) fn encode_block(w: &mut BitWriter, tokens: &[Token], raw: &[u8], is_final: bool) {
-    // Gather symbol frequencies.
-    let mut lit_freq = [0u32; NUM_LITLEN];
-    let mut dist_freq = [0u32; NUM_DIST];
-    for t in tokens {
-        match *t {
-            Token::Literal(b) => lit_freq[b as usize] += 1,
+/// One block's symbol counts: literal/length (the end-of-block symbol
+/// counted from the start) and distance.
+pub(crate) struct Freqs {
+    lit: [u32; NUM_LITLEN],
+    dist: [u32; NUM_DIST],
+}
+
+impl Freqs {
+    pub(crate) fn new() -> Self {
+        let mut lit = [0; NUM_LITLEN];
+        lit[EOB as usize] = 1;
+        Self { lit, dist: [0; NUM_DIST] }
+    }
+
+    /// Count one token's symbols; returns the input bytes it covers.
+    #[inline]
+    pub(crate) fn count(&mut self, t: Token) -> usize {
+        match t {
+            Token::Literal(b) => {
+                self.lit[b as usize] += 1;
+                1
+            }
             Token::Match { len, dist } => {
-                lit_freq[257 + length_code(len as usize)] += 1;
-                dist_freq[dist_code(dist as usize)] += 1;
+                self.lit[257 + length_code(len as usize)] += 1;
+                self.dist[dist_code(dist as usize)] += 1;
+                len as usize
             }
         }
     }
-    lit_freq[EOB as usize] += 1;
+}
 
-    let dyn_lit_lens = build_code_lengths(&lit_freq, MAX_CODE_LEN);
-    let dyn_dist_lens = build_code_lengths(&dist_freq, MAX_CODE_LEN);
+/// Emit one block choosing the cheapest of stored/fixed/dynamic encoding;
+/// `freqs` counts `tokens`.
+pub(crate) fn encode_block(
+    w: &mut BitWriter,
+    tokens: &[Token],
+    freqs: &Freqs,
+    raw: &[u8],
+    is_final: bool,
+) {
+    let (lit_freq, dist_freq) = (&freqs.lit, &freqs.dist);
+    let dyn_lit_lens = build_code_lengths(lit_freq, MAX_CODE_LEN);
+    let dyn_dist_lens = build_code_lengths(dist_freq, MAX_CODE_LEN);
     let (clc_stream, clc_lens, hlit, hdist, hclen) = build_clc(&dyn_lit_lens, &dyn_dist_lens);
 
     let fixed = fixed_tables();
-    let fixed_cost = block_cost(&lit_freq, &dist_freq, &fixed.0.lengths, &fixed.1.lengths);
-    let dyn_body = block_cost(&lit_freq, &dist_freq, &dyn_lit_lens, &dyn_dist_lens);
+    let fixed_cost = block_cost(lit_freq, dist_freq, &fixed.0.lengths, &fixed.1.lengths);
+    let dyn_body = block_cost(lit_freq, dist_freq, &dyn_lit_lens, &dyn_dist_lens);
     let dyn_header = dyn_header_cost(&clc_stream, &clc_lens, hclen);
     let dyn_cost = dyn_body + dyn_header;
     // Stored cost: 3 bit header + align + per-chunk 4-byte LEN/NLEN + data.
@@ -112,16 +137,18 @@ pub(crate) fn encode_block(w: &mut BitWriter, tokens: &[Token], raw: &[u8], is_f
     if stored_cost < fixed_cost && stored_cost < dyn_cost {
         write_stored(w, raw, is_final);
     } else if fixed_cost <= dyn_cost {
+        static FIXED: OnceLock<BlockCodes> = OnceLock::new();
+        let (lit, dist) = fixed;
         w.write_bits(is_final as u64, 1);
         w.write_bits(0b01, 2); // fixed Huffman
-        write_tokens(w, tokens, &fixed.0, &fixed.1);
+        write_tokens(w, tokens, FIXED.get_or_init(|| BlockCodes::new(lit, dist)));
     } else {
         w.write_bits(is_final as u64, 1);
         w.write_bits(0b10, 2); // dynamic Huffman
         write_dyn_header(w, &clc_stream, &clc_lens, hlit, hdist, hclen);
-        let lit_enc = HuffEncoder::from_lengths(&dyn_lit_lens);
-        let dist_enc = HuffEncoder::from_lengths(&dyn_dist_lens);
-        write_tokens(w, tokens, &lit_enc, &dist_enc);
+        let lit = HuffEncoder::from_lengths(&dyn_lit_lens);
+        let dist = HuffEncoder::from_lengths(&dyn_dist_lens);
+        write_tokens(w, tokens, &BlockCodes::new(&lit, &dist));
     }
 }
 
@@ -165,29 +192,75 @@ pub fn fixed_tables() -> &'static (HuffEncoder, HuffEncoder) {
     })
 }
 
-fn write_tokens(w: &mut BitWriter, tokens: &[Token], lit: &HuffEncoder, dist: &HuffEncoder) {
-    // Each code goes out together with its extra bits: at most 15 + 13
-    // bits per write.
-    for t in tokens {
-        match *t {
-            Token::Literal(b) => {
-                let (c, l) = lit.code(b as usize);
-                w.write_bits(c as u64, l as u32);
-            }
-            Token::Match { len, dist: d } => {
-                let lc = length_code(len as usize);
-                let (c, l) = lit.code(257 + lc);
-                let extra = (len - LENGTH_BASE[lc]) as u64;
-                w.write_bits(c as u64 | extra << l, (l + LENGTH_EXTRA[lc]) as u32);
-                let dc = dist_code(d as usize);
+/// A code and the extra bits after it, as one `write_bits` call.
+#[derive(Clone, Copy)]
+struct Code {
+    bits: u32,
+    len: u32,
+}
+
+/// A distance code for one [`dist_slot`]: its Huffman code, and the base
+/// its extra bits count from.
+#[derive(Clone, Copy)]
+struct DistCode {
+    code: u32,
+    code_len: u32,
+    base: u32,
+    /// Code and extra bits together.
+    len: u32,
+}
+
+/// One block's codes, each with its extra bits: a literal or a length is
+/// one lookup, a distance one lookup and a subtraction.
+struct BlockCodes {
+    /// Literal bytes, then end-of-block.
+    lit: [Code; 257],
+    /// By match length - `MIN_MATCH`.
+    len: [Code; MAX_MATCH - MIN_MATCH + 1],
+    /// By [`dist_slot`].
+    dist: [DistCode; 512],
+}
+
+impl BlockCodes {
+    fn new(lit: &HuffEncoder, dist: &HuffEncoder) -> Self {
+        let code = |sym: usize, extra: u32, extra_len: u8| {
+            let (c, l) = lit.code(sym);
+            Code { bits: c | extra << l, len: (l + extra_len) as u32 }
+        };
+        Self {
+            lit: std::array::from_fn(|b| code(b, 0, 0)),
+            len: std::array::from_fn(|i| {
+                let lc = length_code(i + MIN_MATCH);
+                code(257 + lc, (i + MIN_MATCH) as u32 - LENGTH_BASE[lc] as u32, LENGTH_EXTRA[lc])
+            }),
+            dist: std::array::from_fn(|slot| {
+                let dc = DIST_TO_CODE[slot] as usize;
                 let (c, l) = dist.code(dc);
-                let extra = (d - DIST_BASE[dc]) as u64;
-                w.write_bits(c as u64 | extra << l, (l + DIST_EXTRA[dc]) as u32);
+                let (code_len, extra_len) = (l as u32, DIST_EXTRA[dc] as u32);
+                DistCode {
+                    code: c,
+                    code_len,
+                    base: DIST_BASE[dc] as u32,
+                    len: code_len + extra_len,
+                }
+            }),
+        }
+    }
+}
+
+fn write_tokens(w: &mut BitWriter, tokens: &[Token], codes: &BlockCodes) {
+    let mut put = |c: Code| w.write_bits(c.bits as u64, c.len);
+    for &t in tokens {
+        match t {
+            Token::Literal(b) => put(codes.lit[b as usize]),
+            Token::Match { len, dist } => {
+                put(codes.len[len as usize - MIN_MATCH]);
+                let d = codes.dist[dist_slot(dist as usize)];
+                put(Code { bits: d.code | (dist as u32 - d.base) << d.code_len, len: d.len });
             }
         }
     }
-    let (c, l) = lit.code(EOB as usize);
-    w.write_bits(c as u64, l as u32);
+    put(codes.lit[EOB as usize]);
 }
 
 fn write_stored(w: &mut BitWriter, data: &[u8], is_final: bool) {

@@ -209,7 +209,8 @@ pub struct Decoder {
     first_code: [u32; MAX_BITS + 1],
     count: [u32; MAX_BITS + 1],
     first_index: [u32; MAX_BITS + 1],
-    /// Symbols with codes at least `search_from` long, by (length, symbol).
+    /// Values of the symbols with codes at least `search_from` long, by
+    /// (length, symbol).
     long_syms: Vec<u32>,
 }
 
@@ -249,6 +250,16 @@ impl Decoder {
     /// Build a decoder from canonical code lengths. An empty alphabet is
     /// accepted; decoding from it always fails.
     pub fn from_lengths(lengths: &[u8]) -> Result<Self, HuffError> {
+        Self::from_lengths_mapped(lengths, |sym| sym as u32)
+    }
+
+    /// [`Self::from_lengths`], decoding each symbol to `value(symbol)`
+    /// instead, which must be below 2^27: a caller can fold what it looks
+    /// up per symbol into the table.
+    pub(crate) fn from_lengths_mapped(
+        lengths: &[u8],
+        value: impl Fn(usize) -> u32,
+    ) -> Result<Self, HuffError> {
         let max_len = lengths.iter().copied().max().unwrap_or(0) as u32;
         if max_len as usize > MAX_BITS {
             return Err(HuffError::CodeTooLong);
@@ -298,7 +309,8 @@ impl Decoder {
                 continue;
             }
             let len = len as u32;
-            let leaf = (sym as u32) << LEN_BITS | len;
+            debug_assert!(value(sym) < 1 << (32 - LEN_BITS));
+            let leaf = value(sym) << LEN_BITS | len;
             let rev = reverse_bits(code, len);
             let (slots, low, low_len) = if len <= primary_bits {
                 (&mut table[..1 << primary_bits], rev, len)
@@ -323,7 +335,7 @@ impl Decoder {
         let mut fill = first_index;
         for (sym, &len) in lengths.iter().enumerate() {
             if len != 0 && !in_table(len) {
-                long_syms[fill[len as usize] as usize] = sym as u32;
+                long_syms[fill[len as usize] as usize] = value(sym);
                 fill[len as usize] += 1;
             }
         }
@@ -366,6 +378,20 @@ impl Decoder {
         }
         r.consume(e & LEN_MASK)?;
         Ok(e >> LEN_BITS)
+    }
+
+    /// The primary table's leaf for the next input bits, as (value, code
+    /// length), or None when the code needs a subtable or the canonical
+    /// search, or matches nothing. [`Self::decode`] reads the same entry.
+    #[inline(always)]
+    pub(crate) fn leaf(&self, bits: u64) -> Option<(u32, u32)> {
+        let i = bits as usize & ((1 << self.primary_bits) - 1);
+        debug_assert!(i < self.table.len());
+        // SAFETY: the primary table fills the first `2^primary_bits`
+        // entries, and `i` is below that.
+        let e = unsafe { *self.table.get_unchecked(i) };
+        let len = e & LEN_MASK;
+        (len != 0).then_some((e >> LEN_BITS, len))
     }
 
     /// Codes the tables do not hold: match the next `max_len` bits against

@@ -41,7 +41,8 @@ pub mod varint;
 
 pub use encoder::{deflate as compress, deflate_fragment as compress_fragment, Level};
 pub use inflate::{
-    inflate as decompress, inflate_fragment_with_limit as decompress_fragment_with_limit,
+    inflate as decompress, inflate_checked_with_limit as decompress_checked_with_limit,
+    inflate_fragment_with_limit as decompress_fragment_with_limit,
     inflate_with_limit as decompress_with_limit, InflateError,
 };
 pub use stitch::{stitch_fragments, StitchError};

@@ -10,7 +10,7 @@
 //! * **hash chains** — zlib's `head`/`prev` tables, one dependent load
 //!   per link;
 //! * **sorted runs** — every position of a segment and its 32 KiB
-//!   lookback, radix-sorted by (hash, position). The list at `pos` is the
+//!   lookback, counting-sorted by (hash, position). The list at `pos` is the
 //!   run of equal-hash keys just before `pos`'s own key, read backwards:
 //!   sequential reads whose candidate loads do not depend on each other.
 //!
@@ -214,53 +214,48 @@ impl HashChains {
 struct SortedRuns {
     base: usize,
     keys: Vec<u32>,
-    scratch: Vec<u32>,
     /// rank[offset] = index of that offset's key in `keys`.
     rank: Vec<u32>,
+    /// Per hash, the keys before its run, then the next free slot in it.
+    bucket: Vec<u32>,
 }
 
 impl SortedRuns {
     /// Buffers for the longest segment, so none is copied to grow.
     fn new() -> Self {
         let cap = || Vec::with_capacity(WINDOW_SIZE + SEGMENT);
-        Self { base: 0, keys: cap(), scratch: cap(), rank: cap() }
+        Self { base: 0, keys: cap(), rank: cap(), bucket: vec![0; HASH_SIZE] }
     }
 
     /// Sort the positions `base..end` that start a 3-byte string.
+    ///
+    /// One stable counting sort by hash: count each hash (parking it in
+    /// `rank`), turn the counts into each run's first slot, then place
+    /// every key at its run's cursor in position order, so ties stay in
+    /// it. Each bucket fills in one pass and is never re-sorted.
     fn build(&mut self, data: &[u8], base: usize, end: usize) {
         let end = end.min(data.len().saturating_sub(MIN_MATCH - 1));
         self.base = base;
         let len = end - base;
-        // Two stable LSD passes over the 15 hash bits (8 low, then 7
-        // high); keys start in position order, so ties stay in it.
-        let mut low = [0u32; 256];
-        let mut high = [0u32; 128];
-        let src = &mut self.scratch;
-        src.clear();
+        let bucket = &mut self.bucket;
+        bucket.fill(0);
+        self.rank.clear();
         let strings = data[base..end + MIN_MATCH - 1].windows(MIN_MATCH);
-        src.extend(strings.enumerate().map(|(i, w)| {
+        self.rank.extend(strings.map(|w| {
             let h = hash_bytes(w[0], w[1], w[2]);
-            low[h as usize & 0xFF] += 1;
-            high[(h >> 8) as usize] += 1;
-            h << OFFSET_BITS | i as u32
+            bucket[h as usize] += 1;
+            h
         }));
-        exclusive_prefix_sum(&mut low);
-        exclusive_prefix_sum(&mut high);
-        let keys = &mut self.keys;
-        keys.resize(len, 0);
-        for &k in src.iter() {
-            let b = &mut low[(k >> OFFSET_BITS) as usize & 0xFF];
-            keys[*b as usize] = k;
-            *b += 1;
+        exclusive_prefix_sum(bucket);
+        self.keys.clear();
+        self.keys.resize(len, 0);
+        for (i, r) in self.rank.iter_mut().enumerate() {
+            let h = *r;
+            let slot = &mut bucket[h as usize];
+            self.keys[*slot as usize] = h << OFFSET_BITS | i as u32;
+            *r = *slot;
+            *slot += 1;
         }
-        self.rank.resize(len, 0);
-        for &k in keys.iter() {
-            let b = &mut high[(k >> (OFFSET_BITS + 8)) as usize];
-            src[*b as usize] = k;
-            self.rank[(k & OFFSET_MASK) as usize] = *b;
-            *b += 1;
-        }
-        std::mem::swap(&mut self.keys, &mut self.scratch);
     }
 
     /// Walk the run of hash `h` before `pos`'s own key, newest first, down
@@ -949,6 +944,65 @@ mod tests {
             data.extend_from_slice(words[next() as usize % words.len()]);
         }
         data
+    }
+
+    /// `SortedRuns::build`'s keys and ranks, from a comparison sort.
+    fn reference_runs(data: &[u8], base: usize, end: usize) -> (Vec<u32>, Vec<u32>) {
+        let end = end.min(data.len().saturating_sub(MIN_MATCH - 1));
+        let mut keys: Vec<u32> =
+            (base..end).map(|p| hash3(data, p) << OFFSET_BITS | (p - base) as u32).collect();
+        keys.sort_by_key(|&k| (k >> OFFSET_BITS, k & OFFSET_MASK));
+        let mut rank = vec![0; keys.len()];
+        for (i, &k) in keys.iter().enumerate() {
+            rank[(k & OFFSET_MASK) as usize] = i as u32;
+        }
+        (keys, rank)
+    }
+
+    #[test]
+    fn one_pass_runs_match_a_comparison_sort() {
+        let dense = dense_sparse_dense();
+        let mut x = 0x2545_F491u32;
+        let sparse: Vec<u8> = (0..dense.len())
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                x as u8
+            })
+            .collect();
+        let equal = vec![0x5A; dense.len()];
+        let mut runs = SortedRuns::new();
+        let mut check = |data: &[u8], base: usize, end: usize| {
+            runs.build(data, base, end);
+            let (keys, rank) = reference_runs(data, base, end);
+            assert!(runs.keys == keys, "keys of {base}..{end} over {} bytes", data.len());
+            assert!(runs.rank == rank, "ranks of {base}..{end} over {} bytes", data.len());
+        };
+        for data in [&dense[..], &sparse, &equal] {
+            // The first segment one byte short, exact and one byte long;
+            // a full segment with its lookback (the most offsets a key
+            // holds), starting a byte early, on time or late, and one
+            // byte short.
+            for d in [0, 1, 2] {
+                check(data, 0, FIRST_SEGMENT + d - 1);
+                let seg = FIRST_SEGMENT + WINDOW_SIZE + d - 1;
+                check(data, seg - WINDOW_SIZE, seg + SEGMENT);
+                check(data, seg - WINDOW_SIZE, seg + SEGMENT - 1);
+            }
+            // Segments that run into the input's last 0..=3 bytes, where
+            // fewer than 3 bytes start no string.
+            for tail in 0..=3 {
+                let data = &data[..FIRST_SEGMENT + tail];
+                check(data, 0, FIRST_SEGMENT);
+                check(data, 0, FIRST_SEGMENT + 8);
+            }
+        }
+        for tiny in [&b"abc"[..], b"abcd", b"aaaa", b"abcab"] {
+            for end in 1..=tiny.len() {
+                check(tiny, 0, end);
+            }
+        }
     }
 
     #[test]

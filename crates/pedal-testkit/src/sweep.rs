@@ -2,7 +2,9 @@
 //! through every relevant path under a panic trap. The DEFLATE and LZ4
 //! block cases also compress the same mutation of the raw bytes with the
 //! split parses at 1..=4 forced segments, against the sequential parse;
-//! one LZ4 case in 24 does so inside a 768 KiB–1 MiB input.
+//! one LZ4 case in 24 does so inside a 768 KiB–1 MiB input. Every
+//! DEFLATE, zlib and gzip case also decodes its DEFLATE body with
+//! inflate's checked step alone, which must give the fast loop's result.
 //!
 //! Every case derives its own seed from the sweep seed, the codec, and
 //! the case index, so a failure replays in isolation with
@@ -92,6 +94,13 @@ fn decode_one(
     oracle: &DiffOracle,
 ) -> Result<(), String> {
     let orig_len = base.original.len();
+    if let Some(body) = deflate_body(codec, stream) {
+        let fast = pedal_deflate::decompress_with_limit(body, orig_len);
+        let checked = pedal_deflate::decompress_checked_with_limit(body, orig_len);
+        if fast != checked {
+            return Err(format!("fast inflate {fast:?} but checked step {checked:?}"));
+        }
+    }
     match codec {
         CodecId::Deflate => {
             let r = pedal_deflate::decompress_with_limit(stream, orig_len);
@@ -215,6 +224,18 @@ fn decode_one(
             }
             check_lossless(one_shot.map_err(|e| e.to_string()), base, mutated)
         }
+    }
+}
+
+/// The bytes a DEFLATE-family codec hands to inflate, taking a gzip
+/// header to have no optional fields; both decoders must agree on any
+/// bytes, so a mutated header only moves where the body starts.
+fn deflate_body(codec: CodecId, stream: &[u8]) -> Option<&[u8]> {
+    match codec {
+        CodecId::Deflate => Some(stream),
+        CodecId::Zlib => stream.get(2..stream.len().checked_sub(4)?),
+        CodecId::Gzip => stream.get(10..stream.len().checked_sub(8)?),
+        _ => None,
     }
 }
 
