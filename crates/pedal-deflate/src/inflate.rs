@@ -594,34 +594,67 @@ mod tests {
         }
     }
 
+    /// One final fixed-Huffman block of `tokens`.
+    fn fixed_block(tokens: &[Token]) -> Vec<u8> {
+        let (lit, dist) = crate::encoder::fixed_tables();
+        let mut w = BitWriter::new();
+        w.write_bits(1, 1);
+        w.write_bits(0b01, 2);
+        let put = |w: &mut BitWriter, (c, l): (u32, u8)| w.write_bits(c as u64, l as u32);
+        for &t in tokens {
+            match t {
+                Token::Literal(b) => put(&mut w, lit.code(b as usize)),
+                Token::Match { len, dist: d } => {
+                    let (len, d) = (len as usize, d as usize);
+                    let lc = length_code(len);
+                    put(&mut w, lit.code(257 + lc));
+                    w.write_bits((len - LENGTH_BASE[lc] as usize) as u64, LENGTH_EXTRA[lc] as u32);
+                    let dc = dist_code(d);
+                    put(&mut w, dist.code(dc));
+                    w.write_bits((d - DIST_BASE[dc] as usize) as u64, DIST_EXTRA[dc] as u32);
+                }
+            }
+        }
+        put(&mut w, lit.code(EOB as usize));
+        w.finish()
+    }
+
     #[test]
     fn fast_loop_hands_a_distance_too_far_to_the_checked_step() {
-        // A fixed block: 300 literals, a match reaching back `dist`, then
-        // enough literals that the fast loop is still running there.
-        let block = |dist: usize| {
-            let (lit, dist_enc) = crate::encoder::fixed_tables();
-            let mut w = BitWriter::new();
-            w.write_bits(1, 1);
-            w.write_bits(0b01, 2);
-            let put = |w: &mut BitWriter, (c, l): (u32, u8)| w.write_bits(c as u64, l as u32);
-            for i in 0..300 {
-                put(&mut w, lit.code(b'a' as usize + i % 7));
-            }
-            put(&mut w, lit.code(257)); // length 3
-            let dc = dist_code(dist);
-            put(&mut w, dist_enc.code(dc));
-            w.write_bits((dist - DIST_BASE[dc] as usize) as u64, DIST_EXTRA[dc] as u32);
-            for _ in 0..100 {
-                put(&mut w, lit.code(b'z' as usize));
-            }
-            put(&mut w, lit.code(EOB as usize));
-            w.finish()
+        // 300 literals, a match reaching back `dist`, then enough literals
+        // that the fast loop is still running there.
+        let block = |dist: u16| {
+            let mut tokens: Vec<Token> =
+                (0..300).map(|i| Token::Literal(b'a' + (i % 7) as u8)).collect();
+            tokens.push(Token::Match { len: 3, dist });
+            tokens.extend([Token::Literal(b'z'); 100]);
+            fixed_block(&tokens)
         };
         for limit in [403, 10_000] {
             assert_eq!(inflate_with_limit(&block(300), limit).map(|d| d.len()), Ok(403));
             let too_far = Err(InflateError::DistanceTooFar { dist: 301, available: 300 });
             assert_eq!(inflate_with_limit(&block(301), limit), too_far);
             agree(&block(301), limit);
+        }
+    }
+
+    #[test]
+    fn fast_loop_keeps_its_room_at_every_limit() {
+        // A literal and a 258-byte match after 300 literals, then enough
+        // literals that the fast loop is still running there: that step
+        // writes 259 bytes, and a 16-byte copy up to 15 past them, so each
+        // limit around it (the output's capacity too) leaves the loop a
+        // different room. A room too small trips its `debug_assert!`s.
+        for dist in [1, 9, 20] {
+            let mut tokens: Vec<Token> = (0..300).map(|i| Token::Literal((i * 37) as u8)).collect();
+            tokens.extend([Token::Literal(b'x'), Token::Match { len: 258, dist }]);
+            tokens.extend([Token::Literal(b'z'); 100]);
+            let stream = fixed_block(&tokens);
+            let n = 300 + 1 + 258 + 100;
+            assert_eq!(inflate_with_limit(&stream, n).map(|d| d.len()), Ok(n));
+            for limit in (280..=620).chain([n - 1, n, n + 1]) {
+                agree(&stream, limit);
+            }
         }
     }
 
